@@ -12,6 +12,8 @@ usable without writing Python:
 ``coprocessor``           the §1 crypto HW/SW interface study
 ``characterize``          run the characterisation flow; optionally save
                           the table as JSON
+``sweep``                 fetch-path (burst x line-buffer) sweep
+``robustness``            accuracy errors across workload classes
 ``faults``                fault-injection campaign: completion rate and
                           recovery cost (cycles, energy) per bus layer
 ``tear``                  tear campaign: anti-tearing consistency and
@@ -22,12 +24,15 @@ usable without writing Python:
 ``link``                  T=1 link campaign: framed APDU sessions over
                           a noisy UART channel — bounded retransmission
                           and energy-attributed recovery per bus layer
+``fabric``                routable-fabric campaign: flat vs bridged
+                          topology with exact per-link energy books
+``chaos``                 chaos campaign: seeded fabric-fault scenarios
+                          checked by a cross-layer differential oracle;
+                          failures shrink to replayable minimal repros
 ``trace``                 run the §4.1 test program and dump its bus
                           trace
-``bench``                 tracked performance benchmarks; writes
-                          ``BENCH_PR10.json`` and enforces the
-                          fast-lane kernel and end-to-end layer-1
-                          speedup floors
+``vcd``                   dump the test program's bus waveform (and
+                          per-cycle energy) as VCD
 ========================  ==============================================
 """
 
@@ -316,38 +321,6 @@ def _cmd_vcd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (E2E_FLOOR, FASTLANE_FLOOR,
-                                         fastlane_speedup, format_rows,
-                                         layer1_e2e_speedup, run_bench,
-                                         write_bench)
-    rows = run_bench(quick=args.quick, workers=args.workers)
-    write_bench(rows, args.output)
-    print(format_rows(rows))
-    print(f"\nbenchmark rows written to {args.output}")
-    status = 0
-    kernel = fastlane_speedup(rows)
-    if kernel < FASTLANE_FLOOR:
-        print(f"repro bench: FAIL: fast-lane kernel speedup "
-              f"{kernel:.2f}x is below the {FASTLANE_FLOOR:.1f}x floor",
-              file=sys.stderr)
-        status = 1
-    else:
-        print(f"fast-lane kernel speedup {kernel:.2f}x "
-              f"(floor {FASTLANE_FLOOR:.1f}x)")
-    e2e = layer1_e2e_speedup(rows)
-    if e2e < E2E_FLOOR:
-        print(f"repro bench: FAIL: end-to-end layer-1 speedup "
-              f"{e2e:.2f}x (fast lane + packed engine vs generic lane "
-              f"+ per-cycle reference engine) is below the "
-              f"{E2E_FLOOR:.1f}x floor", file=sys.stderr)
-        status = 1
-    else:
-        print(f"end-to-end layer-1 speedup {e2e:.2f}x "
-              f"(floor {E2E_FLOOR:.1f}x)")
-    return status
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.common import test_program_trace
     trace = test_program_trace()
@@ -608,17 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_supervision(chaos)
     add_workers(chaos, what="scenario cells")
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench", help="tracked performance benchmarks "
-                      "(kernel/layer/campaign throughput)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads for CI smoke runs")
-    bench.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker count for the campaign benchmark")
-    bench.add_argument("-o", "--output", default="BENCH_PR10.json",
-                       help="where to write the benchmark rows (JSON)")
-    bench.set_defaults(func=_cmd_bench)
 
     vcd = sub.add_parser(
         "vcd", help="dump the test program's bus waveform as VCD")

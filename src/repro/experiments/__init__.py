@@ -11,7 +11,6 @@
 * :mod:`repro.experiments.report` — everything at once.
 """
 
-from .bench import run_bench
 from .bus_sweep import BusSweepResult, run_bus_sweep
 from .casestudy import CaseStudyResult, run_casestudy
 from .chaos_campaign import (ChaosCampaignResult, ChaosCell, ShrinkCell,
@@ -73,7 +72,6 @@ __all__ = [
     "evaluation_script",
     "full_report",
     "percent_error",
-    "run_bench",
     "run_bus_sweep",
     "run_casestudy",
     "run_chaos_campaign",

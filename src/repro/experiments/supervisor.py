@@ -256,7 +256,7 @@ class CampaignSupervisor:
                  for params, fn, args in cells]
         host_cpus = os.cpu_count() or 1
         if workers > 1 and host_cpus == 1:
-            # BENCH_PR5: a process pool on a 1-CPU host is a 0.86x
+            # measured: a process pool on a 1-CPU host is a 0.86x
             # throughput *loss* — pay the warning, not the pool
             _LOG.warning(
                 "supervisor[%s]: host has a single CPU; falling back "

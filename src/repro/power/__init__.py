@@ -7,9 +7,7 @@ from .calibration import (TechnologyPoint, TechnologyTable,
 from .domain import (BrownoutEvent, EnergyGovernor, PowerDomain,
                      PowerLossEvent, PowerSupply,
                      estimate_transaction_energy_pj)
-from .engine import (BACKEND_ENV_VAR, BACKEND_NAMES, NumpyEngine,
-                     PackedEngine, ReferenceEngine, TransitionEngine,
-                     available_backends, make_engine, resolve_backend)
+from .engine import PackedEngine
 from .governors import (AlwaysOnPolicy, BudgetAwarePolicy, DpmController,
                         DpmGovernor, DpmPolicy, FixedTimeoutPolicy,
                         HistoryPredictivePolicy, IssueGate, POLICIES)
@@ -26,8 +24,6 @@ from . import security, units
 
 __all__ = [
     "AlwaysOnPolicy",
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
     "BrownoutEvent",
     "BudgetAwarePolicy",
     "CardPowerModel",
@@ -45,7 +41,6 @@ __all__ = [
     "IssueGate",
     "Layer1PowerModel",
     "Layer2PowerModel",
-    "NumpyEngine",
     "POLICIES",
     "PackedEngine",
     "PowerDomain",
@@ -55,20 +50,15 @@ __all__ = [
     "PowerStateMachine",
     "PowerSupply",
     "PowerTrace",
-    "ReferenceEngine",
     "SamplingProfiler",
     "SignalStateRecorder",
     "StateProfile",
     "TechnologyPoint",
     "TechnologyTable",
-    "TransitionEngine",
-    "available_backends",
     "default_table",
     "default_technology_table",
     "dump_vcd",
     "estimate_transaction_energy_pj",
-    "make_engine",
-    "resolve_backend",
     "save_vcd",
     "security",
     "units",

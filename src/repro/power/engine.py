@@ -1,4 +1,4 @@
-"""Packed-word transition-energy engines for the layer-1 hot path.
+"""Packed-word transition-energy engine for the layer-1 hot path.
 
 The per-cycle energy accounting of :class:`~repro.power.Layer1PowerModel`
 is, arithmetically, fifteen XOR + popcount + multiply-accumulate steps.
@@ -6,39 +6,25 @@ Substrate-level power emulation (Coburn et al., PAPERS.md) shows this
 work can ride on the execution substrate's native word operations: pack
 every reconstructed EC interface signal into one fixed lane of a
 single machine word per cycle, diff whole words, and look the per-lane
-energy
-up in tables precomputed from the characterisation coefficients.
+energy up in tables precomputed from the characterisation coefficients.
 
-This module defines the canonical lane layout plus the selectable
-engines behind one :class:`TransitionEngine` interface:
+This module defines the canonical lane layout and the
+:class:`PackedEngine` that accounts batches of cycle words: one XOR per
+cycle, per-group lane masks to skip silent groups, ``int.bit_count()``
+per toggled lane and transition-energy LUTs instead of multiplies.
 
-``reference``
-    The naive per-cycle oracle: unpack the word, walk all fifteen
-    signals with :func:`~repro.ec.hamming_distance` and live
-    ``table.coefficient()`` lookups — exactly the recomputation the
-    PR-5 equivalence tests perform.  Slow on purpose; every other
-    engine must match it float for float.
-``packed`` (default)
-    Pure python, no dependencies: one XOR per cycle, per-group lane
-    masks to skip silent groups, ``int.bit_count()`` per toggled lane
-    and transition-energy LUTs instead of multiplies.
-``numpy``
-    Optional bit-slice backend (``pip install repro[fast]``): the
-    whole deferred buffer becomes an ``(N, 16)`` byte matrix, XOR and
-    popcount vectorize across all cycles at once, and only the sparse
-    nonzero (cycle, lane) pairs are replayed in python.
+Byte-identity contract: the engine performs *the same float operations
+in the same order* as the naive per-signal scan — per cycle the clock
+baseline first, then ascending EC_SIGNALS index order, one
+``transitions * coefficient`` product and one add per signal, one
+accumulator commit per cycle.  LUT entry ``lut[t]`` is precomputed as
+``t * coefficient`` — the identical operation on the identical
+operands — so substituting the lookup for the multiply cannot change a
+single bit.  The naive scan lives on as the test oracle
+(``tests/power/reference_energy.py``).
 
-Byte-identity contract (the PR-5 discipline): every engine performs
-*the same float operations in the same order* as the original
-per-signal scan — per cycle the clock baseline first, then ascending
-EC_SIGNALS index order, one ``transitions * coefficient`` product and
-one add per signal, one accumulator commit per cycle.  LUT entry
-``lut[t]`` is precomputed as ``t * coefficient`` — the identical
-operation on the identical operands — so substituting the lookup for
-the multiply cannot change a single bit.
-
-Engines cache their LUTs against
-:attr:`~repro.power.CharacterizationTable.lut_version` and rebuild on
+The engine caches its LUTs against
+:attr:`~repro.power.CharacterizationTable.lut_version` and rebuilds on
 the first flush after :meth:`~repro.power.CharacterizationTable.
 invalidate_luts` (recalibration can therefore never leave a stale LUT
 in play).
@@ -46,33 +32,20 @@ in play).
 
 from __future__ import annotations
 
-import os
 import typing
 
 from repro.ec import EC_SIGNALS, SignalGroup
-from repro.ec.signals import hamming_distance
 
 from .table import CharacterizationTable
-
-try:  # the numpy backend is optional (pip install repro[fast])
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
-
-#: environment override for the default backend selection
-BACKEND_ENV_VAR = "REPRO_ENERGY_BACKEND"
-
-#: engine names accepted by :func:`resolve_backend`
-BACKEND_NAMES = ("packed", "reference", "numpy")
 
 
 # ----------------------------------------------------------------------
 # canonical lane layout: one lane per EC signal in a 128-bit word
 # ----------------------------------------------------------------------
 
-#: lane bit offsets, byte-aligned for the multi-bit buses so the numpy
-#: backend can slice whole byte columns: EB_A bytes 0-4, control bits
-#: packed into bytes 5-6, EB_RData bytes 8-11, EB_WData bytes 12-15
+#: lane bit offsets, byte-aligned for the multi-bit buses: EB_A bytes
+#: 0-4, control bits packed into bytes 5-6, EB_RData bytes 8-11,
+#: EB_WData bytes 12-15
 LANE_SHIFTS: typing.Dict[str, int] = {
     "EB_A": 0,
     "EB_AValid": 40, "EB_Instr": 41, "EB_Write": 42, "EB_Burst": 43,
@@ -83,9 +56,8 @@ LANE_SHIFTS: typing.Dict[str, int] = {
     "EB_WData": 96,
 }
 
-#: bytes per packed cycle word
-WORD_BYTES = 16
-WORD_BITS = WORD_BYTES * 8
+#: bits per packed cycle word
+WORD_BITS = 128
 
 #: (name, shift, width, field mask in place) per signal, EC index order
 LANES: typing.Tuple[typing.Tuple[str, int, int, int], ...] = tuple(
@@ -110,10 +82,6 @@ GROUP_ORDER: typing.Tuple[SignalGroup, ...] = tuple(SignalGroup)
 GROUP_INDEX: typing.Dict[SignalGroup, int] = {
     group: i for i, group in enumerate(GROUP_ORDER)}
 
-#: EC signal index -> group accumulator slot
-LANE_GROUP_INDEX: typing.Tuple[int, ...] = tuple(
-    GROUP_INDEX[spec.group] for spec in EC_SIGNALS)
-
 
 def _check_layout() -> None:
     occupied = 0
@@ -128,119 +96,35 @@ def _check_layout() -> None:
 _check_layout()
 
 
-def pack_values(values: typing.Mapping[str, int]) -> int:
-    """Pack a full ``{signal: value}`` mapping into one cycle word."""
-    word = 0
-    for name, shift, _width, mask in LANES:
-        word |= (values[name] << shift) & mask
-    return word
-
-
 def unpack_word(word: int) -> typing.Tuple[int, ...]:
     """Per-signal values of a packed word, in EC_SIGNALS index order."""
     return tuple((word >> shift) & (mask >> shift)
                  for _name, shift, _width, mask in LANES)
 
 
-# ----------------------------------------------------------------------
-# the engine interface
-# ----------------------------------------------------------------------
+class PackedEngine:
+    """Books batches of packed cycle words: XOR, ``bit_count``, LUTs.
 
-class TransitionEngine:
-    """Accounts batches of packed cycle words against a model's books.
-
-    ``flush(model, words)`` must book every cycle in *words* exactly as
-    the historical per-signal scan did: identical float operations in
-    identical order against the model's accumulator, per-signal counts
-    and per-group energies.  The *model* contract is the attribute set
-    :class:`~repro.power.Layer1PowerModel` exposes: ``table``,
+    ``flush(model, words)`` books every cycle in *words* against the
+    model's books: the attribute set
+    :class:`~repro.power.Layer1PowerModel` exposes — ``table``,
     ``_counts`` (per EC index), ``_gvals`` (per GROUP_ORDER slot),
     ``_acc``, ``_prev_word`` and ``_last_cycle_energy``.
-    """
-
-    name = "abstract"
-
-    def __init__(self, table: CharacterizationTable) -> None:
-        self.table = table
-        self._lut_source: typing.Optional[CharacterizationTable] = None
-        self._lut_version = -1  # force a rebuild on first flush
-
-    def _stale(self, table: CharacterizationTable) -> bool:
-        """True when cached LUTs no longer match the model's table —
-        the table was invalidated, or swapped for another object."""
-        return (self._lut_source is not table
-                or self._lut_version != table.lut_version)
-
-    def _rebuild(self, table: CharacterizationTable) -> None:
-        """Refresh cached LUTs after construction or invalidation."""
-        self._lut_source = table
-        self._lut_version = table.lut_version
-
-    def flush(self, model, words: typing.Sequence[int]) -> None:
-        raise NotImplementedError  # pragma: no cover
-
-
-class ReferenceEngine(TransitionEngine):
-    """The naive per-cycle, per-signal oracle (no LUTs, no batching).
-
-    A faithful transcription of the reference recomputation in the
-    PR-5 equivalence tests: unpack every cycle into a ``{name: value}``
-    dict, then walk all fifteen signals in EC index order calling
-    :func:`hamming_distance` and ``table.coefficient`` live.  This is
-    the uncompiled energy path the packed engines are benchmarked
-    against, and the semantics every backend must reproduce bit for
-    bit.
-    """
-
-    name = "reference"
-
-    def flush(self, model, words: typing.Sequence[int]) -> None:
-        if not words:
-            return
-        table = model.table
-        clock_e = table.clock_energy_per_cycle_pj
-        coefficient = table.coefficient
-        counts = model._counts
-        gvals = model._gvals
-        acc = model._acc
-        lanes = LANES
-        group_of = LANE_GROUP_INDEX
-        clock_slot = GROUP_INDEX[SignalGroup.CLOCK]
-        previous = {name: (model._prev_word >> shift) & (mask >> shift)
-                    for name, shift, _w, mask in lanes}
-        energy = model._last_cycle_energy
-        for word in words:
-            values = {name: (word >> shift) & (mask >> shift)
-                      for name, shift, _w, mask in lanes}
-            energy = clock_e
-            gvals[clock_slot] += clock_e
-            for index, (name, _shift, width, _mask) in enumerate(lanes):
-                transitions = hamming_distance(
-                    previous[name], values[name], width)
-                counts[index] += transitions
-                signal_energy = transitions * coefficient(name)
-                energy += signal_energy
-                gvals[group_of[index]] += signal_energy
-            acc.add(energy)
-            previous = values
-        model._prev_word = words[-1]
-        model._last_cycle_energy = energy
-
-
-class PackedEngine(TransitionEngine):
-    """Pure-python packed backend: word XOR + ``int.bit_count`` + LUTs.
 
     The flush loop is hand-unrolled over the fifteen lanes — wide buses
     popcount their field, single-bit control lanes add a precomputed
     one-transition energy — with one group-mask test skipping whole
     silent signal groups.  Float accumulators are localised for the
     duration of the flush and written back once; every addition still
-    happens in the historical order, so the result is bit-identical.
+    happens in the naive scan's order, so the result is bit-identical.
     """
 
-    name = "packed"
+    def __init__(self) -> None:
+        self._lut_source: typing.Optional[CharacterizationTable] = None
+        self._lut_version = -1  # force a rebuild on first flush
 
     def _rebuild(self, table: CharacterizationTable) -> None:
+        """Refresh cached LUTs after construction or invalidation."""
         luts = table.transition_luts()
         self._a_lut = luts[0]
         self._be_lut = luts[7]
@@ -248,13 +132,16 @@ class PackedEngine(TransitionEngine):
         self._wdata_lut = luts[12]
         #: one-transition energies of the single-bit control lanes
         self._bit_costs = tuple(lut[1] for lut in luts)
-        super()._rebuild(table)
+        self._lut_source = table
+        self._lut_version = table.lut_version
 
     def flush(self, model, words: typing.Sequence[int]) -> None:
         if not words:
             return
         table = model.table
-        if self._stale(table):
+        # stale when the table was invalidated, or swapped for another
+        if (self._lut_source is not table
+                or self._lut_version != table.lut_version):
             self._rebuild(table)
         clock_e = table.clock_energy_per_cycle_pj
         a_lut = self._a_lut
@@ -365,106 +252,6 @@ class PackedEngine(TransitionEngine):
         model._last_cycle_energy = energy
 
 
-class NumpyEngine(TransitionEngine):
-    """Bit-slice backend: vectorized XOR + popcount over a byte matrix.
-
-    The deferred buffer is reinterpreted as an ``(N, 16)`` uint8
-    matrix; the previous-cycle XOR and the per-lane popcounts happen in
-    a handful of vector operations.  Only the sparse nonzero
-    ``(cycle, lane)`` transition pairs come back to python, where the
-    accounting is replayed cycle-major in ascending lane order — the
-    same per-contribution float operations, so still bit-identical.
-    """
-
-    name = "numpy"
-
-    def __init__(self, table: CharacterizationTable) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "the 'numpy' energy backend needs numpy installed "
-                "(pip install repro[fast])")
-        super().__init__(table)
-        self._pop8 = _np.array([b.bit_count() for b in range(256)],
-                               dtype=_np.int64)
-
-    def _rebuild(self, table: CharacterizationTable) -> None:
-        self._luts = table.transition_luts()
-        super()._rebuild(table)
-
-    def flush(self, model, words: typing.Sequence[int]) -> None:
-        if not words:
-            return
-        table = model.table
-        if self._stale(table):
-            self._rebuild(table)
-        np = _np
-        n = len(words)
-        prev = model._prev_word
-        buf = b"".join(w.to_bytes(WORD_BYTES, "little") for w in words)
-        grid = np.frombuffer(buf, dtype=np.uint8).reshape(n, WORD_BYTES)
-        shifted = np.empty_like(grid)
-        shifted[0] = np.frombuffer(
-            prev.to_bytes(WORD_BYTES, "little"), dtype=np.uint8)
-        shifted[1:] = grid[:-1]
-        toggled = grid ^ shifted
-        pop8 = self._pop8
-        pc = pop8[toggled]
-        # per-lane transition counts, EC index order; the control bits
-        # live in byte columns 5 (shifts 40-46) and 6 (BE + shifts
-        # 52-55), the buses in whole byte columns
-        ctrl5 = toggled[:, 5]
-        ctrl6 = toggled[:, 6]
-        matrix = np.empty((n, len(LANES)), dtype=np.int64)
-        matrix[:, 0] = pc[:, 0:5].sum(axis=1)              # EB_A
-        matrix[:, 1] = (ctrl5 >> 0) & 1                    # EB_AValid
-        matrix[:, 2] = (ctrl5 >> 1) & 1                    # EB_Instr
-        matrix[:, 3] = (ctrl5 >> 2) & 1                    # EB_Write
-        matrix[:, 4] = (ctrl5 >> 3) & 1                    # EB_Burst
-        matrix[:, 5] = (ctrl5 >> 4) & 1                    # EB_BFirst
-        matrix[:, 6] = (ctrl5 >> 5) & 1                    # EB_BLast
-        matrix[:, 7] = pop8[ctrl6 & 0x0F]                  # EB_BE
-        matrix[:, 8] = (ctrl5 >> 6) & 1                    # EB_ARdy
-        matrix[:, 9] = pc[:, 8:12].sum(axis=1)             # EB_RData
-        matrix[:, 10] = (ctrl6 >> 4) & 1                   # EB_RdVal
-        matrix[:, 11] = (ctrl6 >> 5) & 1                   # EB_RBErr
-        matrix[:, 12] = pc[:, 12:16].sum(axis=1)           # EB_WData
-        matrix[:, 13] = (ctrl6 >> 6) & 1                   # EB_WDRdy
-        matrix[:, 14] = (ctrl6 >> 7) & 1                   # EB_WBErr
-        # np.nonzero walks the matrix row-major: cycle-major, ascending
-        # lane order within a cycle — the exact historical add order
-        rows, lanes = np.nonzero(matrix)
-        transitions = matrix[rows, lanes].tolist()
-        rows = rows.tolist()
-        lanes = lanes.tolist()
-        clock_e = table.clock_energy_per_cycle_pj
-        luts = self._luts
-        group_of = LANE_GROUP_INDEX
-        counts = model._counts
-        gvals = model._gvals
-        acc = model._acc
-        g_clock = gvals[_GI_CLOCK]
-        total = acc._total
-        energy = model._last_cycle_energy
-        pairs = len(rows)
-        ptr = 0
-        for cycle_index in range(n):
-            energy = clock_e
-            g_clock += clock_e
-            while ptr < pairs and rows[ptr] == cycle_index:
-                lane = lanes[ptr]
-                tr = transitions[ptr]
-                counts[lane] += tr
-                se = luts[lane][tr]
-                energy += se
-                gvals[group_of[lane]] += se
-                ptr += 1
-            total += energy
-        acc._total = total
-        gvals[_GI_CLOCK] = g_clock
-        model._prev_word = words[-1]
-        model._last_cycle_energy = energy
-
-
 # module-level lane constants for the hand-unrolled packed flush
 _ADDR_GROUP = GROUP_TOGGLE_MASK[SignalGroup.ADDRESS]
 _READ_GROUP = GROUP_TOGGLE_MASK[SignalGroup.READ]
@@ -488,43 +275,3 @@ _GI_ADDR = GROUP_INDEX[SignalGroup.ADDRESS]
 _GI_READ = GROUP_INDEX[SignalGroup.READ]
 _GI_WRITE = GROUP_INDEX[SignalGroup.WRITE]
 _GI_CLOCK = GROUP_INDEX[SignalGroup.CLOCK]
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-_ENGINES: typing.Dict[str, typing.Type[TransitionEngine]] = {
-    "reference": ReferenceEngine,
-    "packed": PackedEngine,
-    "numpy": NumpyEngine,
-}
-
-
-def available_backends() -> typing.Tuple[str, ...]:
-    """Backends usable on this host (``numpy`` only when importable)."""
-    names = ["packed", "reference"]
-    if _np is not None:
-        names.append("numpy")
-    return tuple(names)
-
-
-def resolve_backend(backend: typing.Optional[str] = None) -> str:
-    """Pick the engine name: explicit argument beats the
-    ``REPRO_ENERGY_BACKEND`` environment variable beats ``packed``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or "packed"
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown energy backend {name!r}; "
-            f"choose from {BACKEND_NAMES}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError(
-            "energy backend 'numpy' requested but numpy is not "
-            "installed (pip install repro[fast])")
-    return name
-
-
-def make_engine(backend: typing.Optional[str],
-                table: CharacterizationTable) -> TransitionEngine:
-    """Instantiate the engine selected by :func:`resolve_backend`."""
-    return _ENGINES[resolve_backend(backend)](table)

@@ -27,14 +27,14 @@ Reconstruction contract (per cycle):
   cycle (wait states included); ``EB_WDRdy`` pulses per accepted beat;
   ``EB_WBErr`` pulses on error.
 
-Since PR 10 the reconstructed wires live packed in one 128-bit python
-int per cycle (one lane per signal, see :mod:`repro.power.engine`): the
-phase hooks are pure mask arithmetic, and the per-cycle accounting is
-delegated to a selectable :class:`~repro.power.engine.TransitionEngine`
-backend.  With no per-cycle sinks attached the model defers whole
-batches of cycle words and flushes them on the first energy read —
-byte-identical results (the engines replay the historical float
-operations in the historical order), a fraction of the per-cycle cost.
+The reconstructed wires live packed in one 128-bit python int per
+cycle (one lane per signal, see :mod:`repro.power.engine`): the phase
+hooks are pure mask arithmetic, and the per-cycle accounting is
+delegated to the :class:`~repro.power.engine.PackedEngine`.  With no
+per-cycle sinks attached the model defers whole batches of cycle words
+and flushes them on the first energy read — byte-identical results
+(the engine replays the naive scan's float operations in its order),
+a fraction of the per-cycle cost.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import typing
 from repro.ec import (BusState, EC_SIGNALS, SignalGroup, SlaveResponse,
                       Transaction, TransactionKind)
 
-from .engine import (GROUP_INDEX, GROUP_ORDER, LANES, RESET_WORD,
-                     TransitionEngine, make_engine, unpack_word)
+from .engine import (GROUP_ORDER, LANES, RESET_WORD, PackedEngine,
+                     unpack_word)
 from .interfaces import CycleAccuratePowerInterface, EnergyAccumulator
 from .table import CharacterizationTable
 
@@ -182,26 +182,18 @@ _DATA_WRITE = TransactionKind.DATA_WRITE
 
 
 class Layer1PowerModel(CycleAccuratePowerInterface):
-    """Cycle-accurate transition-counting energy model for layer 1.
-
-    *backend* selects the transition engine (``packed`` default,
-    ``reference`` oracle, ``numpy`` bit-slice); ``None`` defers to the
-    ``REPRO_ENERGY_BACKEND`` environment variable.  All backends are
-    byte-identical; they differ only in throughput.
-    """
+    """Cycle-accurate transition-counting energy model for layer 1."""
 
     #: index of each signal in value tuples (hot-path layout, kept for
     #: introspection compatibility)
     _INDEX = {spec.name: i for i, spec in enumerate(EC_SIGNALS)}
 
     def __init__(self, table: CharacterizationTable,
-                 recorder: typing.Optional[SignalStateRecorder] = None,
-                 backend: typing.Optional[str] = None,
-                 eager: typing.Optional[bool] = None) -> None:
+                 recorder: typing.Optional[SignalStateRecorder] = None
+                 ) -> None:
         self.table = table
         self.recorder = recorder
-        self._engine: TransitionEngine = make_engine(backend, table)
-        self.backend = self._engine.name
+        self._engine = PackedEngine()
         self._sinks: typing.List[typing.Callable[
             [int, typing.Mapping[str, int], float], None]] = []
         self._acc = EnergyAccumulator()
@@ -218,10 +210,6 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
         self._view = SignalValuesView(self)
         if recorder is not None:
             self._sinks.append(recorder.record)
-        # eager=True forces per-cycle accounting even without sinks
-        # (the uncompiled baseline the benchmarks compare to); sinks
-        # always imply eager — they observe every cycle as it commits
-        self._eager = bool(self._sinks) or bool(eager)
 
     # ------------------------------------------------------------------
     # deferred accounting plumbing
@@ -254,7 +242,6 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
         if sink not in self._sinks:
             self._flush()  # sinks must not observe a stale accumulator
             self._sinks.append(sink)
-            self._eager = True
 
     # ------------------------------------------------------------------
     # phase hooks invoked by EcBusLayer1 (exactly one address, one read
@@ -326,7 +313,7 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
         identical float operations in the identical order — on the
         next energy read or at :data:`FLUSH_CAP`.
         """
-        if self._eager:
+        if self._sinks:
             self._engine.flush(self, (self._word,))
             energy = self._last_cycle_energy
             view = self._view

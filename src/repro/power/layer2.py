@@ -21,14 +21,14 @@ phase *must* have produced according to the interface specification:
 The second point is the documented source of the layer-2
 over-estimation the paper reports in Table 2.
 
-Since PR 10 the per-phase arithmetic is compiled against the table
-(same engine-selection knob as layer 1): the address-phase sum and the
-error/strobe coefficients are folded into constants once, and the
-beat-to-beat Hamming products come from the shared transition-energy
-LUTs.  Every folded value is produced by the identical float operations
-in the identical order as the live lookups, so totals stay
-byte-identical; the ``reference`` backend keeps the uncompiled lookups
-for the equivalence suite.  Compiled state is cached against
+The per-phase arithmetic is compiled against the table: the
+address-phase sum and the error/strobe coefficients are folded into
+constants once, and the beat-to-beat Hamming products come from the
+shared transition-energy LUTs.  Every folded value is produced by the
+identical float operations in the identical order as live
+``table.coefficient()`` lookups, so totals are byte-identical to the
+live-lookup oracle in ``tests/power/reference_energy.py``.  Compiled
+state is cached against
 :attr:`~repro.power.CharacterizationTable.lut_version`, so an in-place
 recalibration can never leave stale constants in play.
 """
@@ -39,7 +39,6 @@ import typing
 
 from repro.ec import SignalGroup, Transaction, TransactionKind
 
-from .engine import resolve_backend
 from .interfaces import EnergyAccumulator, PowerInterface
 from .table import CharacterizationTable
 
@@ -54,19 +53,10 @@ _ADDR_CONTROLS = ("EB_AValid", "EB_BFirst", "EB_BLast", "EB_ARdy",
 
 
 class Layer2PowerModel(PowerInterface):
-    """Per-phase analytic energy estimation for the layer-2 bus.
+    """Per-phase analytic energy estimation for the layer-2 bus."""
 
-    *backend* follows the layer-1 engine selection (``packed`` default,
-    ``reference`` for the uncompiled oracle, ``numpy`` behaves like
-    ``packed`` here — the per-phase path has no buffer to vectorise);
-    ``None`` defers to ``REPRO_ENERGY_BACKEND``.
-    """
-
-    def __init__(self, table: CharacterizationTable,
-                 backend: typing.Optional[str] = None) -> None:
+    def __init__(self, table: CharacterizationTable) -> None:
         self.table = table
-        self.backend = resolve_backend(backend)
-        self._compiled = self.backend != "reference"
         self._lut_source: typing.Optional[CharacterizationTable] = None
         self._lut_version = -1  # force a compile on first phase
         self._acc = EnergyAccumulator()
@@ -83,11 +73,18 @@ class Layer2PowerModel(PowerInterface):
         """Fold the per-phase table lookups into constants.
 
         Every constant is computed by the same float operations in the
-        same order the live path performs per phase — folding them once
-        cannot change a bit of any total.
+        same order live lookups would perform per phase — folding them
+        once cannot change a bit of any total.
         """
         coeff = table.coefficient
+        # address bus: inter-transaction Hamming is unknowable at this
+        # layer -> charge the characterised average
         energy = table.inter_txn_address_hamming * coeff("EB_A")
+        # control and qualifier lines: the model considers the phase in
+        # isolation, so it can only charge the characterised *average*
+        # transitions per phase — over-counting on workloads whose
+        # phases run more back-to-back than the characterisation
+        # stimulus (the paper's documented layer-2 error source)
         for name in _ADDR_CONTROLS:
             energy += table.phase_toggles(name) * coeff(name)
         self._addr_phase_energy = energy
@@ -96,8 +93,11 @@ class Layer2PowerModel(PowerInterface):
         for channel in (_READ_CHANNEL, _WRITE_CHANNEL):
             bus_name, valid_name, err_name, lut_index = channel
             self._channels[bus_name] = (
+                # first beat vs whatever was on the bus: the
+                # characterised inter-transaction average
                 table.inter_txn_data_hamming * coeff(bus_name),
                 luts[lut_index],
+                # valid strobe: characterised average toggles per beat
                 table.beat_toggles(valid_name),
                 coeff(valid_name),
                 2.0 * coeff(err_name),
@@ -115,64 +115,32 @@ class Layer2PowerModel(PowerInterface):
 
     def address_phase_finished(self, transaction: Transaction) -> None:
         """Book the energy of one whole address phase at once."""
-        table = self.table
-        if self._compiled:
-            if self._stale(table):
-                self._recompile(table)
-            energy = self._addr_phase_energy
-        else:
-            coeff = table.coefficient
-            # address bus: inter-transaction Hamming is unknowable at
-            # this layer -> charge the characterised average
-            energy = table.inter_txn_address_hamming * coeff("EB_A")
-            # control and qualifier lines: the model considers the
-            # phase in isolation, so it can only charge the
-            # characterised *average* transitions per phase —
-            # over-counting on workloads whose phases run more
-            # back-to-back than the characterisation stimulus (the
-            # paper's documented layer-2 error source)
-            for name in _ADDR_CONTROLS:
-                energy += table.phase_toggles(name) * coeff(name)
+        if self._stale(self.table):
+            self._recompile(self.table)
+        energy = self._addr_phase_energy
         self.address_phases += 1
         self.group_energy_pj[SignalGroup.ADDRESS] += energy
         self._acc.add(energy)
 
     def data_phase_finished(self, transaction: Transaction) -> None:
         """Book the energy of one whole data phase at once."""
-        table = self.table
+        if self._stale(self.table):
+            self._recompile(self.table)
         is_write = transaction.kind is TransactionKind.DATA_WRITE
         data = transaction.data or []
-        if self._compiled:
-            if self._stale(table):
-                self._recompile(table)
-            bus_name = "EB_WData" if is_write else "EB_RData"
-            (energy, lut, beat_toggles, valid_coeff,
-             error_energy) = self._channels[bus_name]
-            # first beat vs whatever was on the bus is already folded
-            # into the channel constant; remaining beats: exact Hamming
-            # from the payload via the shared transition-energy LUT
-            for beat in range(1, transaction.beats_done):
-                energy += lut[(data[beat - 1] ^ data[beat]).bit_count()]
-            energy += (beat_toggles * transaction.burst_length
-                       * valid_coeff)
-            if transaction.error:
-                energy += error_energy
-        else:
-            coeff = table.coefficient
-            channel = _WRITE_CHANNEL if is_write else _READ_CHANNEL
-            bus_name, valid_name, err_name, _lut_index = channel
-            # first beat vs whatever was on the bus: characterised avg
-            energy = table.inter_txn_data_hamming * coeff(bus_name)
-            # remaining beats: exact Hamming from the payload (pointer
-            # passing makes the whole burst visible at once)
-            for beat in range(1, transaction.beats_done):
-                energy += (data[beat - 1] ^ data[beat]).bit_count() \
-                    * coeff(bus_name)
-            # valid strobe: characterised average transitions per beat
-            energy += (table.beat_toggles(valid_name)
-                       * transaction.burst_length * coeff(valid_name))
-            if transaction.error:
-                energy += 2.0 * coeff(err_name)
+        bus_name = "EB_WData" if is_write else "EB_RData"
+        (energy, lut, beat_toggles, valid_coeff,
+         error_energy) = self._channels[bus_name]
+        # first beat vs whatever was on the bus is already folded into
+        # the channel constant; remaining beats: exact Hamming from the
+        # payload (pointer passing makes the whole burst visible at
+        # once) via the shared transition-energy LUT
+        for beat in range(1, transaction.beats_done):
+            energy += lut[(data[beat - 1] ^ data[beat]).bit_count()]
+        energy += (beat_toggles * transaction.burst_length
+                   * valid_coeff)
+        if transaction.error:
+            energy += error_energy
         self.data_phases += 1
         group = SignalGroup.WRITE if is_write else SignalGroup.READ
         self.group_energy_pj[group] += energy

@@ -1,6 +1,6 @@
 """Transition-energy LUT memoization and invalidation (PR 10).
 
-The packed-word engines precompute, per EC signal, a table mapping
+The packed-word engine precomputes, per EC signal, a table mapping
 "bits toggled" to energy.  Correctness depends on two properties:
 
 * the LUT entry is the *identical* float product the per-signal walk
@@ -11,12 +11,14 @@ The packed-word engines precompute, per EC signal, a table mapping
   :meth:`invalidate_luts`, which ``calibrate()`` always calls.
 """
 
-import pytest
-
 from repro.ec import (EC_SIGNALS, SlaveResponse, TransactionKind,
                       data_write)
-from repro.power import Layer1PowerModel, Layer2PowerModel, default_table
+from repro.power import (Layer1PowerModel, Layer2PowerModel,
+                         SignalStateRecorder, default_table)
 from repro.power.calibration import default_technology_table
+
+from tests.power.reference_energy import (ReferenceLayer1,
+                                          ReferenceLayer2Model)
 
 
 class _Txn:
@@ -93,14 +95,13 @@ class TestCalibrationFreshness:
         assert calibrated.coefficient("EB_A") != table.coefficient("EB_A")
 
 
-@pytest.mark.parametrize("backend", ["packed", "reference"])
 class TestStaleLutImpossible:
     """Regression: recalibration mid-run must retire every cached LUT.
 
-    A compiled model and a reference model share one table object; the
+    A compiled model and the reference walk share one table object; the
     table's coefficients are then changed *in place* and invalidated.
-    If any engine kept a stale LUT, the post-change energies would
-    diverge from the live-coefficient walk.
+    If the compiled model kept a stale LUT, the post-change energies
+    would diverge from the live-coefficient walk.
     """
 
     def _mutate(self, table):
@@ -108,27 +109,27 @@ class TestStaleLutImpossible:
             table.energy_per_transition_pj[name] *= 2.0
         table.invalidate_luts()
 
-    def test_layer1_model_tracks_inplace_recalibration(self, backend):
+    def test_layer1_model_tracks_inplace_recalibration(self):
         table = default_table()
-        compiled = Layer1PowerModel(table, backend=backend, eager=True)
-        oracle = Layer1PowerModel(table, backend="reference",
-                                  eager=True)
+        recorder = SignalStateRecorder()
+        compiled = Layer1PowerModel(table, recorder=recorder)
+        oracle = ReferenceLayer1(table)
         _drive(compiled, 30)
-        _drive(oracle, 30)
+        oracle.replay(recorder.snapshots)
         assert compiled.total_energy_pj == oracle.total_energy_pj
         before = compiled.total_energy_pj
         self._mutate(table)
         _drive(compiled, 30)
-        _drive(oracle, 30)
+        oracle.replay(recorder.snapshots[30:])
         assert compiled.total_energy_pj == oracle.total_energy_pj
         assert compiled.group_energy_pj == oracle.group_energy_pj
         # the doubled coefficients must actually have been applied
         assert compiled.total_energy_pj - before > before
 
-    def test_layer2_model_tracks_inplace_recalibration(self, backend):
+    def test_layer2_model_tracks_inplace_recalibration(self):
         table = default_table()
-        compiled = Layer2PowerModel(table, backend=backend)
-        oracle = Layer2PowerModel(table, backend="reference")
+        compiled = Layer2PowerModel(table)
+        oracle = ReferenceLayer2Model(table)
         script = [data_write(0x100, [0x0F0F0F0F, 0xF0F0F0F0])]
 
         def account(model):

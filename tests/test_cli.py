@@ -1,8 +1,17 @@
 """Tests of the command-line interface."""
 
+import argparse
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+
+def _subcommands():
+    (action,) = [action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return sorted(action.choices)
 
 
 class TestParser:
@@ -21,6 +30,17 @@ class TestParser:
     def test_commands_parse(self, command):
         args = build_parser().parse_args([command])
         assert args.command == command
+
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_command_documented_in_module_docstring(self, command):
+        assert f"``{command}``" in repro.cli.__doc__
+
+    def test_bench_is_not_a_command(self, capsys):
+        # the benchmark is bench/run.py; the CLI has no bench command
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
