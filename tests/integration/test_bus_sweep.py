@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments.bus_sweep import run_bus_sweep, run_point
+from repro.experiments.bus_sweep import run_point
 from repro.experiments.common import characterization
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    # a 2x2 sub-grid keeps the test quick while covering the shape
-    return run_bus_sweep(burst_lengths=(1, 4), buffer_lines=(1, 8))
+def sweep(golden_run):
+    # the golden manifest's 2x2 sub-grid: quick, and covers the shape
+    return golden_run("sweep")[0]
 
 
 class TestSweepShape:

@@ -1,5 +1,7 @@
 """Integration tests for the DPM campaign experiment."""
 
+import shutil
+
 import pytest
 
 from repro.experiments import run_dpm_campaign
@@ -98,10 +100,10 @@ class TestSupervision:
                     policies=("always_on", "budget_aware"),
                     emergency_cells=1)
 
-    def test_resume_is_byte_identical(self, tmp_path):
+    def test_resume_is_byte_identical(self, tmp_path, golden_run):
+        fresh, golden_journal = golden_run("dpm")
         journal = str(tmp_path / "dpm.jsonl")
-        fresh = run_dpm_campaign(journal_path=journal,
-                                 **self.small_kwargs())
+        shutil.copy(golden_journal, journal)
         resumed = run_dpm_campaign(journal_path=journal, resume=True,
                                    **self.small_kwargs())
         assert fresh.format() == resumed.format()

@@ -1,6 +1,7 @@
 """Integration tests for the fabric campaign (flat vs bridged grid)."""
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -66,13 +67,14 @@ class TestReducedGrid:
 
 
 class TestSupervision:
-    def test_journal_resume_is_byte_identical(self, tmp_path):
+    def test_journal_resume_is_byte_identical(self, tmp_path,
+                                              golden_run):
+        first, golden_journal = golden_run("fabric")
         journal = tmp_path / "fabric.jsonl"
+        shutil.copy(golden_journal, journal)
         kwargs = dict(topologies=("flat", "bridged"), layers=("layer1",),
                       commands=4, seed="resume-test",
                       journal_path=str(journal))
-        first = run_fabric_campaign(**kwargs)
-        assert journal.exists()
         replayed = run_fabric_campaign(resume=True, **kwargs)
         assert [dataclasses.asdict(c) for c in first.cells] \
             == [dataclasses.asdict(c) for c in replayed.cells]

@@ -1,6 +1,7 @@
 """Integration tests for the T=1 link campaign experiment."""
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -73,13 +74,14 @@ class TestReducedGrid:
 
 
 class TestSupervision:
-    def test_journal_resume_is_byte_identical(self, tmp_path):
+    def test_journal_resume_is_byte_identical(self, tmp_path,
+                                              golden_run):
+        first, golden_journal = golden_run("link")
         journal = tmp_path / "link.jsonl"
+        shutil.copy(golden_journal, journal)
         kwargs = dict(noise_rates=(0.0, 0.02), layers=("layer1",),
                       sessions=2, commands=4,
                       journal_path=str(journal))
-        first = run_link_campaign(**kwargs)
-        assert journal.exists()
         replayed = run_link_campaign(resume=True, **kwargs)
         assert [dataclasses.asdict(c) for c in first.cells] \
             == [dataclasses.asdict(c) for c in replayed.cells]

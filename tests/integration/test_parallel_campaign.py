@@ -40,14 +40,11 @@ def _split_journal(path):
 
 class TestFaultCampaignParallel:
     @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory):
+    def runs(self, tmp_path_factory, golden_run):
         tmp = tmp_path_factory.mktemp("fault")
-        serial_journal = str(tmp / "serial.jsonl")
         parallel_journal = str(tmp / "parallel.jsonl")
-        serial = run_fault_campaign(
-            rates=(0.0, 0.05), classes=("random_mix",),
-            layers=("layer1", "layer2"), journal_path=serial_journal,
-            workers=1)
+        # the serial run is the golden manifest's faults run
+        serial, serial_journal = golden_run("faults")
         parallel = run_fault_campaign(
             rates=(0.0, 0.05), classes=("random_mix",),
             layers=("layer1", "layer2"), journal_path=parallel_journal,

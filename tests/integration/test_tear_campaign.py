@@ -1,5 +1,7 @@
 """Integration tests for the tear campaign experiment."""
 
+import shutil
+
 import pytest
 
 from repro.experiments import run_tear_campaign
@@ -54,11 +56,10 @@ class TestReducedGrid:
 
 
 class TestSupervision:
-    def test_resume_is_byte_identical(self, tmp_path):
+    def test_resume_is_byte_identical(self, tmp_path, golden_run):
+        fresh, golden_journal = golden_run("tear")
         journal = str(tmp_path / "tear.jsonl")
-        fresh = run_tear_campaign(points=3, transactions=4,
-                                  layers=("layer1",),
-                                  journal_path=journal)
+        shutil.copy(golden_journal, journal)
         resumed = run_tear_campaign(points=3, transactions=4,
                                     layers=("layer1",),
                                     journal_path=journal, resume=True)
