@@ -52,7 +52,7 @@ def run_policies() -> None:
     cells = {}
     for policy in POLICIES:
         cell = _run_grid_cell("layer1", policy, 0, HARVEST_PJ, SEED,
-                              TRANSACTIONS, table, 1.0, 400_000, None)
+                              TRANSACTIONS, table, 1.0, None)
         cells[policy] = cell
         print(f"  {policy:<20} brownouts={cell['brownouts']} "
               f"completed={cell['completed']}/{TRANSACTIONS} "
@@ -72,8 +72,7 @@ def run_policies() -> None:
 def run_emergency() -> None:
     print("=== graceful degradation: checkpoint before the tear ===")
     table = characterization().table
-    cell = _run_emergency_cell(0, SEED, TRANSACTIONS, table, 1.0,
-                               400_000, None)
+    cell = _run_emergency_cell(0, SEED, TRANSACTIONS, table, 1.0, None)
     print(f"  emergency checkpoint fired at cycle "
           f"{cell['checkpoint_cycle']} for txn "
           f"{cell['checkpoint_txn']}; the card then died")

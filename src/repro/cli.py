@@ -79,7 +79,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
     from repro.experiments import run_figure6
-    print(run_figure6(workers=args.workers).format())
+    print(run_figure6().format())
     return 0
 
 
@@ -108,175 +108,108 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_resume(args: argparse.Namespace, command: str) -> bool:
-    if args.resume and not args.journal:
-        print(f"repro {command}: error: --resume requires --journal",
-              file=sys.stderr)
-        return False
-    return True
+def _run_campaign(args: argparse.Namespace,
+                  runner: typing.Callable[..., typing.Any],
+                  after: typing.Optional[typing.Callable[[typing.Any],
+                                                         None]] = None,
+                  **kwargs: typing.Any) -> int:
+    """Run one supervised campaign with the options
+    :func:`add_campaign_options` added to *args*.
+
+    A ``ValueError`` (a bad axis, ``--resume`` without ``--journal``)
+    exits 2 with a clean message; otherwise the report is printed and
+    the campaign's ``passed`` verdict decides between exit 0 and 1.
+    *after* sees the result once its report is out.
+    """
+    for name in ("seed", "cell_wall_seconds", "workers"):
+        if hasattr(args, name):
+            kwargs[name] = getattr(args, name)
+    try:
+        result = runner(journal_path=args.journal, resume=args.resume,
+                        **kwargs)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
+    print(result.format())
+    if after is not None:
+        after(result)
+    return 0 if result.passed else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import run_bus_sweep
-    if not _check_resume(args, "sweep"):
-        return 2
-    print(run_bus_sweep(journal_path=args.journal,
-                        resume=args.resume,
-                        workers=args.workers).format())
-    return 0
+    return _run_campaign(args, run_bus_sweep)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from repro.experiments import run_robustness
-    if not _check_resume(args, "robustness"):
-        return 2
-    print(run_robustness(journal_path=args.journal,
-                         resume=args.resume).format())
-    return 0
+    return _run_campaign(args, run_robustness)
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.experiments import run_fault_campaign
-    if not _check_resume(args, "faults"):
-        return 2
-    try:
-        result = run_fault_campaign(
-            rates=tuple(args.rates), classes=tuple(args.classes),
-            seed=args.seed, layers=tuple(args.layers),
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro faults: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # a campaign that cannot finish its scripts is a failed campaign
-    if any(cell.status != "ok" for cell in result.cells):
-        return 1
-    return 1 if any(cell.failures for cell in result.cells) else 0
+    return _run_campaign(args, run_fault_campaign,
+                         rates=tuple(args.rates),
+                         classes=tuple(args.classes),
+                         layers=tuple(args.layers))
 
 
 def _cmd_tear(args: argparse.Namespace) -> int:
     from repro.experiments import run_tear_campaign
-    if not _check_resume(args, "tear"):
-        return 2
-    try:
-        result = run_tear_campaign(
-            points=args.points, transactions=args.transactions,
-            seed=args.seed, layers=tuple(args.layers),
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            governor_study=not args.no_governor,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro tear: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # anti-tearing that loses or half-applies a transaction — or a
-    # governor that doesn't reduce brownouts — is a failed campaign
-    if not result.all_consistent:
-        return 1
-    if result.governor and not result.governor_effective:
-        return 1
-    return 0
+    return _run_campaign(args, run_tear_campaign, points=args.points,
+                         transactions=args.transactions,
+                         layers=tuple(args.layers),
+                         governor_study=not args.no_governor)
 
 
 def _cmd_dpm(args: argparse.Namespace) -> int:
     from repro.experiments import run_dpm_campaign
-    if not _check_resume(args, "dpm"):
-        return 2
-    if (args.node_nm is None) != (args.vdd is None):
-        print("repro dpm: error: --node-nm and --vdd must be given "
-              "together", file=sys.stderr)
-        return 2
-    try:
-        result = run_dpm_campaign(
-            traces=args.traces, transactions=args.transactions,
-            seed=args.seed, policies=tuple(args.policies),
-            layers=tuple(args.layers), node_nm=args.node_nm,
-            vdd=args.vdd, emergency=not args.no_emergency,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro dpm: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # an adaptive policy that cannot beat always-on, or an emergency
-    # checkpoint that does not recover verifiably, is a failed campaign
-    return 0 if result.passed else 1
+    return _run_campaign(args, run_dpm_campaign, traces=args.traces,
+                         transactions=args.transactions,
+                         policies=tuple(args.policies),
+                         layers=tuple(args.layers), node_nm=args.node_nm,
+                         vdd=args.vdd, emergency=not args.no_emergency)
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
     from repro.experiments import run_link_campaign
-    if not _check_resume(args, "link"):
-        return 2
-    try:
-        result = run_link_campaign(
-            noise_rates=tuple(args.noise), layers=tuple(args.layers),
-            dpm_modes=tuple(args.dpm), sessions=args.sessions,
-            commands=args.commands, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro link: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # a session that hangs, leaks energy, or blows its retry budget —
-    # or a clean baseline that still retransmits — is a failed campaign
-    return 0 if result.passed else 1
+    return _run_campaign(args, run_link_campaign,
+                         noise_rates=tuple(args.noise),
+                         layers=tuple(args.layers),
+                         dpm_modes=tuple(args.dpm),
+                         sessions=args.sessions, commands=args.commands)
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
     from repro.experiments import run_fabric_campaign
-    if not _check_resume(args, "fabric"):
-        return 2
-    try:
-        result = run_fabric_campaign(
-            topologies=tuple(args.topologies), layers=tuple(args.layers),
-            commands=args.commands, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers)
-    except ValueError as error:
-        print(f"repro fabric: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    # per-link books that do not telescope exactly to the probe total
-    # — or a flat topology that drifts from the legacy card — is a
-    # failed campaign
-    return 0 if result.passed else 1
+    return _run_campaign(args, run_fabric_campaign,
+                         topologies=tuple(args.topologies),
+                         layers=tuple(args.layers),
+                         commands=args.commands)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.replay:
         return _chaos_replay(args.replay)
     from repro.experiments import run_chaos_campaign
-    if not _check_resume(args, "chaos"):
-        return 2
-    try:
-        result = run_chaos_campaign(
-            scenarios=args.scenarios, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-            cell_wall_seconds=args.cell_wall_seconds,
-            workers=args.workers, selftest=not args.no_selftest)
-    except ValueError as error:
-        print(f"repro chaos: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    if args.repro_out and result.selftest is not None \
-            and result.selftest.status == "ok":
+
+    def write_repro(result) -> None:
+        if not args.repro_out or result.selftest is None \
+                or result.selftest.status != "ok":
+            return
+        # sorted keys: a resumed payload comes back from the journal
+        # key-sorted, and the file must not depend on which path ran
         with open(args.repro_out, "w", encoding="utf-8") as handle:
             json.dump({"signature": result.selftest.signature,
                        "original": result.selftest.original,
                        "minimal": result.selftest.minimal},
-                      handle, indent=2)
+                      handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"minimal repro written to {args.repro_out}")
-    # a hang, an unexplained cross-layer divergence, a leaking energy
-    # book or a shrink that does not replay is a failed campaign
-    return 0 if result.passed else 1
+
+    return _run_campaign(args, run_chaos_campaign, after=write_repro,
+                         scenarios=args.scenarios,
+                         selftest=not args.no_selftest)
 
 
 def _chaos_replay(path: str) -> int:
@@ -334,6 +267,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def add_campaign_options(command: argparse.ArgumentParser,
+                         seed: typing.Union[int, str, None] = None,
+                         wall: bool = False,
+                         workers: bool = True) -> None:
+    """The supervised-campaign options :func:`_run_campaign` reads:
+    ``--journal``/``--resume`` always, ``--seed`` when the campaign
+    has a *seed* default, ``--cell-wall-seconds`` when its cells take
+    a *wall* budget, ``--workers`` unless it runs serially only."""
+    if seed is not None:
+        command.add_argument("--seed", default=seed,
+                             help="campaign seed (any int or string)")
+    if wall:
+        command.add_argument(
+            "--cell-wall-seconds", type=float, default=None,
+            help="wall-clock budget per sweep cell; a cell exceeding "
+                 "it degrades instead of hanging the campaign")
+    command.add_argument(
+        "--journal", metavar="PATH",
+        help="checkpoint finished sweep cells to a JSONL journal")
+    command.add_argument(
+        "--resume", action="store_true",
+        help="replay cells already in --journal instead of "
+             "re-running them")
+    if workers:
+        command.add_argument(
+            "--workers", type=int, default=1, metavar="N",
+            help="shard the cells over N worker processes; results "
+                 "are byte-identical to a serial run")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -363,16 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--no-gate-level", action="store_true")
     table3.set_defaults(func=_cmd_table3)
 
-    def add_workers(command: argparse.ArgumentParser,
-                    what: str = "sweep cells") -> None:
-        command.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help=f"shard {what} over N worker processes; results are "
-                 f"byte-identical to a serial run")
-
-    figure6 = sub.add_parser("figure6", help="energy sampling profile")
-    add_workers(figure6, what="the two layer runs")
-    figure6.set_defaults(func=_cmd_figure6)
+    sub.add_parser("figure6", help="energy sampling profile"
+                   ).set_defaults(func=_cmd_figure6)
     sub.add_parser("casestudy", help="java card HW/SW exploration"
                    ).set_defaults(func=_cmd_casestudy)
 
@@ -393,25 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", help="write to a file")
     trace.set_defaults(func=_cmd_trace)
 
-    def add_supervision(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--journal", metavar="PATH",
-            help="checkpoint finished sweep cells to a JSONL journal")
-        command.add_argument(
-            "--resume", action="store_true",
-            help="replay cells already in --journal instead of "
-                 "re-running them")
-
     sweep = sub.add_parser(
         "sweep", help="fetch-path (burst x line-buffer) sweep")
-    add_supervision(sweep)
-    add_workers(sweep)
+    add_campaign_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     robustness = sub.add_parser(
         "robustness",
         help="accuracy errors across workload classes")
-    add_supervision(robustness)
+    add_campaign_options(robustness, workers=False)
     robustness.set_defaults(func=_cmd_robustness)
 
     faults = sub.add_parser(
@@ -428,15 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=["layer1", "layer2", "gate-level"],
                         choices=["layer1", "layer2", "gate-level"],
                         help="bus models to run each cell on")
-    faults.add_argument("--seed", default=2004,
-                        help="campaign seed (any int or string)")
-    faults.add_argument("--cell-wall-seconds", type=float,
-                        default=None,
-                        help="wall-clock budget per sweep cell; a cell "
-                             "exceeding it degrades instead of hanging "
-                             "the campaign")
-    add_supervision(faults)
-    add_workers(faults)
+    add_campaign_options(faults, seed=2004, wall=True)
     faults.set_defaults(func=_cmd_faults)
 
     tear = sub.add_parser(
@@ -451,16 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=["layer1", "layer2", "gate-level"],
                       choices=["layer1", "layer2", "gate-level"],
                       help="bus models to sweep the tear grid on")
-    tear.add_argument("--seed", default=2004,
-                      help="campaign seed (any int or string)")
     tear.add_argument("--no-governor", action="store_true",
                       help="skip the energy-governor sub-study")
-    tear.add_argument("--cell-wall-seconds", type=float, default=None,
-                      help="wall-clock budget per sweep cell; a cell "
-                           "exceeding it degrades instead of hanging "
-                           "the campaign")
-    add_supervision(tear)
-    add_workers(tear)
+    add_campaign_options(tear, seed=2004, wall=True)
     tear.set_defaults(func=_cmd_tear)
 
     dpm = sub.add_parser(
@@ -482,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=["layer1", "layer2"],
                      choices=["layer1", "layer2"],
                      help="bus models to run the grid on")
-    dpm.add_argument("--seed", default=2004,
-                     help="campaign seed (any int or string)")
     dpm.add_argument("--node-nm", type=float, default=None,
                      help="calibrate the characterisation table at "
                           "this process node (with --vdd)")
@@ -492,12 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "this supply voltage (with --node-nm)")
     dpm.add_argument("--no-emergency", action="store_true",
                      help="skip the emergency-checkpoint study")
-    dpm.add_argument("--cell-wall-seconds", type=float, default=None,
-                     help="wall-clock budget per sweep cell; a cell "
-                          "exceeding it degrades instead of hanging "
-                          "the campaign")
-    add_supervision(dpm)
-    add_workers(dpm)
+    add_campaign_options(dpm, seed=2004, wall=True)
     dpm.set_defaults(func=_cmd_dpm)
 
     link = sub.add_parser(
@@ -521,14 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="T=1 sessions per grid cell")
     link.add_argument("--commands", type=int, default=6,
                       help="APDU commands per session")
-    link.add_argument("--seed", default=2004,
-                      help="campaign seed (any int or string)")
-    link.add_argument("--cell-wall-seconds", type=float, default=None,
-                      help="wall-clock budget per sweep cell; a cell "
-                           "exceeding it degrades instead of hanging "
-                           "the campaign")
-    add_supervision(link)
-    add_workers(link, what="grid cells")
+    add_campaign_options(link, seed=2004, wall=True)
     link.set_defaults(func=_cmd_link)
 
     fabric = sub.add_parser(
@@ -545,14 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abstraction layers to route on")
     fabric.add_argument("--commands", type=int, default=8,
                         help="APDU commands in the session workload")
-    fabric.add_argument("--seed", default=2004,
-                        help="campaign seed (any int or string)")
-    fabric.add_argument("--cell-wall-seconds", type=float, default=None,
-                        help="wall-clock budget per sweep cell; a cell "
-                             "exceeding it degrades instead of hanging "
-                             "the campaign")
-    add_supervision(fabric)
-    add_workers(fabric, what="grid cells")
+    add_campaign_options(fabric, seed=2004, wall=True)
     fabric.set_defaults(func=_cmd_fabric)
 
     chaos = sub.add_parser(
@@ -562,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
              "self-shrinking repro of any failure")
     chaos.add_argument("--scenarios", type=int, default=25,
                        help="number of generated scenarios to run")
-    chaos.add_argument("--seed", default=7,
-                       help="campaign seed (any int or string)")
     chaos.add_argument("--no-selftest", action="store_true",
                        help="skip the injected-failure shrinker "
                             "self-test cell")
@@ -574,12 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--repro-out", metavar="FILE",
                        help="write the self-test's minimal repro as "
                             "replayable JSON")
-    chaos.add_argument("--cell-wall-seconds", type=float, default=None,
-                       help="wall-clock budget per scenario cell; a "
-                            "cell exceeding it degrades instead of "
-                            "hanging the campaign")
-    add_supervision(chaos)
-    add_workers(chaos, what="scenario cells")
+    add_campaign_options(chaos, seed=7)
     chaos.set_defaults(func=_cmd_chaos)
 
     vcd = sub.add_parser(

@@ -33,10 +33,10 @@ BUFFER_LINES = (1, 4, 8)
 class SweepPoint:
     fetch_burst_length: int
     line_buffer_lines: int
-    cycles: int
-    bus_energy_pj: float
-    fetch_transactions: int
-    fetch_words: int
+    cycles: int = 0
+    bus_energy_pj: float = 0.0
+    fetch_transactions: int = 0
+    fetch_words: int = 0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -56,6 +56,11 @@ class BusSweepResult:
                     and point.line_buffer_lines == lines):
                 return point
         raise KeyError((burst, lines))
+
+    @property
+    def passed(self) -> bool:
+        """Every grid point ran."""
+        return all(point.status == "ok" for point in self.points)
 
     def _usable(self) -> typing.List[SweepPoint]:
         usable = [point for point in self.points
@@ -127,7 +132,6 @@ def run_bus_sweep(burst_lengths: typing.Sequence[int] = BURST_LENGTHS,
                   buffer_lines: typing.Sequence[int] = BUFFER_LINES,
                   journal_path: typing.Optional[str] = None,
                   resume: bool = False,
-                  max_attempts: int = 2,
                   workers: int = 1) -> BusSweepResult:
     """Sweep the fetch-path parameter grid.
 
@@ -139,24 +143,15 @@ def run_bus_sweep(burst_lengths: typing.Sequence[int] = BURST_LENGTHS,
     order, byte-identical to a serial run.
     """
     supervisor = CampaignSupervisor(
-        "bus_sweep", seed=0, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts)
+        "bus_sweep", seed=0, journal_path=journal_path, resume=resume)
     table = characterization().table
     specs = [
         ({"burst": burst, "lines": lines}, _point_job,
          (burst, lines, table))
         for burst in burst_lengths
         for lines in buffer_lines]
-    points = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            points.append(SweepPoint(**outcome.payload))
-        else:
-            points.append(SweepPoint(
-                fetch_burst_length=params["burst"],
-                line_buffer_lines=params["lines"],
-                cycles=0, bus_energy_pj=0.0, fetch_transactions=0,
-                fetch_words=0, status="degraded",
-                error=outcome.error))
-    return BusSweepResult(points)
+    return BusSweepResult([
+        outcome.cell(SweepPoint,
+                     fetch_burst_length=outcome.params["burst"],
+                     line_buffer_lines=outcome.params["lines"])
+        for outcome in supervisor.run_cells(specs, workers=workers)])

@@ -33,7 +33,7 @@ from repro.chaos import generate_scenario, run_scenario, shrink_scenario
 from repro.chaos.scenario import ChaosScenario
 from repro.faults.fabric import FabricFaultSpec
 
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_counts
 
 #: campaign default; the acceptance run is ``--scenarios 200 --seed 7``
 DEFAULT_CHAOS_SEED = 7
@@ -49,18 +49,20 @@ class ChaosCell:
 
     index: int
     name: str
-    scenario: dict
-    signature: str
-    passed: bool
-    divergences: typing.List[typing.Dict[str, str]]
-    faults_scheduled: int
-    faults_fired: int
-    fired: typing.Dict[str, int]
-    hangs: int
-    balanced: bool
-    recovered: int
-    fault_reports: int
-    layer_summary: typing.Dict[str, dict]
+    scenario: dict = dataclasses.field(default_factory=dict)
+    signature: str = ""
+    passed: bool = False
+    divergences: typing.List[typing.Dict[str, str]] = dataclasses.field(
+        default_factory=list)
+    faults_scheduled: int = 0
+    faults_fired: int = 0
+    fired: typing.Dict[str, int] = dataclasses.field(default_factory=dict)
+    hangs: int = 0
+    balanced: bool = False
+    recovered: int = 0
+    fault_reports: int = 0
+    layer_summary: typing.Dict[str, dict] = dataclasses.field(
+        default_factory=dict)
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -69,15 +71,16 @@ class ChaosCell:
 class ShrinkCell:
     """The self-test arm: an injected failure and its minimal repro."""
 
-    signature: str
-    runs: int
-    steps: int
-    replayed: bool
-    original: dict
-    minimal: dict
-    minimal_faults: int
-    smaller: bool
-    divergences: typing.List[typing.Dict[str, str]]
+    signature: str = ""
+    runs: int = 0
+    steps: int = 0
+    replayed: bool = False
+    original: dict = dataclasses.field(default_factory=dict)
+    minimal: dict = dataclasses.field(default_factory=dict)
+    minimal_faults: int = 0
+    smaller: bool = False
+    divergences: typing.List[typing.Dict[str, str]] = dataclasses.field(
+        default_factory=list)
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -299,52 +302,32 @@ def run_chaos_campaign(
         seed: typing.Union[int, str] = DEFAULT_CHAOS_SEED,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
-        cell_wall_seconds: typing.Optional[float] = None,
         workers: int = 1,
         selftest: bool = True) -> ChaosCampaignResult:
     """Run *scenarios* seeded chaos cells plus the shrinker self-test.
 
+    Every scenario run is bounded by its own ``stall_cycles`` progress
+    watchdog, so a hang is a finding rather than a stuck campaign.
     With *journal_path* every finished cell is checkpointed (JSONL);
     *resume* replays journaled cells byte-identically; *workers* > 1
     shards the scenario list over a process pool with identical
     results.  ``selftest=False`` skips the shrinker arm (bench runs).
     """
-    if scenarios < 1:
-        raise ValueError(f"scenarios must be >= 1, got {scenarios}")
+    check_counts(scenarios=scenarios)
     supervisor = CampaignSupervisor(
         "chaos_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+        resume=resume)
     specs: typing.List[tuple] = [
         ({"cell": "scenario", "index": index},
          _run_scenario_cell, (index, seed))
         for index in range(scenarios)]
     if selftest:
         specs.append(({"cell": "selftest"}, _run_selftest_cell, (seed,)))
-    cells: typing.List[ChaosCell] = []
-    selftest_cell: typing.Optional[ShrinkCell] = None
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if params["cell"] == "selftest":
-            if outcome.ok:
-                selftest_cell = ShrinkCell(**outcome.payload)
-            else:
-                selftest_cell = ShrinkCell(
-                    signature="", runs=0, steps=0, replayed=False,
-                    original={}, minimal={}, minimal_faults=0,
-                    smaller=False, divergences=[],
-                    status="degraded", error=outcome.error)
-        elif outcome.ok:
-            cells.append(ChaosCell(**outcome.payload))
-        else:
-            index = params["index"]
-            cells.append(ChaosCell(
-                index=index, name=f"s{seed}-{index:04d}", scenario={},
-                signature="", passed=False, divergences=[],
-                faults_scheduled=0, faults_fired=0, fired={}, hangs=0,
-                balanced=False, recovered=0, fault_reports=0,
-                layer_summary={}, status="degraded",
-                error=outcome.error))
+    outcomes = supervisor.run_cells(specs, workers=workers)
+    cells = [outcome.cell(ChaosCell, index=index,
+                          name=f"s{seed}-{index:04d}")
+             for index, outcome in enumerate(outcomes[:scenarios])]
+    selftest_cell = (outcomes[scenarios].cell(ShrinkCell) if selftest
+                     else None)
     return ChaosCampaignResult(seed=seed, scenarios=scenarios,
                                cells=cells, selftest=selftest_cell)

@@ -54,7 +54,7 @@ from repro.tlm import BlockingMaster, run_script
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_choices, check_counts
 from .tear_campaign import WORDS_PER_TXN, _JournalWorkload
 
 LAYERS = ("layer1", "layer2")
@@ -90,6 +90,9 @@ EMERGENCY_WATERMARKS = dict(defer_nj=0.20, sleep_nj=0.15,
                             emergency_nj=0.10)
 EMERGENCY_GAPS = (100, 200)
 
+#: Cycle budget of every run_script call in a cell.
+MAX_CYCLES = 400_000
+
 
 @dataclasses.dataclass
 class DpmCell:
@@ -98,15 +101,15 @@ class DpmCell:
     layer: str
     policy: str
     trace: int
-    harvest_pj_per_cycle: float
-    brownouts: int
-    completed: int
-    transactions: int
-    cycles: int
-    drained_pj: float
-    psm_overhead_pj: float
-    wakes: int
-    forced_sleeps: int
+    harvest_pj_per_cycle: float = 0.0
+    brownouts: int = 0
+    completed: int = 0
+    transactions: int = 0
+    cycles: int = 0
+    drained_pj: float = 0.0
+    psm_overhead_pj: float = 0.0
+    wakes: int = 0
+    forced_sleeps: int = 0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -116,16 +119,16 @@ class EmergencyCell:
     """One emergency-checkpoint run: starve, checkpoint, die, recover."""
 
     trace: int
-    checkpoint_fired: bool
-    checkpoint_cycle: typing.Optional[int]
-    checkpoint_txn: typing.Optional[int]
-    died: bool
-    completed_before_death: int
-    recovery_cycles: int
-    checkpoint_txn_applied: bool
-    journal_clean: bool
-    idempotent: bool
-    verified: bool
+    checkpoint_fired: bool = False
+    checkpoint_cycle: typing.Optional[int] = None
+    checkpoint_txn: typing.Optional[int] = None
+    died: bool = False
+    completed_before_death: int = 0
+    recovery_cycles: int = 0
+    checkpoint_txn_applied: bool = False
+    journal_clean: bool = False
+    idempotent: bool = False
+    verified: bool = False
     violations: typing.List[str] = dataclasses.field(default_factory=list)
     status: str = "ok"
     error: typing.Optional[str] = None
@@ -330,7 +333,7 @@ def _grid_platform(layer: str, table):
 
 def _run_grid_cell(layer: str, policy_name: str, trace: int,
                    harvest: float, seed, transactions: int, table,
-                   supply_scale: float, max_cycles: int,
+                   supply_scale: float,
                    wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/trace{trace}", transactions,
                             GRID_GAPS)
@@ -351,7 +354,7 @@ def _run_grid_cell(layer: str, policy_name: str, trace: int,
     DpmController(platform.simulator, platform.clock, governor)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
-    cycles = run_script(platform.simulator, master, max_cycles,
+    cycles = run_script(platform.simulator, master, MAX_CYCLES,
                         platform.clock, wall_seconds=wall_seconds)
     if not master.done:
         raise RuntimeError(
@@ -372,7 +375,7 @@ def _run_grid_cell(layer: str, policy_name: str, trace: int,
 
 
 def _run_emergency_cell(trace: int, seed, transactions: int, table,
-                        supply_scale: float, max_cycles: int,
+                        supply_scale: float,
                         wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/emergency{trace}", transactions,
                             EMERGENCY_GAPS)
@@ -415,7 +418,7 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
                             governor=governor.gate("journal_master",
                                                    critical=True))
     holder["master"] = master
-    run_script(platform.simulator, master, max_cycles, platform.clock,
+    run_script(platform.simulator, master, MAX_CYCLES, platform.clock,
                wall_seconds=wall_seconds)
 
     violations: typing.List[str] = []
@@ -436,7 +439,7 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
     recovery_master = BlockingMaster(booted.simulator, booted.clock,
                                      booted.bus, recovery)
     recovery_cycles = run_script(booted.simulator, recovery_master,
-                                 max_cycles, booted.clock,
+                                 MAX_CYCLES, booted.clock,
                                  wall_seconds=wall_seconds)
     if not recovery_master.done:
         violations.append("recovery script did not complete")
@@ -520,10 +523,8 @@ def run_dpm_campaign(
         vdd: typing.Optional[float] = None,
         emergency: bool = True,
         emergency_cells: int = 2,
-        max_cycles: int = 400_000,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
         cell_wall_seconds: typing.Optional[float] = None,
         workers: int = 1) -> DpmCampaignResult:
     """Run the DPM policy grid and the emergency-checkpoint study.
@@ -537,84 +538,51 @@ def run_dpm_campaign(
     byte-identically; *workers* > 1 shards each phase over a process
     pool with identical results.
     """
-    if traces < 1:
-        raise ValueError(f"traces must be >= 1, got {traces}")
-    if transactions < 1:
-        raise ValueError(
-            f"transactions must be >= 1, got {transactions}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one "
-                             f"of {tuple(POLICIES)}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {LAYERS}")
+    check_counts(traces=traces, transactions=transactions)
+    check_choices("policy", policies, tuple(POLICIES))
+    check_choices("layer", layers, LAYERS)
     if (node_nm is None) != (vdd is None):
         raise ValueError("node_nm and vdd must be given together")
+    supervisor = CampaignSupervisor(
+        "dpm_campaign", seed, journal_path=journal_path, resume=resume)
     table = characterization().table
     supply_scale = 1.0
     if node_nm is not None:
         technology = default_technology_table()
         supply_scale = technology.scale_factor(node_nm, vdd)
         table = technology.calibrate(table, node_nm, vdd)
-    supervisor = CampaignSupervisor(
-        "dpm_campaign", seed, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts, cell_wall_seconds=cell_wall_seconds)
     # stratified harvest rates: one per trace, jittered within its own
     # slice of the calibrated range so traces are distinct and seeded
     rng = random.Random(f"{seed}/dpm-traces")
     low, high = HARVEST_RANGE_PJ
     harvests = [round(low + (high - low) * (t + rng.random()) / traces,
                       3) for t in range(traces)]
-    grid_specs = []
-    for layer in layers:
-        for policy in policies:
-            for trace in range(traces):
-                grid_specs.append((
-                    {"phase": "grid", "layer": layer, "policy": policy,
-                     "trace": trace},
-                    _run_grid_cell,
-                    (layer, policy, trace, harvests[trace], seed,
-                     transactions, table, supply_scale, max_cycles,
-                     supervisor.cell_wall_seconds)))
-    cells: typing.List[DpmCell] = []
-    for (params, _, cell_args), outcome in zip(
-            grid_specs, supervisor.run_cells(grid_specs,
-                                             workers=workers)):
-        if outcome.ok:
-            cells.append(DpmCell(**outcome.payload))
-        else:
-            cells.append(DpmCell(
-                layer=params["layer"], policy=params["policy"],
-                trace=params["trace"],
-                harvest_pj_per_cycle=cell_args[3], brownouts=0,
-                completed=0, transactions=transactions, cycles=0,
-                drained_pj=0.0, psm_overhead_pj=0.0, wakes=0,
-                forced_sleeps=0, status="degraded",
-                error=outcome.error))
+    grid_specs = [
+        ({"phase": "grid", "layer": layer, "policy": policy,
+          "trace": trace},
+         _run_grid_cell,
+         (layer, policy, trace, harvests[trace], seed, transactions,
+          table, supply_scale, cell_wall_seconds))
+        for layer in layers
+        for policy in policies
+        for trace in range(traces)]
+    cells = [outcome.cell(DpmCell, layer=outcome.params["layer"],
+                          policy=outcome.params["policy"],
+                          trace=outcome.params["trace"])
+             for outcome in supervisor.run_cells(grid_specs,
+                                                 workers=workers)]
     emergency_results: typing.List[EmergencyCell] = []
     if emergency:
         emergency_specs = [
             ({"phase": "emergency", "trace": trace},
              _run_emergency_cell,
              (trace, seed, transactions, table, supply_scale,
-              max_cycles, supervisor.cell_wall_seconds))
+              cell_wall_seconds))
             for trace in range(emergency_cells)]
-        for (params, _, _), outcome in zip(
-                emergency_specs,
-                supervisor.run_cells(emergency_specs, workers=workers)):
-            if outcome.ok:
-                emergency_results.append(EmergencyCell(**outcome.payload))
-            else:
-                emergency_results.append(EmergencyCell(
-                    trace=params["trace"], checkpoint_fired=False,
-                    checkpoint_cycle=None, checkpoint_txn=None,
-                    died=False, completed_before_death=0,
-                    recovery_cycles=0, checkpoint_txn_applied=False,
-                    journal_clean=False, idempotent=False,
-                    verified=False, status="degraded",
-                    error=outcome.error))
+        emergency_results = [
+            outcome.cell(EmergencyCell, trace=outcome.params["trace"])
+            for outcome in supervisor.run_cells(emergency_specs,
+                                                workers=workers)]
     return DpmCampaignResult(
         seed=seed, traces=traces, transactions=transactions,
         policies=tuple(policies), layers=tuple(layers),

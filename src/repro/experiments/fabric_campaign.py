@@ -41,7 +41,7 @@ from repro.workloads.apdu import apdu_session
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_choices, check_counts
 
 TOPOLOGIES = ("flat", "bridged")
 FABRIC_LAYERS = ("layer1", "layer2", "layer3")
@@ -52,6 +52,9 @@ _DMA_SRC = RAM_BASE + 0x600
 _DMA_DST = RAM_BASE + 0x700
 _DMA_WORDS = 8
 
+#: Cycle budget of every run_script call in a cell.
+MAX_CYCLES = 300_000
+
 
 @dataclasses.dataclass
 class FabricCell:
@@ -59,18 +62,19 @@ class FabricCell:
 
     topology: str
     layer: str
-    cycles: int
-    transactions: int
-    errors: int
-    dma_words: int
-    cpu_grants: int
-    dma_grants: int
-    bridge_crossings: int
-    posted_errors: int
-    probe_total_pj: float
-    buckets: typing.Dict[str, float]
-    balanced: bool
-    imbalance_pj: float
+    cycles: int = 0
+    transactions: int = 0
+    errors: int = 0
+    dma_words: int = 0
+    cpu_grants: int = 0
+    dma_grants: int = 0
+    bridge_crossings: int = 0
+    posted_errors: int = 0
+    probe_total_pj: float = 0.0
+    buckets: typing.Dict[str, float] = dataclasses.field(
+        default_factory=dict)
+    balanced: bool = False
+    imbalance_pj: float = 0.0
     #: summed in-flight latency of the transactions that target the
     #: peripheral segment — the traffic that crosses the bridge in the
     #: bridged arm (posted writes can *shorten* root-bus contention,
@@ -268,7 +272,7 @@ def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
 
 
 def _flat_identity(layer: str, seed, commands: int, table,
-                   max_cycles: int) -> bool:
+                   wall_seconds: typing.Optional[float]) -> bool:
     """Build the same card twice — legacy default vs explicit flat
     topology — run the same session, demand bitwise-equal results."""
     results = []
@@ -282,8 +286,8 @@ def _flat_identity(layer: str, seed, commands: int, table,
         master = PipelinedMaster(platform.simulator, platform.clock,
                                  platform.cpu_interface, script,
                                  name="cpu")
-        cycles = run_script(platform.simulator, master, max_cycles,
-                            platform.clock)
+        cycles = run_script(platform.simulator, master, MAX_CYCLES,
+                            platform.clock, wall_seconds=wall_seconds)
         report = platform.energy_report()
         results.append((cycles, len(master.completed),
                         report.probe_total_pj, report.balanced))
@@ -291,8 +295,7 @@ def _flat_identity(layer: str, seed, commands: int, table,
 
 
 def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
-                     table, max_cycles: int,
-                     check_identity: bool = True) -> dict:
+                     table, wall_seconds: typing.Optional[float]) -> dict:
     # the workload seed deliberately excludes the topology: the flat
     # and bridged arms of one layer replay the *same* traffic, so
     # their cycle counts isolate the cost of the bridge crossing
@@ -305,7 +308,8 @@ def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
               + _periph_probe())
     master = PipelinedMaster(platform.simulator, platform.clock,
                              platform.cpu_interface, script, name="cpu")
-    run_script(platform.simulator, master, max_cycles, platform.clock)
+    run_script(platform.simulator, master, MAX_CYCLES, platform.clock,
+               wall_seconds=wall_seconds)
     _drain(platform)
     # summed in-flight latency: end-to-end wall time hides the bridge
     # (crossings absorb into the script's inter-command gaps), but the
@@ -317,9 +321,9 @@ def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
     arbiter = platform.fabric.root.arbiter
     grants = {port.name: port.grants for port in arbiter.ports}
     crossings, posted_errors = _bridge_crossings(platform.fabric)
-    identity = (None if topology != "flat" or not check_identity
+    identity = (None if topology != "flat"
                 else _flat_identity(layer, seed, commands, table,
-                                    max_cycles))
+                                    wall_seconds))
     return {
         "topology": topology, "layer": layer,
         "cycles": busy_cycles,  # summed per-transaction bus occupancy
@@ -382,56 +386,35 @@ def run_fabric_campaign(
         layers: typing.Sequence[str] = FABRIC_LAYERS,
         commands: int = 8,
         seed: typing.Union[int, str] = DEFAULT_SEED,
-        max_cycles: int = 300_000,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
         cell_wall_seconds: typing.Optional[float] = None,
         workers: int = 1) -> FabricCampaignResult:
     """Run the fabric grid: topologies x abstraction layers.
 
     Each timed cell replays a seeded APDU session plus a DMA burst
     move through a fresh platform and checks routing, contention and
-    exact per-link energy telescoping.  With *journal_path* every
-    finished cell is checkpointed (JSONL); *resume* replays journaled
-    cells byte-identically; *workers* > 1 shards the grid over a
-    process pool with identical results.
+    exact per-link energy telescoping; *cell_wall_seconds* bounds its
+    bus runs through the master's progress watchdog (the untimed
+    layer-3 arm routes synchronously and has no run to bound).  With
+    *journal_path* every finished cell is checkpointed (JSONL);
+    *resume* replays journaled cells byte-identically; *workers* > 1
+    shards the grid over a process pool with identical results.
     """
-    if commands < 1:
-        raise ValueError(f"commands must be >= 1, got {commands}")
-    for topology in topologies:
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}; expected "
-                             f"one of {TOPOLOGIES}")
-    for layer in layers:
-        if layer not in FABRIC_LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {FABRIC_LAYERS}")
-    table = characterization().table
+    check_counts(commands=commands)
+    check_choices("topology", topologies, TOPOLOGIES)
+    check_choices("layer", layers, FABRIC_LAYERS)
     supervisor = CampaignSupervisor(
         "fabric_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
-    specs = []
-    for topology in topologies:
-        for layer in layers:
-            specs.append((
-                {"topology": topology, "layer": layer},
-                _run_fabric_cell,
-                (topology, layer, seed, commands, table, max_cycles)))
-    cells: typing.List[FabricCell] = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            cells.append(FabricCell(**outcome.payload))
-        else:
-            cells.append(FabricCell(
-                topology=params["topology"], layer=params["layer"],
-                cycles=0, transactions=0, errors=0, dma_words=0,
-                cpu_grants=0, dma_grants=0, bridge_crossings=0,
-                posted_errors=0, probe_total_pj=0.0, buckets={},
-                balanced=False, imbalance_pj=0.0, flat_identity=None,
-                status="degraded", error=outcome.error))
+        resume=resume)
+    table = characterization().table
+    specs = [
+        ({"topology": topology, "layer": layer}, _run_fabric_cell,
+         (topology, layer, seed, commands, table, cell_wall_seconds))
+        for topology in topologies
+        for layer in layers]
+    cells = [outcome.cell(FabricCell, **outcome.params)
+             for outcome in supervisor.run_cells(specs, workers=workers)]
     return FabricCampaignResult(
         seed=seed, topologies=tuple(topologies), layers=tuple(layers),
         commands=commands, cells=cells)

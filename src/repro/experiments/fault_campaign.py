@@ -49,7 +49,7 @@ from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
 
 from .common import CLOCK_PERIOD, _busy_cycles, characterization
 from .robustness import DEFAULT_SEED, workload_script
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_choices
 
 #: Workload classes swept by default — a plain mix, a burst-heavy
 #: stream and the EEPROM-contention pattern (where tearing and the
@@ -67,6 +67,10 @@ LAYERS = ("layer1", "layer2", "gate-level")
 DEFAULT_POLICY = RetryPolicy(max_attempts=12, backoff_cycles=2,
                              timeout_cycles=150)
 
+#: Per-cell cycle budget; the watchdog policy ends any stall long
+#: before it.
+MAX_CYCLES = 500_000
+
 
 @dataclasses.dataclass
 class CampaignCell:
@@ -75,15 +79,15 @@ class CampaignCell:
     layer: str
     workload: str
     rate: float
-    transactions: int
-    failures: int          # transactions still failed after all retries
-    retries: int
-    timeouts: int          # watchdog aborts (each later retried)
-    recovered: int         # fault episodes that ended in success
-    fault_events: int      # injector activations (incl. silent flips)
-    torn_writes: int
-    cycles: int
-    energy_pj: float
+    transactions: int = 0
+    failures: int = 0      # transactions still failed after all retries
+    retries: int = 0
+    timeouts: int = 0      # watchdog aborts (each later retried)
+    recovered: int = 0     # fault episodes that ended in success
+    fault_events: int = 0  # injector activations (incl. silent flips)
+    torn_writes: int = 0
+    cycles: int = 0
+    energy_pj: float = 0.0
     #: deltas against the same layer's rate-0 run of the same class
     cycle_overhead: typing.Optional[int] = None
     energy_overhead_pj: typing.Optional[float] = None
@@ -107,12 +111,7 @@ class FaultCampaignResult:
     seed: typing.Union[int, str]
     rates: typing.Tuple[float, ...]
     classes: typing.Tuple[str, ...]
-    policy: RetryPolicy
     cells: typing.List[CampaignCell]
-    #: workers the supervisor actually ran with — smaller than the
-    #: requested count when the 1-CPU serial fallback engaged; None
-    #: for results built before the field existed (old journals)
-    effective_workers: typing.Optional[int] = None
 
     def cell(self, layer: str, workload: str,
              rate: float) -> CampaignCell:
@@ -122,13 +121,21 @@ class FaultCampaignResult:
                 return cell
         raise KeyError((layer, workload, rate))
 
+    @property
+    def passed(self) -> bool:
+        """Every cell ran and every transaction completed under retry
+        — a campaign that cannot finish its scripts has failed."""
+        return all(cell.status == "ok" and not cell.failures
+                   for cell in self.cells)
+
     def format(self) -> str:
+        policy = DEFAULT_POLICY
         lines = [
             "Fault-injection campaign "
             f"(seed={self.seed!r}, retry budget "
-            f"{self.policy.max_attempts}, backoff "
-            f"{self.policy.backoff_cycles}, watchdog "
-            f"{self.policy.timeout_cycles} cycles):",
+            f"{policy.max_attempts}, backoff "
+            f"{policy.backoff_cycles}, watchdog "
+            f"{policy.timeout_cycles} cycles):",
             f"{'workload':<19}{'rate':>6}  {'layer':<10}{'txns':>6}"
             f"{'compl':>7}{'retry':>6}{'wdog':>5}{'cyc+':>7}"
             f"{'E+ (pJ)':>10}{'retry E (pJ)':>13}",
@@ -213,10 +220,10 @@ def _campaign_memory_map(seed: typing.Union[int, str], workload: str,
 
 
 def _run_cell(layer: str, workload: str, rate: float,
-              seed: typing.Union[int, str], policy: RetryPolicy,
-              table, max_cycles: int,
-              wall_seconds: typing.Optional[float] = None
-              ) -> CampaignCell:
+              seed: typing.Union[int, str], table,
+              wall_seconds: typing.Optional[float] = None) -> dict:
+    """One cell, as its journal payload (module-level, so picklable
+    for the worker pool)."""
     simulator = Simulator(f"faults-{layer}")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = _campaign_memory_map(seed, workload, rate)
@@ -242,9 +249,9 @@ def _run_cell(layer: str, workload: str, rate: float,
         energy_probe = lambda: power_model.total_energy_pj
     script = workload_script(workload, seed)
     master = PipelinedMaster(simulator, clock, bus, script,
-                             retry_policy=policy,
+                             retry_policy=DEFAULT_POLICY,
                              energy_probe=energy_probe)
-    run_script(simulator, master, max_cycles, clock,
+    run_script(simulator, master, MAX_CYCLES, clock,
                wall_seconds=wall_seconds)
 
     if power_model is not None:
@@ -268,7 +275,7 @@ def _run_cell(layer: str, workload: str, rate: float,
                        for region in memory_map.regions)
     torn = sum(getattr(region.slave, "torn_writes", 0)
                for region in memory_map.regions)
-    return CampaignCell(
+    payload = dataclasses.asdict(CampaignCell(
         layer=layer, workload=workload, rate=rate,
         transactions=len(master.completed),
         failures=len(master.errors),
@@ -279,30 +286,12 @@ def _run_cell(layer: str, workload: str, rate: float,
         torn_writes=torn,
         cycles=_busy_cycles(master),
         energy_pj=energy,
-        retry_energy_pj=retry_energy)
-
-
-#: CampaignCell fields journaled per cell.  The overhead columns are
-#: deliberately *not* journaled: they are recomputed in-memory on both
-#: the fresh and the resumed path, so the two agree byte for byte.
-_JOURNALED_FIELDS = tuple(
-    field.name for field in dataclasses.fields(CampaignCell)
-    if field.name not in ("cycle_overhead", "energy_overhead_pj"))
-
-
-def _cell_payload(cell: CampaignCell) -> dict:
-    values = dataclasses.asdict(cell)
-    return {name: values[name] for name in _JOURNALED_FIELDS}
-
-
-def _cell_job(layer: str, workload: str, rate: float,
-              seed: typing.Union[int, str], policy: RetryPolicy,
-              table, max_cycles: int,
-              wall_seconds: typing.Optional[float]) -> dict:
-    """Module-level (picklable) cell runner for the worker pool."""
-    return _cell_payload(_run_cell(layer, workload, rate, seed, policy,
-                                   table, max_cycles,
-                                   wall_seconds=wall_seconds))
+        retry_energy_pj=retry_energy))
+    # the overhead columns are not journaled: they are recomputed in
+    # memory on both the fresh and the resumed path, so the two agree
+    # byte for byte
+    del payload["cycle_overhead"], payload["energy_overhead_pj"]
+    return payload
 
 
 def run_fault_campaign(
@@ -310,11 +299,8 @@ def run_fault_campaign(
         classes: typing.Sequence[str] = DEFAULT_CLASSES,
         seed: typing.Union[int, str] = DEFAULT_SEED,
         layers: typing.Sequence[str] = LAYERS,
-        policy: RetryPolicy = DEFAULT_POLICY,
-        max_cycles: int = 500_000,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
         cell_wall_seconds: typing.Optional[float] = None,
         workers: int = 1
         ) -> FaultCampaignResult:
@@ -323,34 +309,26 @@ def run_fault_campaign(
     With *journal_path* every finished cell is checkpointed to a JSONL
     journal; *resume* then replays journaled cells instead of
     re-running them, making an interrupted campaign restartable with
-    byte-identical results.  A cell that crashes or stalls
-    *max_attempts* times is reported as a degraded row instead of
-    aborting the sweep; *cell_wall_seconds* bounds each cell's wall
-    clock through the master's progress watchdog.
+    byte-identical results.  A cell that keeps crashing or stalling is
+    reported as a degraded row instead of aborting the sweep;
+    *cell_wall_seconds* bounds each cell's wall clock through the
+    master's progress watchdog.
 
     *workers* > 1 shards the (class, rate, layer) grid over a process
     pool — every cell is independently seeded, so sharding cannot
     change results, and the supervisor journals outcomes in grid order
     so journal, resume and report stay byte-identical to ``workers=1``.
     """
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; "
-                             f"expected one of {LAYERS}")
     from .robustness import WORKLOAD_CLASSES
-    for name in classes:
-        if name not in WORKLOAD_CLASSES:
-            raise ValueError(
-                f"unknown workload class {name!r}; available: "
-                f"{', '.join(sorted(WORKLOAD_CLASSES))}")
+    check_choices("layer", layers, LAYERS)
+    check_choices("workload class", classes, sorted(WORKLOAD_CLASSES))
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rates must be in [0, 1], "
                              f"got {rate}")
     supervisor = CampaignSupervisor(
         "fault_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+        resume=resume)
     table = characterization().table
     cells = []
     baselines: typing.Dict[typing.Tuple[str, str], CampaignCell] = {}
@@ -359,28 +337,18 @@ def run_fault_campaign(
         rate_axis.insert(0, 0.0)  # overhead needs the fault-free run
     specs = [
         ({"layer": layer, "workload": workload, "rate": rate},
-         _cell_job,
-         (layer, workload, rate, seed, policy, table, max_cycles,
-          supervisor.cell_wall_seconds))
+         _run_cell,
+         (layer, workload, rate, seed, table, cell_wall_seconds))
         for workload in classes
         for rate in rate_axis
         for layer in layers]
     outcomes = supervisor.run_cells(specs, workers=workers)
-    for (params, _, _), outcome in zip(specs, outcomes):
-        layer, workload, rate = (params["layer"], params["workload"],
-                                 params["rate"])
-        if outcome.ok:
-            cell = CampaignCell(**outcome.payload)
-        else:
-            cell = CampaignCell(
-                layer=layer, workload=workload, rate=rate,
-                transactions=0, failures=0, retries=0,
-                timeouts=0, recovered=0, fault_events=0,
-                torn_writes=0, cycles=0, energy_pj=0.0,
-                status="degraded", error=outcome.error)
-        if rate == 0.0 and cell.status == "ok":
-            baselines[(layer, workload)] = cell
-        baseline = baselines.get((layer, workload))
+    for outcome in outcomes:
+        cell = outcome.cell(CampaignCell, **outcome.params)
+        key = (cell.layer, cell.workload)
+        if cell.rate == 0.0 and cell.status == "ok":
+            baselines[key] = cell
+        baseline = baselines.get(key)
         if (baseline is not None and cell is not baseline
                 and cell.status == "ok"):
             cell.cycle_overhead = cell.cycles - baseline.cycles
@@ -388,7 +356,4 @@ def run_fault_campaign(
                                        - baseline.energy_pj)
         cells.append(cell)
     return FaultCampaignResult(seed=seed, rates=tuple(rate_axis),
-                               classes=tuple(classes), policy=policy,
-                               cells=cells,
-                               effective_workers=supervisor
-                               .effective_workers)
+                               classes=tuple(classes), cells=cells)

@@ -80,11 +80,8 @@ class Figure6Result:
 
 
 def _layer2_task(sample_cycles, table) -> dict:
-    """Run layer 2, sampling the energy interface at the given cycles.
-
-    Module-level and payload-returning so it can run in a worker
-    process alongside the layer-1 task.
-    """
+    """Run layer 2, sampling the energy interface at the given
+    cycles."""
     simulator = Simulator("figure6_l2")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = fresh_memory_map()
@@ -130,26 +127,12 @@ def _layer1_task(sample_cycles, table) -> dict:
     return {"windows": windows, "total_pj": model.total_energy_pj}
 
 
-def run_figure6(sample_cycles: typing.Sequence[int] = (4, 9),
-                workers: int = 1) -> Figure6Result:
-    """Reproduce the Figure-6 sampling profile (t1, t2 = cycles).
-
-    With *workers* > 1 the layer-2 and layer-1 runs execute in
-    parallel worker processes; results are identical either way.
-    """
+def run_figure6(sample_cycles: typing.Sequence[int] = (4, 9)
+                ) -> Figure6Result:
+    """Reproduce the Figure-6 sampling profile (t1, t2 = cycles)."""
     table = characterization().table
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=2) as pool:
-            future2 = pool.submit(_layer2_task, tuple(sample_cycles),
-                                  table)
-            future1 = pool.submit(_layer1_task, tuple(sample_cycles),
-                                  table)
-            layer2, layer1 = future2.result(), future1.result()
-    else:
-        layer2 = _layer2_task(tuple(sample_cycles), table)
-        layer1 = _layer1_task(tuple(sample_cycles), table)
+    layer2 = _layer2_task(tuple(sample_cycles), table)
+    layer1 = _layer1_task(tuple(sample_cycles), table)
     phases = [
         PhaseTiming(f"request {i + 1}", address_done, data_done)
         for i, (address_done, data_done) in enumerate(layer2["phases"])

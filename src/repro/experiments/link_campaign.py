@@ -45,7 +45,7 @@ from repro.workloads.apdu import COMMANDS
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_choices, check_counts
 
 LAYERS = ("layer1", "layer2")
 DPM_MODES = ("off", "on")
@@ -74,6 +74,20 @@ DPM_POLICY = dict(gate_after=24, sleep_after=300)
 DPM_SUPPLY = dict(capacity_nj=80.0, harvest_pj_per_cycle=6.0,
                   brownout_nj=1.0, power_loss_nj=0.0)
 
+#: Cycle budget of each T=1 session.
+MAX_CYCLES = 400_000
+
+#: LinkCell counters summed over a cell's sessions, each read from
+#: the session-report attribute of the same name unless renamed here
+_SUMMED = ("commands_total", "commands_completed", "commands_shed",
+           "retries", "host_retransmissions", "card_retransmissions",
+           "retransmitted_bytes", "resyncs", "ifs_renegotiations",
+           "wtx_grants", "aborts", "cwt_timeouts", "bwt_timeouts",
+           "rx_overruns", "rx_dropped_gated", "cycles")
+_RENAMED = {"retries": "session_retries",
+            "rx_overruns": "uart_rx_overruns",
+            "rx_dropped_gated": "uart_rx_dropped_gated"}
+
 
 @dataclasses.dataclass
 class LinkCell:
@@ -82,35 +96,36 @@ class LinkCell:
     layer: str
     noise: float
     dpm: str
-    sessions: int
-    completed: int
-    degraded: int
-    hung: int
-    commands_total: int
-    commands_completed: int
-    commands_shed: int
-    retries: int
-    max_session_retries: int
-    retry_budget: int
-    host_retransmissions: int
-    card_retransmissions: int
-    retransmitted_bytes: int
-    resyncs: int
-    ifs_renegotiations: int
-    wtx_grants: int
-    aborts: int
-    cwt_timeouts: int
-    bwt_timeouts: int
-    rx_overruns: int
-    rx_dropped_gated: int
-    channel_events: int
-    cycles: int
-    energy_pj: float
-    clean_energy_pj: float
-    recovery_pj: typing.Dict[str, float]
-    max_unaccounted_pj: float
-    all_accounted: bool
-    all_clean: bool
+    sessions: int = 0
+    completed: int = 0
+    degraded: int = 0
+    hung: int = 0
+    commands_total: int = 0
+    commands_completed: int = 0
+    commands_shed: int = 0
+    retries: int = 0
+    max_session_retries: int = 0
+    retry_budget: int = 0
+    host_retransmissions: int = 0
+    card_retransmissions: int = 0
+    retransmitted_bytes: int = 0
+    resyncs: int = 0
+    ifs_renegotiations: int = 0
+    wtx_grants: int = 0
+    aborts: int = 0
+    cwt_timeouts: int = 0
+    bwt_timeouts: int = 0
+    rx_overruns: int = 0
+    rx_dropped_gated: int = 0
+    channel_events: int = 0
+    cycles: int = 0
+    energy_pj: float = 0.0
+    clean_energy_pj: float = 0.0
+    recovery_pj: typing.Dict[str, float] = dataclasses.field(
+        default_factory=dict)
+    max_unaccounted_pj: float = 0.0
+    all_accounted: bool = False
+    all_clean: bool = False
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -251,7 +266,6 @@ def _merge_recovery(total: typing.Dict[str, float],
 
 def _run_link_cell(layer: str, noise: float, dpm: str, seed,
                    sessions: int, commands: int, table,
-                   max_cycles: int,
                    wall_seconds: typing.Optional[float]) -> dict:
     deadline = (time.monotonic() + wall_seconds
                 if wall_seconds is not None else None)
@@ -259,13 +273,7 @@ def _run_link_cell(layer: str, noise: float, dpm: str, seed,
     think = DPM_THINK if dpm == "on" else BASE_THINK
     outcomes = {"complete": 0, "degraded": 0, "hung": 0,
                 "incomplete": 0}
-    totals = dict(commands_total=0, commands_completed=0,
-                  commands_shed=0, retries=0, host_retransmissions=0,
-                  card_retransmissions=0, retransmitted_bytes=0,
-                  resyncs=0, ifs_renegotiations=0, wtx_grants=0,
-                  aborts=0, cwt_timeouts=0, bwt_timeouts=0,
-                  rx_overruns=0, rx_dropped_gated=0, channel_events=0,
-                  cycles=0)
+    totals = dict.fromkeys(_SUMMED + ("channel_events",), 0)
     energy = clean = 0.0
     recovery: typing.Dict[str, float] = {}
     max_unaccounted = 0.0
@@ -286,27 +294,13 @@ def _run_link_cell(layer: str, noise: float, dpm: str, seed,
         report = run_link_session(
             platform, mix, params=params, seed=session_seed,
             channel=channel, energy_probe=probe,
-            max_cycles=max_cycles, think_range=think)
+            max_cycles=MAX_CYCLES, think_range=think)
         outcomes[report.outcome] = outcomes.get(report.outcome, 0) + 1
-        totals["commands_total"] += report.commands_total
-        totals["commands_completed"] += report.commands_completed
-        totals["commands_shed"] += report.commands_shed
-        totals["retries"] += report.session_retries
-        totals["host_retransmissions"] += report.host_retransmissions
-        totals["card_retransmissions"] += report.card_retransmissions
-        totals["retransmitted_bytes"] += report.retransmitted_bytes
-        totals["resyncs"] += report.resyncs
-        totals["ifs_renegotiations"] += report.ifs_renegotiations
-        totals["wtx_grants"] += report.wtx_grants
-        totals["aborts"] += report.aborts
-        totals["cwt_timeouts"] += report.cwt_timeouts
-        totals["bwt_timeouts"] += report.bwt_timeouts
-        totals["rx_overruns"] += report.uart_rx_overruns
-        totals["rx_dropped_gated"] += report.uart_rx_dropped_gated
+        for name in _SUMMED:
+            totals[name] += getattr(report, _RENAMED.get(name, name))
         totals["channel_events"] += sum(
             count for kind, count in report.channel_events.items()
             if kind != "bytes")
-        totals["cycles"] += report.cycles
         energy += report.total_energy_pj
         clean += report.clean_energy_pj
         _merge_recovery(recovery, report.recovery_energy_pj)
@@ -338,10 +332,8 @@ def run_link_campaign(
         sessions: int = 4,
         commands: int = 6,
         seed: typing.Union[int, str] = DEFAULT_SEED,
-        max_cycles: int = 400_000,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
         cell_wall_seconds: typing.Optional[float] = None,
         workers: int = 1) -> LinkCampaignResult:
     """Run the T=1 link grid: noise rates x layers x DPM modes.
@@ -352,54 +344,25 @@ def run_link_campaign(
     byte-identically; *workers* > 1 shards the grid over a process
     pool with identical results.
     """
-    if sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {sessions}")
-    if commands < 1:
-        raise ValueError(f"commands must be >= 1, got {commands}")
+    check_counts(sessions=sessions, commands=commands)
     for rate in noise_rates:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"noise rate must be in [0, 1), got {rate}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; expected one "
-                             f"of {LAYERS}")
-    for mode in dpm_modes:
-        if mode not in DPM_MODES:
-            raise ValueError(f"unknown dpm mode {mode!r}; expected one "
-                             f"of {DPM_MODES}")
-    table = characterization().table
+    check_choices("layer", layers, LAYERS)
+    check_choices("dpm mode", dpm_modes, DPM_MODES)
     supervisor = CampaignSupervisor(
-        "link_campaign", seed, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts, cell_wall_seconds=cell_wall_seconds)
-    specs = []
-    for layer in layers:
-        for rate in noise_rates:
-            for mode in dpm_modes:
-                specs.append((
-                    {"layer": layer, "noise": rate, "dpm": mode},
-                    _run_link_cell,
-                    (layer, rate, mode, seed, sessions, commands,
-                     table, max_cycles, supervisor.cell_wall_seconds)))
-    cells: typing.List[LinkCell] = []
-    for (params, _, _), outcome in zip(
-            specs, supervisor.run_cells(specs, workers=workers)):
-        if outcome.ok:
-            cells.append(LinkCell(**outcome.payload))
-        else:
-            cells.append(LinkCell(
-                layer=params["layer"], noise=params["noise"],
-                dpm=params["dpm"], sessions=sessions, completed=0,
-                degraded=0, hung=0, commands_total=0,
-                commands_completed=0, commands_shed=0, retries=0,
-                max_session_retries=0, retry_budget=0,
-                host_retransmissions=0, card_retransmissions=0,
-                retransmitted_bytes=0, resyncs=0, ifs_renegotiations=0,
-                wtx_grants=0, aborts=0, cwt_timeouts=0, bwt_timeouts=0,
-                rx_overruns=0, rx_dropped_gated=0, channel_events=0,
-                cycles=0, energy_pj=0.0, clean_energy_pj=0.0,
-                recovery_pj={}, max_unaccounted_pj=0.0,
-                all_accounted=False, all_clean=False,
-                status="degraded", error=outcome.error))
+        "link_campaign", seed, journal_path=journal_path, resume=resume)
+    table = characterization().table
+    specs = [
+        ({"layer": layer, "noise": rate, "dpm": mode},
+         _run_link_cell,
+         (layer, rate, mode, seed, sessions, commands, table,
+          cell_wall_seconds))
+        for layer in layers
+        for rate in noise_rates
+        for mode in dpm_modes]
+    cells = [outcome.cell(LinkCell, **outcome.params)
+             for outcome in supervisor.run_cells(specs, workers=workers)]
     return LinkCampaignResult(
         seed=seed, noise_rates=tuple(noise_rates),
         layers=tuple(layers), dpm_modes=tuple(dpm_modes),

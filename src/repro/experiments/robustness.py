@@ -108,11 +108,11 @@ WORKLOAD_CLASSES: typing.Dict[
 @dataclasses.dataclass
 class RobustnessRow:
     workload: str
-    cycles: int
-    layer1_timing_error: float
-    layer2_timing_error: float
-    layer1_energy_error: float
-    layer2_energy_error: float
+    cycles: int = 0
+    layer1_timing_error: float = 0.0
+    layer2_timing_error: float = 0.0
+    layer1_energy_error: float = 0.0
+    layer2_energy_error: float = 0.0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -126,6 +126,11 @@ class RobustnessResult:
             if row.workload == workload:
                 return row
         raise KeyError(workload)
+
+    @property
+    def passed(self) -> bool:
+        """Every workload class ran."""
+        return all(row.status == "ok" for row in self.rows)
 
     def format(self) -> str:
         lines = [
@@ -165,25 +170,24 @@ def workload_script(name: str,
 
 
 def _robustness_row(name: str, seed: typing.Union[int, str],
-                    table) -> RobustnessRow:
+                    table) -> dict:
     gate = run_on_rtl(workload_script(name, seed),
                       estimate_power=True)
     layer1 = run_on_layer(1, workload_script(name, seed), table=table)
     layer2 = run_on_layer(2, workload_script(name, seed), table=table)
-    return RobustnessRow(
+    return dataclasses.asdict(RobustnessRow(
         name, gate.cycles,
         percent_error(layer1.cycles, gate.cycles),
         percent_error(layer2.cycles, gate.cycles),
         percent_error(layer1.energy_pj, gate.energy_pj),
-        percent_error(layer2.energy_pj, gate.energy_pj))
+        percent_error(layer2.energy_pj, gate.energy_pj)))
 
 
 def run_robustness(classes: typing.Optional[
         typing.Sequence[str]] = None,
         seed: typing.Union[int, str] = DEFAULT_SEED,
         journal_path: typing.Optional[str] = None,
-        resume: bool = False,
-        max_attempts: int = 2) -> RobustnessResult:
+        resume: bool = False) -> RobustnessResult:
     """Measure all four errors on every workload class.
 
     Each class runs under the campaign supervisor: with *journal_path*
@@ -191,20 +195,10 @@ def run_robustness(classes: typing.Optional[
     and a class that keeps crashing is reported as a degraded row.
     """
     supervisor = CampaignSupervisor(
-        "robustness", seed, journal_path=journal_path, resume=resume,
-        max_attempts=max_attempts)
+        "robustness", seed, journal_path=journal_path, resume=resume)
     table = characterization().table
-    names = list(classes or WORKLOAD_CLASSES)
-    rows = []
-    for name in names:
-        outcome = supervisor.run_cell(
-            {"workload": name},
-            lambda: dataclasses.asdict(
-                _robustness_row(name, seed, table)))
-        if outcome.ok:
-            rows.append(RobustnessRow(**outcome.payload))
-        else:
-            rows.append(RobustnessRow(
-                name, 0, 0.0, 0.0, 0.0, 0.0,
-                status="degraded", error=outcome.error))
-    return RobustnessResult(rows)
+    specs = [({"workload": name}, _robustness_row, (name, seed, table))
+             for name in (classes or WORKLOAD_CLASSES)]
+    return RobustnessResult([
+        outcome.cell(RobustnessRow, **outcome.params)
+        for outcome in supervisor.run_cells(specs)])

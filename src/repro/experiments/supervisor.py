@@ -1,45 +1,59 @@
 """Crash-isolated campaign supervision: checkpoint, retry, resume.
 
-A long sweep (``fault_campaign``, ``bus_sweep``, ``robustness``) used
-to be all-or-nothing: a crash in cell 47 of 63 lost the first 46, and
-one poisoned cell sank the whole campaign.  The supervisor makes each
-sweep cell an independently retried, independently journaled unit:
+All eight sweeps (``faults``, ``tear``, ``dpm``, ``link``,
+``fabric``, ``chaos``, ``robustness``, ``sweep``) run their cells
+through :meth:`CampaignSupervisor.run_cells`, which makes each cell an
+independently retried, independently journaled unit:
 
 * every finished cell is appended to a **JSONL checkpoint journal**,
-  one self-contained record per line, keyed by the canonical JSON of
-  ``(experiment, seed, cell params)`` — append-and-flush, so a killed
-  process loses at most the in-flight cell;
-* ``resume=True`` replays journaled cells from the checkpoint instead
-  of re-running them.  Cell payloads round-trip through JSON exactly
-  (``repr``-based float serialisation), so a resumed campaign is
-  byte-identical to an uninterrupted one with the same seed;
+  keyed by the canonical JSON of ``(experiment, seed, cell params)``
+  — append-and-flush, so a killed process loses at most the in-flight
+  cell; the loader skips a truncated final line and lets the last
+  record of a key win;
+* ``resume=True`` replays journaled cells instead of re-running them.
+  Payloads round-trip through JSON exactly (``repr`` floats), so a
+  resumed campaign is byte-identical to an uninterrupted one;
 * a cell that keeps raising after ``max_attempts`` tries is recorded
-  as **degraded** (with the error text) instead of aborting the sweep.
+  as **degraded** instead of aborting the sweep, and
+  :meth:`CellOutcome.cell` turns it into the campaign's placeholder.
 
-The journal loader tolerates a truncated final line — the expected
-state after ``SIGINT`` mid-append — and lets the last record win when
-a key appears twice (a cell re-run after a degraded first pass).
-
-:meth:`CampaignSupervisor.run_cells` adds process-parallel execution:
-cells are sharded over a worker pool, but outcomes are collected —
-and journaled — strictly in input order, so the JSONL journal, the
-resume behaviour and every derived report are byte-identical to a
-serial run of the same campaign.  Retry/degrade isolation happens
-inside the worker; a worker process that dies outright degrades only
-its own cell (the pool is rebuilt for the rest).
+``workers > 1`` shards the cells over a process pool, yet outcomes
+are collected — and journaled — in input order, so journal, resume
+and reports are byte-identical to a serial run.  Both paths share one
+replay lookup, one retry loop (:func:`_attempt`, inside the worker on
+the pool path) and one journal/outcome step; a worker process that
+dies outright degrades only its own cell.  :func:`check_choices` and
+:func:`check_counts` are the runners' shared argument checks.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
-import functools
 import json
 import logging
 import os
 import typing
 
 _LOG = logging.getLogger(__name__)
+
+
+def check_choices(what: str, values: typing.Iterable[typing.Any],
+                  choices: typing.Collection[typing.Any]) -> None:
+    """Reject any of *values* not in *choices* with a ValueError."""
+    for value in values:
+        if value not in choices:
+            raise ValueError(
+                f"unknown {what} {value!r}; expected one of "
+                f"{', '.join(str(choice) for choice in choices)}")
+
+
+def check_counts(**counts: int) -> None:
+    """Reject any count below one with a ValueError naming it."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def cell_key(experiment: str, seed: typing.Union[int, str],
@@ -55,6 +69,9 @@ def cell_key(experiment: str, seed: typing.Union[int, str],
          "seed": [type(seed).__name__, seed],
          "params": dict(params)},
         sort_keys=True)
+
+
+_Row = typing.TypeVar("_Row")
 
 
 @dataclasses.dataclass
@@ -73,6 +90,15 @@ class CellOutcome:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def cell(self, cls: typing.Callable[..., _Row],
+             **identity: typing.Any) -> _Row:
+        """The payload as a *cls* row; for a degraded cell, a
+        placeholder carrying only *identity* (every measured field at
+        its zero default) plus the status and error text."""
+        if self.ok:
+            return cls(**self.payload)
+        return cls(**identity, status="degraded", error=self.error)
+
 
 #: One parallelisable unit of work: ``(params, fn, args)``.  ``fn``
 #: must be a module-level callable (picklable) returning the cell's
@@ -81,26 +107,30 @@ CellSpec = typing.Tuple[typing.Mapping[str, typing.Any],
                         typing.Callable[..., typing.Dict[str, typing.Any]],
                         typing.Tuple[typing.Any, ...]]
 
+#: ``(status, attempts, error, payload)`` of one cell's tries.
+_Attempt = typing.Tuple[str, int, typing.Optional[str],
+                        typing.Optional[typing.Dict[str, typing.Any]]]
 
-def _cell_worker(fn: typing.Callable[..., dict],
-                 args: typing.Tuple[typing.Any, ...],
-                 max_attempts: int) -> tuple:
-    """Run one cell inside a worker process, with the same bounded
-    retry the serial path applies, and report the outcome as data.
 
-    Returns ``(status, attempts, error, payload)`` so the parent can
-    build a :class:`CellOutcome` (and a journal record) that is
-    byte-identical to what :meth:`CampaignSupervisor.run_cell` would
-    have produced in-process.
-    """
-    last_error: typing.Optional[BaseException] = None
+def _degraded(attempts: int, error: BaseException) -> _Attempt:
+    return ("degraded", attempts, f"{type(error).__name__}: {error}",
+            None)
+
+
+def _attempt(fn: typing.Callable[..., dict],
+             args: typing.Tuple[typing.Any, ...],
+             max_attempts: int) -> _Attempt:
+    """The one retry loop: call ``fn(*args)`` up to *max_attempts*
+    times.  Runs in-process or inside a pool worker; either way the
+    result is plain data the parent turns into a :class:`CellOutcome`.
+    ``KeyboardInterrupt``/``SystemExit`` still propagate — killing a
+    campaign must work."""
     for attempt in range(1, max_attempts + 1):
         try:
             return ("ok", attempt, None, fn(*args))
         except Exception as error:
             last_error = error
-    return ("degraded", max_attempts,
-            f"{type(last_error).__name__}: {last_error}", None)
+    return _degraded(max_attempts, last_error)
 
 
 class CheckpointJournal:
@@ -158,19 +188,12 @@ class CampaignSupervisor:
         Replay journaled cells instead of re-running them.
     max_attempts:
         Total tries per cell before it is recorded as degraded.
-    cell_wall_seconds:
-        Advisory per-cell wall-clock budget.  Experiments thread it
-        into :func:`~repro.tlm.run_script` so a hung cell trips a
-        :class:`~repro.kernel.StallError` the supervisor can catch,
-        instead of hanging the campaign.
     """
 
     def __init__(self, experiment: str, seed: typing.Union[int, str],
                  journal_path: typing.Union[str, os.PathLike,
                                             None] = None,
-                 resume: bool = False, max_attempts: int = 2,
-                 cell_wall_seconds: typing.Optional[float] = None
-                 ) -> None:
+                 resume: bool = False, max_attempts: int = 2) -> None:
         if resume and journal_path is None:
             raise ValueError("resume requires a journal_path")
         if max_attempts < 1:
@@ -182,13 +205,9 @@ class CampaignSupervisor:
                         else CheckpointJournal(journal_path))
         self.resume = resume
         self.max_attempts = max_attempts
-        self.cell_wall_seconds = cell_wall_seconds
         self.cells_run = 0
         self.cells_resumed = 0
         self.cells_degraded = 0
-        #: worker count actually used by the last run_cells call (after
-        #: the 1-CPU serial fallback), recorded in the journal header
-        self.effective_workers: typing.Optional[int] = None
         self._header_written = False
         self._journaled: typing.Dict[str, dict] = (
             self.journal.load() if (self.journal and resume) else {})
@@ -196,44 +215,10 @@ class CampaignSupervisor:
     def run_cell(self, params: typing.Mapping[str, typing.Any],
                  thunk: typing.Callable[[], typing.Dict[str, typing.Any]]
                  ) -> CellOutcome:
-        """Run (or replay) one cell; never raises for cell failures.
-
-        *thunk* computes the cell and returns a JSON-serialisable
-        payload dict.  Any exception it raises is contained: the cell
-        is retried up to ``max_attempts`` times and then recorded as
-        degraded.  ``KeyboardInterrupt``/``SystemExit`` still
-        propagate — killing a campaign must work.
-        """
-        key = cell_key(self.experiment, self.seed, params)
-        if self.resume:
-            record = self._journaled.get(key)
-            if record is not None and record.get("status") == "ok":
-                self.cells_resumed += 1
-                return CellOutcome(
-                    params=dict(params), key=key, status="ok",
-                    attempts=record.get("attempts", 1), error=None,
-                    payload=record.get("payload"), from_journal=True)
-        last_error: typing.Optional[BaseException] = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                payload = thunk()
-            except Exception as error:
-                last_error = error
-                continue
-            outcome = CellOutcome(
-                params=dict(params), key=key, status="ok",
-                attempts=attempt, error=None, payload=payload)
-            break
-        else:
-            self.cells_degraded += 1
-            outcome = CellOutcome(
-                params=dict(params), key=key, status="degraded",
-                attempts=self.max_attempts,
-                error=f"{type(last_error).__name__}: {last_error}",
-                payload=None)
-        self.cells_run += 1
-        self._checkpoint(outcome)
-        return outcome
+        """Run (or replay) one in-process cell: :meth:`run_cells` for
+        a single ``(params, thunk, ())`` spec.  Never raises for cell
+        failures."""
+        return self.run_cells([(params, thunk, ())])[0]
 
     def run_cells(self, cells: typing.Sequence[CellSpec],
                   workers: int = 1) -> typing.List[CellOutcome]:
@@ -245,12 +230,6 @@ class CampaignSupervisor:
         completion order, and the journal is appended in that same
         order, so a parallel campaign's checkpoint file, resume
         behaviour and reports are byte-identical to a serial one.
-
-        Retry/degrade semantics match :meth:`run_cell` exactly: the
-        retry loop runs inside the worker, and a worker process that
-        dies outright (not a Python exception — an abort or kill)
-        degrades only its own cell; the pool is rebuilt to finish the
-        remaining cells.
         """
         specs = [(dict(params), fn, tuple(args))
                  for params, fn, args in cells]
@@ -263,75 +242,98 @@ class CampaignSupervisor:
                 "from %d workers to serial execution",
                 self.experiment, workers)
             workers = 1
-        self.effective_workers = max(1, workers)
-        self._write_header(host_cpus)
-        if workers <= 1:
-            return [self.run_cell(params, functools.partial(fn, *args))
-                    for params, fn, args in specs]
-        outcomes: typing.List[typing.Optional[CellOutcome]] = (
-            [None] * len(specs))
-        pending: typing.List[int] = []
-        keys: typing.List[typing.Optional[str]] = [None] * len(specs)
-        for index, (params, fn, args) in enumerate(specs):
-            key = cell_key(self.experiment, self.seed, params)
-            keys[index] = key
-            if self.resume:
-                record = self._journaled.get(key)
-                if record is not None and record.get("status") == "ok":
-                    self.cells_resumed += 1
-                    outcomes[index] = CellOutcome(
-                        params=dict(params), key=key, status="ok",
-                        attempts=record.get("attempts", 1), error=None,
-                        payload=record.get("payload"),
-                        from_journal=True)
-                    continue
-            pending.append(index)
+        self._write_header(max(1, workers), host_cpus)
+        keys = [cell_key(self.experiment, self.seed, params)
+                for params, _, _ in specs]
+        outcomes = [self._replay(params, key)
+                    for (params, _, _), key in zip(specs, keys)]
+        pending = [index for index, outcome in enumerate(outcomes)
+                   if outcome is None]
+        todo = [specs[index] for index in pending]
+        results = (self._pool_results(todo, workers) if workers > 1
+                   else (_attempt(fn, args, self.max_attempts)
+                         for _, fn, args in todo))
+        # journal in input order: each result is taken in submission
+        # order, so a checkpoint never runs ahead of an earlier cell
+        with contextlib.closing(results):
+            for index, result in zip(pending, results):
+                outcomes[index] = self._record(specs[index][0],
+                                               keys[index], result)
+        return typing.cast(typing.List[CellOutcome], outcomes)
+
+    def _pool_results(self, specs: typing.List[CellSpec],
+                      workers: int) -> typing.Iterator[_Attempt]:
+        """Run *specs* on a process pool, yielding each cell's
+        :func:`_attempt` result in input order.
+
+        A worker process that dies outright (segfault, kill,
+        unpicklable payload — not a Python exception) degrades only its
+        own cell; the pool is rebuilt for the remaining cells, because
+        a broken pool poisons every future submitted before the break.
+        """
         executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers)
+
+        def submit(batch):
+            return [executor.submit(_attempt, fn, args, self.max_attempts)
+                    for _, fn, args in batch]
+
         try:
-            futures = {
-                index: executor.submit(
-                    _cell_worker, specs[index][1], specs[index][2],
-                    self.max_attempts)
-                for index in pending}
-            for position, index in enumerate(pending):
-                params = specs[index][0]
+            futures = submit(specs)
+            for position in range(len(specs)):
                 try:
-                    status, attempts, error, payload = (
-                        futures[index].result())
+                    result = futures[position].result()
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as crash:
-                    # the worker process itself died (segfault, kill,
-                    # unpicklable payload): degrade this cell only and
-                    # rebuild the pool — a broken pool poisons every
-                    # future submitted before the break
-                    status, attempts, error, payload = (
-                        "degraded", self.max_attempts,
-                        f"{type(crash).__name__}: {crash}", None)
+                    result = _degraded(self.max_attempts, crash)
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = concurrent.futures.ProcessPoolExecutor(
                         max_workers=workers)
-                    for later in pending[position + 1:]:
-                        futures[later] = executor.submit(
-                            _cell_worker, specs[later][1],
-                            specs[later][2], self.max_attempts)
-                if status == "degraded":
-                    self.cells_degraded += 1
-                outcome = CellOutcome(
-                    params=dict(params), key=keys[index], status=status,
-                    attempts=attempts, error=error, payload=payload)
-                self.cells_run += 1
-                # journal in input order: each future is awaited in
-                # submission order, so a checkpoint never runs ahead
-                # of an earlier cell
-                self._checkpoint(outcome)
-                outcomes[index] = outcome
+                    futures[position + 1:] = submit(specs[position + 1:])
+                yield result
         finally:
             executor.shutdown()
-        return typing.cast(typing.List[CellOutcome], outcomes)
 
-    def _write_header(self, host_cpus: int) -> None:
+    def _replay(self, params: typing.Mapping[str, typing.Any],
+                key: str) -> typing.Optional[CellOutcome]:
+        """The journaled outcome of an ``ok`` cell under resume, else
+        None (degraded cells are always re-run)."""
+        record = self._journaled.get(key) if self.resume else None
+        if record is None or record.get("status") != "ok":
+            return None
+        self.cells_resumed += 1
+        return CellOutcome(
+            params=dict(params), key=key, status="ok",
+            attempts=record.get("attempts", 1), error=None,
+            payload=record.get("payload"), from_journal=True)
+
+    def _record(self, params: typing.Mapping[str, typing.Any], key: str,
+                result: _Attempt) -> CellOutcome:
+        """Turn one freshly run cell into its outcome and journal it."""
+        status, attempts, error, payload = result
+        outcome = CellOutcome(params=dict(params), key=key, status=status,
+                              attempts=attempts, error=error,
+                              payload=payload)
+        self.cells_run += 1
+        if not outcome.ok:
+            self.cells_degraded += 1
+        if self.journal is not None:
+            record = {
+                "experiment": self.experiment,
+                "seed": self.seed,
+                "key": key,
+                "params": outcome.params,
+                "status": status,
+                "attempts": attempts,
+                "error": error,
+                "payload": payload,
+            }
+            self.journal.append(record)
+            self._journaled[key] = record
+        return outcome
+
+    def _write_header(self, workers: int, host_cpus: int) -> None:
         """Journal one header record per supervisor run, recording the
         *effective* worker count (after any serial fallback).
 
@@ -346,31 +348,6 @@ class CampaignSupervisor:
             "kind": "header",
             "experiment": self.experiment,
             "seed": self.seed,
-            "workers": self.effective_workers,
+            "workers": workers,
             "host_cpus": host_cpus,
         })
-
-    def _checkpoint(self, outcome: CellOutcome) -> None:
-        if self.journal is None:
-            return
-        record = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "key": outcome.key,
-            "params": outcome.params,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "error": outcome.error,
-            "payload": outcome.payload,
-        }
-        self.journal.append(record)
-        self._journaled[outcome.key] = record
-
-    def summary(self) -> str:
-        parts = [f"{self.cells_run} cell(s) run"]
-        if self.cells_resumed:
-            parts.append(f"{self.cells_resumed} resumed from "
-                         f"{self.journal.path}")
-        if self.cells_degraded:
-            parts.append(f"{self.cells_degraded} degraded")
-        return f"supervisor[{self.experiment}]: " + ", ".join(parts)

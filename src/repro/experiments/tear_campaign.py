@@ -61,7 +61,7 @@ from repro.tlm import BlockingMaster, run_script
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
-from .supervisor import CampaignSupervisor
+from .supervisor import CampaignSupervisor, check_choices, check_counts
 
 LAYERS = ("layer1", "layer2", "gate-level")
 
@@ -85,6 +85,9 @@ GOVERNOR_SUPPLY = dict(capacity_nj=0.10, harvest_pj_per_cycle=2.0,
                        brownout_nj=0.05, power_loss_nj=0.0)
 GOVERNOR_MARGIN_NJ = 0.02
 
+#: Cycle budget of every run_script call in a cell.
+MAX_CYCLES = 200_000
+
 
 @dataclasses.dataclass
 class TearCell:
@@ -92,14 +95,14 @@ class TearCell:
 
     layer: str
     tear_cycle: int
-    torn: bool                  # False when the workload beat the tear
-    transactions: int
-    applied: int                # transactions all-new after recovery
-    committed_at_tear: bool     # journal held a durable frame
-    replayed: bool              # recovery replayed that frame
-    recovery_cycles: int
-    recovery_energy_pj: float
-    consistent: bool
+    torn: bool = False          # False when the workload beat the tear
+    transactions: int = 0
+    applied: int = 0            # transactions all-new after recovery
+    committed_at_tear: bool = False  # journal held a durable frame
+    replayed: bool = False      # recovery replayed that frame
+    recovery_cycles: int = 0
+    recovery_energy_pj: float = 0.0
+    consistent: bool = False
     violations: typing.List[str] = dataclasses.field(default_factory=list)
     #: "ok", or "degraded" when the cell kept crashing and the
     #: supervisor recorded a placeholder instead of sinking the sweep
@@ -112,11 +115,11 @@ class GovernorCell:
     """One arm of the governor sub-study on the starved supply."""
 
     governed: bool
-    completed: bool
-    cycles: int
-    brownouts: int
-    deferrals: int
-    drained_pj: float
+    completed: bool = False
+    cycles: int = 0
+    brownouts: int = 0
+    deferrals: int = 0
+    drained_pj: float = 0.0
     status: str = "ok"
     error: typing.Optional[str] = None
 
@@ -127,6 +130,8 @@ class TearCampaignResult:
     points: int
     transactions: int
     layers: typing.Tuple[str, ...]
+    #: per layer, the tear-free run's payload — or, when that run
+    #: degraded, ``{"layer": ..., "error": ...}`` and no tear grid
     baselines: typing.Dict[str, dict]
     cells: typing.List[TearCell]
     governor: typing.List[GovernorCell]
@@ -142,8 +147,9 @@ class TearCampaignResult:
 
     @property
     def all_consistent(self) -> bool:
-        return all(cell.status == "ok" and cell.consistent
-                   for cell in self.cells)
+        return (not any("error" in run for run in self.baselines.values())
+                and all(cell.status == "ok" and cell.consistent
+                        for cell in self.cells))
 
     @property
     def governor_effective(self) -> bool:
@@ -154,6 +160,13 @@ class TearCampaignResult:
             return False
         return (arms[True].completed and arms[False].completed
                 and arms[True].brownouts < arms[False].brownouts)
+
+    @property
+    def passed(self) -> bool:
+        """Anti-tearing held everywhere and, when the sub-study ran,
+        the governor reduced brownouts."""
+        return self.all_consistent and (not self.governor
+                                         or self.governor_effective)
 
     def format(self) -> str:
         lines = [
@@ -184,6 +197,10 @@ class TearCampaignResult:
         for cell, violation in violations[:10]:
             lines.append(f"  VIOLATION {cell.layer} @cycle "
                          f"{cell.tear_cycle}: {violation}")
+        for layer in self.layers:
+            if "error" in self.baselines[layer]:
+                lines.append(f"  DEGRADED {layer} baseline: "
+                             f"{self.baselines[layer]['error']}")
         degraded = [c for c in self.cells if c.status != "ok"]
         for cell in degraded[:5]:
             lines.append(f"  DEGRADED {cell.layer} @cycle "
@@ -331,7 +348,6 @@ def _platform_energy(platform: SmartCardPlatform, layer: str,
 
 
 def _run_baseline(layer: str, seed, transactions: int, table,
-                  max_cycles: int,
                   wall_seconds: typing.Optional[float]) -> dict:
     """The tear-free run of one layer: the grid's cycle span."""
     workload = _JournalWorkload(seed, transactions)
@@ -339,7 +355,7 @@ def _run_baseline(layer: str, seed, transactions: int, table,
     workload.preload(platform)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
-    cycles = run_script(platform.simulator, master, max_cycles,
+    cycles = run_script(platform.simulator, master, MAX_CYCLES,
                         platform.clock, wall_seconds=wall_seconds)
     if not master.done:
         raise RuntimeError(
@@ -355,7 +371,7 @@ def _run_baseline(layer: str, seed, transactions: int, table,
 
 
 def _run_tear_cell(layer: str, tear_cycle: int, seed,
-                   transactions: int, table, max_cycles: int,
+                   transactions: int, table,
                    wall_seconds: typing.Optional[float]) -> dict:
     workload = _JournalWorkload(seed, transactions)
     platform, model, factory = _fresh_platform(layer, table)
@@ -364,7 +380,7 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
                             platform.bus, workload.script())
     TearInjector(platform.simulator, platform.clock,
                  lambda: platform.bus.cycle, at_cycle=tear_cycle)
-    run_script(platform.simulator, master, max_cycles, platform.clock,
+    run_script(platform.simulator, master, MAX_CYCLES, platform.clock,
                wall_seconds=wall_seconds)
     torn = platform.simulator.powered_off
     state_at_tear = workload.journal.decode(workload.reader(platform))
@@ -377,7 +393,7 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
     recovery_master = BlockingMaster(booted.simulator, booted.clock,
                                      booted.bus, recovery)
     recovery_cycles = run_script(booted.simulator, recovery_master,
-                                 max_cycles, booted.clock,
+                                 MAX_CYCLES, booted.clock,
                                  wall_seconds=wall_seconds)
     activity = factory.logs[-1] if factory else None
     recovery_energy = _platform_energy(booted, layer, recovery_model,
@@ -413,7 +429,6 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
 
 
 def _run_governor_cell(governed: bool, seed, transactions: int, table,
-                       max_cycles: int,
                        wall_seconds: typing.Optional[float]) -> dict:
     workload = _JournalWorkload(seed, transactions)
     model = Layer1PowerModel(table)
@@ -428,7 +443,7 @@ def _run_governor_cell(governed: bool, seed, transactions: int, table,
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script(),
                             governor=governor)
-    cycles = run_script(platform.simulator, master, max_cycles,
+    cycles = run_script(platform.simulator, master, MAX_CYCLES,
                         platform.clock, wall_seconds=wall_seconds)
     return {
         "governed": governed, "completed": master.done,
@@ -443,10 +458,8 @@ def run_tear_campaign(
         transactions: int = 12,
         seed: typing.Union[int, str] = DEFAULT_SEED,
         layers: typing.Sequence[str] = LAYERS,
-        max_cycles: int = 200_000,
         journal_path: typing.Optional[str] = None,
         resume: bool = False,
-        max_attempts: int = 2,
         cell_wall_seconds: typing.Optional[float] = None,
         governor_study: bool = True,
         workers: int = 1) -> TearCampaignResult:
@@ -454,9 +467,10 @@ def run_tear_campaign(
 
     Per layer, a tear-free baseline run spans the grid; *points*
     seeded tear cycles inside that span then each get the full
-    tear / cold-boot / recover / verify treatment.  With
-    *journal_path* every finished cell is checkpointed (JSONL);
-    *resume* replays journaled cells byte-identically.
+    tear / cold-boot / recover / verify treatment.  A layer whose
+    baseline degrades gets no tear grid and fails the consistency
+    verdict.  With *journal_path* every finished cell is checkpointed
+    (JSONL); *resume* replays journaled cells byte-identically.
 
     *workers* > 1 shards each phase over a process pool: first the
     per-layer baselines (the tear grids depend on their cycle spans),
@@ -465,41 +479,31 @@ def run_tear_campaign(
     grid order, so journal, resume and report are byte-identical to a
     ``workers=1`` run.
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    if transactions < 1:
-        raise ValueError(
-            f"transactions must be >= 1, got {transactions}")
-    for layer in layers:
-        if layer not in LAYERS:
-            raise ValueError(f"unknown layer {layer!r}; "
-                             f"expected one of {LAYERS}")
+    check_counts(points=points, transactions=transactions)
+    check_choices("layer", layers, LAYERS)
     _JournalWorkload(seed, transactions)  # bounds-check the layout
     supervisor = CampaignSupervisor(
         "tear_campaign", seed, journal_path=journal_path,
-        resume=resume, max_attempts=max_attempts,
-        cell_wall_seconds=cell_wall_seconds)
+        resume=resume)
     table = characterization().table
-    baselines: typing.Dict[str, dict] = {}
-    cells: typing.List[TearCell] = []
     # phase 1: the tear-free baselines — the tear grids need their
     # cycle spans, so they run (possibly in parallel) before any tear
     baseline_specs = [
         ({"layer": layer, "phase": "baseline"}, _run_baseline,
-         (layer, seed, transactions, table, max_cycles,
-          supervisor.cell_wall_seconds))
+         (layer, seed, transactions, table, cell_wall_seconds))
         for layer in layers]
-    for layer, outcome in zip(
+    baselines = {
+        layer: (outcome.payload if outcome.ok
+                else {"layer": layer, "error": outcome.error})
+        for layer, outcome in zip(
             layers, supervisor.run_cells(baseline_specs,
-                                         workers=workers)):
-        if not outcome.ok:
-            raise RuntimeError(
-                f"{layer} baseline failed: {outcome.error}")
-        baselines[layer] = outcome.payload
+                                         workers=workers))}
     # phase 2: the tear grid — span the whole discipline: every cycle
     # of a layer's baseline run is a candidate tear point
     tear_specs = []
     for layer in layers:
+        if "error" in baselines[layer]:
+            continue
         schedule = tear_schedule(f"{seed}/{layer}", points,
                                  max_cycle=baselines[layer]["cycles"])
         for index, tear_cycle in enumerate(schedule):
@@ -508,39 +512,22 @@ def run_tear_campaign(
                   "index": index, "tear_cycle": tear_cycle},
                  _run_tear_cell,
                  (layer, tear_cycle, seed, transactions, table,
-                  max_cycles, supervisor.cell_wall_seconds)))
-    for (params, _, _), cell_outcome in zip(
-            tear_specs, supervisor.run_cells(tear_specs,
-                                             workers=workers)):
-        if cell_outcome.ok:
-            cells.append(TearCell(**cell_outcome.payload))
-        else:
-            cells.append(TearCell(
-                layer=params["layer"],
-                tear_cycle=params["tear_cycle"], torn=False,
-                transactions=transactions, applied=0,
-                committed_at_tear=False, replayed=False,
-                recovery_cycles=0, recovery_energy_pj=0.0,
-                consistent=False, status="degraded",
-                error=cell_outcome.error))
+                  cell_wall_seconds)))
+    cells = [outcome.cell(TearCell, layer=outcome.params["layer"],
+                          tear_cycle=outcome.params["tear_cycle"])
+             for outcome in supervisor.run_cells(tear_specs,
+                                                 workers=workers)]
     governor_cells: typing.List[GovernorCell] = []
     if governor_study:
         governor_specs = [
             ({"phase": "governor", "governed": governed},
              _run_governor_cell,
-             (governed, seed, transactions, table, max_cycles,
-              supervisor.cell_wall_seconds))
+             (governed, seed, transactions, table, cell_wall_seconds))
             for governed in (False, True)]
-        for (params, _, _), outcome in zip(
-                governor_specs,
-                supervisor.run_cells(governor_specs, workers=workers)):
-            if outcome.ok:
-                governor_cells.append(GovernorCell(**outcome.payload))
-            else:
-                governor_cells.append(GovernorCell(
-                    governed=params["governed"], completed=False,
-                    cycles=0, brownouts=0, deferrals=0, drained_pj=0.0,
-                    status="degraded", error=outcome.error))
+        governor_cells = [
+            outcome.cell(GovernorCell, governed=outcome.params["governed"])
+            for outcome in supervisor.run_cells(governor_specs,
+                                                workers=workers)]
     return TearCampaignResult(
         seed=seed, points=points, transactions=transactions,
         layers=tuple(layers), baselines=baselines, cells=cells,

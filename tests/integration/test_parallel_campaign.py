@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments.bus_sweep import run_bus_sweep
 from repro.experiments.fault_campaign import run_fault_campaign
-from repro.experiments.figure6 import run_figure6
 from repro.experiments.supervisor import CampaignSupervisor
 from repro.experiments.tear_campaign import run_tear_campaign
 
@@ -102,11 +101,6 @@ class TestBusSweepParallel:
         parallel = run_bus_sweep(burst_lengths=(1, 2),
                                  buffer_lines=(1, 4), workers=2)
         assert serial.points == parallel.points
-
-
-class TestFigure6Parallel:
-    def test_identical_profile(self):
-        assert run_figure6().format() == run_figure6(workers=2).format()
 
 
 def _flaky_once(marker_dir, value):

@@ -128,12 +128,21 @@ class TestCommands:
 
     def test_chaos_small_campaign(self, tmp_path, capsys):
         repro = tmp_path / "repro.json"
+        journal = str(tmp_path / "chaos.jsonl")
         assert main(["chaos", "--scenarios", "2", "--seed", "3",
-                     "--repro-out", str(repro)]) == 0
+                     "--journal", journal, "--repro-out", str(repro)]) == 0
         out = capsys.readouterr().out
         assert "chaos campaign" in out
         assert "verdict: layers agree under fabric faults" in out
         assert repro.exists()
+        # a resumed run writes the same repro bytes as the fresh one
+        resumed = tmp_path / "resumed.json"
+        assert main(["chaos", "--scenarios", "2", "--seed", "3",
+                     "--journal", journal, "--resume",
+                     "--repro-out", str(resumed)]) == 0
+        assert capsys.readouterr().out == out.replace(str(repro),
+                                                      str(resumed))
+        assert resumed.read_bytes() == repro.read_bytes()
         # the replay exits 0 when the shrunken failure reproduces
         assert main(["chaos", "--replay", str(repro)]) == 0
         assert "signature" in capsys.readouterr().out
@@ -151,6 +160,40 @@ class TestCommands:
         assert "Fault-injection campaign" in out
         assert "eeprom_contention" in out
         assert "unrecovered transactions across all cells: 0" in out
+
+    @pytest.mark.parametrize("command", [
+        "faults", "tear", "dpm", "link", "fabric", "chaos", "robustness",
+        "sweep"])
+    def test_resume_without_journal_exits_2(self, command, capsys):
+        assert main([command, "--resume"]) == 2
+        assert (f"repro {command}: error: resume requires a journal"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--rates", "0", "--classes", "eeprom_contention",
+         "--layers", "layer1"],
+        # every tear baseline degrades: no grid, no crash, exit 1
+        ["tear", "--points", "2", "--transactions", "3",
+         "--layers", "layer1", "--no-governor"],
+        ["dpm", "--traces", "1", "--transactions", "1",
+         "--layers", "layer1", "--policies", "always_on",
+         "--no-emergency"],
+        ["link", "--noise", "0", "--layers", "layer1", "--dpm", "off",
+         "--sessions", "1", "--commands", "1"],
+        ["fabric", "--commands", "2", "--layers", "layer1"],
+    ], ids=lambda argv: argv[0])
+    def test_exhausted_wall_budget_degrades_cleanly(self, argv, capsys):
+        # a budget no cell can meet: every cell degrades, the campaign
+        # reports it and fails instead of hanging or raising
+        assert main(argv + ["--cell-wall-seconds", "1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert "DEGRADED" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_chaos_has_no_wall_budget_option(self, capsys):
+        # every chaos scenario is bounded by its own stall watchdog
+        with pytest.raises(SystemExit):
+            main(["chaos", "--cell-wall-seconds", "1"])
 
     def test_trace_to_stdout(self, capsys):
         assert main(["trace"]) == 0
