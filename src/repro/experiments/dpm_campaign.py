@@ -484,8 +484,7 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
 
 
 def _technology_rows(result_cells: typing.List[DpmCell],
-                     layers: typing.Sequence[str],
-                     policies: typing.Sequence[str]) -> typing.List[dict]:
+                     layers: typing.Sequence[str]) -> typing.List[dict]:
     """Re-price the grid's headline energies at other technology
     corners.  Both bus layers are linear in the characterisation
     table, so the corner energy is exactly ``scale x measured``."""
@@ -588,4 +587,4 @@ def run_dpm_campaign(
         policies=tuple(policies), layers=tuple(layers),
         table_source=table.source, cells=cells,
         emergency=emergency_results,
-        technology=_technology_rows(cells, layers, policies))
+        technology=_technology_rows(cells, layers))

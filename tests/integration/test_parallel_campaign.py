@@ -118,6 +118,14 @@ def _always_broken(message):
     raise ValueError(message)
 
 
+def _value(value):
+    return {"value": value}
+
+
+def _dead_worker(value):
+    os._exit(3)  # the worker process dies: no Python exception to catch
+
+
 class TestRunCellsSemantics:
     def test_serial_and_parallel_outcomes_match(self, tmp_path):
         specs = [({"cell": i}, _flaky_once,
@@ -149,6 +157,23 @@ class TestRunCellsSemantics:
         assert outcomes[1].payload == {"value": 7}
         assert supervisor.cells_degraded == 1
         assert supervisor.cells_run == 2
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="a 1-CPU host runs the cells in-process")
+    def test_dead_worker_degrades_only_its_cell(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        specs = [({"cell": 0}, _dead_worker, (0,)),
+                 ({"cell": 1}, _value, (1,)),
+                 ({"cell": 2}, _value, (2,))]
+        supervisor = CampaignSupervisor("t", 1, journal_path=journal)
+        outcomes = supervisor.run_cells(specs, workers=2)
+        assert outcomes[0].status == "degraded"
+        assert "BrokenProcessPool" in outcomes[0].error
+        # the rebuilt pool finishes the rest
+        assert [o.payload for o in outcomes[1:]] == [{"value": 1},
+                                                     {"value": 2}]
+        _, cells = _split_journal(journal)
+        assert len(cells) == 3
 
     def test_resume_skips_journaled_cells(self, tmp_path):
         journal = str(tmp_path / "j.jsonl")
