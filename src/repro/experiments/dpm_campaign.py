@@ -538,7 +538,7 @@ def run_dpm_campaign(
     pool with identical results.
     """
     check_counts(traces=traces, transactions=transactions)
-    check_choices("policy", policies, tuple(POLICIES))
+    check_choices("policy", policies, POLICIES)
     check_choices("layer", layers, LAYERS)
     if (node_nm is None) != (vdd is None):
         raise ValueError("node_nm and vdd must be given together")
