@@ -17,15 +17,21 @@ kernel bookkeeping (simulated time, ``delta_count``, process
 the timed queue and its live-entry counter) exactly as the generic
 loop would have left it.
 
+Attached :class:`~repro.kernel.ProgressWatchdog` instances are polled
+where the generic loop polls them: after each time advance (the tick
+pop and its ``"timed"`` journal entry), before that instant's first
+delta.  A check that raises leaves the clock driver runnable, so the
+kernel state at the raise is the generic loop's.
+
 Equivalence contract: the fast lane bails out to the generic path at
 well-defined points — any immediate notification, signal write, delta
-notification, timed notification, stop/power-off request, watchdog
-attachment, or sensitivity change observed after a process slate runs —
-leaving the kernel in a state from which :meth:`Simulator.run` resumes
+notification, timed notification, stop/power-off request, or
+sensitivity change observed after a process slate runs — leaving the
+kernel in a state from which :meth:`Simulator.run` resumes
 bit-identically.  Eligibility is re-established (and the plans
 recompiled if stale) on every attempt, so dynamic features such as
-``next_trigger``, thread processes and watchdogs simply force the
-generic path while they are armed.
+``next_trigger`` and thread processes simply force the generic path
+while they are armed.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class FastLane:
         """
         sim = self._simulator
         clocks = sim._clocks
-        if len(clocks) != 1 or sim._watchdogs:
+        if len(clocks) != 1:
             return None
         clock = clocks[0]
         queue = sim._timed_queue
@@ -176,6 +182,7 @@ class FastLane:
         tick_name = tick.name
         tick_version = tick._waiters_version
         driver = clock._process
+        watchdogs = sim._watchdogs
         plan_pos = self._plans[True]
         plan_neg = self._plans[False]
         entry = queue[0]
@@ -192,6 +199,16 @@ class FastLane:
             sim.now = when
             delta = sim.delta_count
             journal.append((when, delta, "timed", tick_name))
+            if watchdogs:
+                try:
+                    sim._check_watchdogs()
+                except BaseException:
+                    # the generic loop's _advance_time has queued the
+                    # driver by now
+                    sim._make_runnable(driver)
+                    raise
+                # the generic loop counts the driver's delta below
+                sim._deltas_since_check = 1
             # delta cycle 1: the clock driver toggles and re-arms itself
             delta += 1
             sim.delta_count = delta
@@ -259,9 +276,14 @@ class FastLane:
                     sim._drain_delta_events()
                     if sim._stop_requested:
                         return FINISHED
+                    if watchdogs:
+                        sim._deltas_since_check = 2
                     return FELL_BACK
                 if sim._stop_requested:
                     return FINISHED
-                if (len(queue) != 1 or entry[2] or sim._watchdogs
+                if watchdogs:
+                    # ... and the edge delta, once it ran without a stop
+                    sim._deltas_since_check = 2
+                if (len(queue) != 1 or entry[2]
                         or tick._waiters_version != tick_version):
                     return FELL_BACK

@@ -26,9 +26,9 @@ RAM_BASE = 0x1000
 FOREVER = 10**6
 
 
-def build_stuck_platform(layer):
+def build_stuck_platform(layer, fast_lane=True):
     """A bus over a RAM whose FaultySlave wrapper hangs every access."""
-    simulator = Simulator(f"stuck-{layer}")
+    simulator = Simulator(f"stuck-{layer}", fast_lane=fast_lane)
     clock = Clock(simulator, "clk", period=100)
     memory_map = MemoryMap()
     ram = MemorySlave(RAM_BASE, 0x1000, WaitStates(), name="ram")
