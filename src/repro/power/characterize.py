@@ -30,7 +30,7 @@ import typing
 
 from repro.ec import EC_SIGNALS, MemoryMap, SIGNALS_BY_NAME
 from repro.kernel import Clock, Simulator
-from repro.rtl import RtlBus
+from repro.rtl import Netlist, RtlBus
 from repro.tlm import PipelinedMaster, run_script
 
 from .diesel import (DieselEstimator, DieselReport, InterfaceActivityLog,
@@ -48,6 +48,8 @@ class CharacterizationResult:
     report: DieselReport
     activity: InterfaceActivityLog
     cycles: int
+    #: the gate-level decoder whose net activity the report priced
+    netlist: Netlist
 
 
 def extract_inter_transaction_hamming(
@@ -177,7 +179,8 @@ def characterize(memory_map_factory: typing.Callable[[], MemoryMap],
         cycles=bus.cycle)
     table = build_table(report, activity, recorder, wire_load, source,
                         completed=master.completed)
-    return CharacterizationResult(table, report, activity, bus.cycle)
+    return CharacterizationResult(table, report, activity, bus.cycle,
+                                  bus.decoder.netlist)
 
 
 def default_characterization(seed: int = 2004,

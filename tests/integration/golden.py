@@ -1,11 +1,18 @@
-"""Golden byte-identity manifest of the eight supervised campaigns.
+"""Golden byte-identity manifest of the eight supervised campaigns and
+of the gate-level reference flows.
 
-Each entry runs one campaign at the smoke size its own integration
+Each campaign entry runs one campaign at the smoke size its own integration
 tests already use, with a JSONL journal, and records the SHA-256 of
 the printed report (``result.format()``) and of the journal's cell
 lines (header records excluded: they carry the host's worker count).
 The report text itself is kept alongside the digests so a mismatch can
 print a readable old/new diff.
+
+The value entries (:data:`VALUES`) pin the gate-level flows exactly:
+the default characterisation's coefficients, its Diesel module
+energies and glitch count plus a SHA-256 over every decoder net's
+activity counters, and every Table 1 and Table 2 row.  Floats are
+kept as ``repr`` strings, so a change in the last bit fails.
 
 The manifest lives next to this module in ``golden_campaigns.json``;
 rewrite it with ``python tests/integration/test_golden_campaigns.py
@@ -24,7 +31,9 @@ import typing
 from repro.experiments import (run_bus_sweep, run_chaos_campaign,
                                run_dpm_campaign, run_fabric_campaign,
                                run_fault_campaign, run_link_campaign,
-                               run_robustness, run_tear_campaign)
+                               run_robustness, run_table1, run_table2,
+                               run_tear_campaign)
+from repro.power.characterize import default_characterization
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "golden_campaigns.json")
@@ -53,6 +62,53 @@ RUNS: typing.Dict[str, typing.Tuple[typing.Callable[..., typing.Any],
     "robustness": (run_robustness, dict(classes=("sparse",))),
     "sweep": (run_bus_sweep,
               dict(burst_lengths=(1, 4), buffer_lines=(1, 8))),
+}
+
+
+def net_activity_sha256(netlist) -> str:
+    """SHA-256 over every net's (transitions, rises, falls, glitches)."""
+    counters = [(net.transitions, net.rise_count, net.fall_count,
+                 net.glitches) for net in netlist.nets]
+    return hashlib.sha256(repr(counters).encode()).hexdigest()
+
+
+def characterization_values() -> dict:
+    """The default characterisation run, value for value."""
+    result = default_characterization()
+    table = result.table
+    return {
+        "coefficients": {name: repr(value) for name, value
+                         in sorted(table.energy_per_transition_pj.items())},
+        "clock_energy_per_cycle_pj": repr(table.clock_energy_per_cycle_pj),
+        "inter_txn_address_hamming": repr(table.inter_txn_address_hamming),
+        "inter_txn_data_hamming": repr(table.inter_txn_data_hamming),
+        "module_energy_pj": {name: repr(value) for name, value
+                             in sorted(result.report.module_energy_pj.items())},
+        "glitch_transitions": result.report.glitch_transitions,
+        "cycles": result.cycles,
+        "decoder_nets_sha256": net_activity_sha256(result.netlist),
+    }
+
+
+def table1_values() -> dict:
+    """Every Table 1 row: cycles, relative cycles, error."""
+    return {"rows": [[row.abstraction_level, row.cycles,
+                      repr(row.cycles_relative), repr(row.error_percent)]
+                     for row in run_table1().rows]}
+
+
+def table2_values() -> dict:
+    """Every Table 2 row: energy, relative energy, error."""
+    return {"rows": [[row.abstraction_level, repr(row.energy_pj),
+                      repr(row.energy_relative), repr(row.error_percent)]
+                     for row in run_table2().rows]}
+
+
+#: value entry -> producer of its JSON record
+VALUES: typing.Dict[str, typing.Callable[[], dict]] = {
+    "characterization": characterization_values,
+    "table1": table1_values,
+    "table2": table2_values,
 }
 
 
@@ -99,8 +155,9 @@ def explain(name: str, old: dict, new: dict) -> str:
 
 
 def regenerate(directory: typing.Union[str, os.PathLike]) -> None:
-    """Rerun every campaign and rewrite the manifest."""
+    """Rerun every campaign and value flow and rewrite the manifest."""
     manifest = {name: digest(*run(name, directory)) for name in RUNS}
+    manifest.update((name, produce()) for name, produce in VALUES.items())
     with open(MANIFEST, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
         handle.write("\n")

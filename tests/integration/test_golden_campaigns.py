@@ -1,7 +1,9 @@
-"""Byte identity of the supervised campaigns as a test.
+"""Byte identity of the supervised campaigns and the gate-level flows
+as a test.
 
 Every campaign's report text and journal cell lines must hash to the
-committed manifest (``golden_campaigns.json``).  A refactor that moves
+committed manifest (``golden_campaigns.json``); the characterisation
+and Tables 1-2 must reproduce its exact values.  A refactor that moves
 a float addition, reorders a journal field or changes a report column
 fails here with an old/new diff.  Regenerate deliberately with::
 
@@ -24,6 +26,11 @@ def test_campaign_matches_golden_manifest(name, golden_run):
     expected = golden.load()[name]
     actual = golden.digest(*golden_run(name))
     assert actual == expected, golden.explain(name, expected, actual)
+
+
+@pytest.mark.parametrize("name", sorted(golden.VALUES))
+def test_values_match_golden_manifest(name):
+    assert golden.VALUES[name]() == golden.load()[name]
 
 
 if __name__ == "__main__":
