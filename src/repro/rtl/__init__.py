@@ -1,11 +1,11 @@
 """Gate-level ("layer 0") reference model: gate/net primitives, the
-glitch-aware netlist evaluator, a synthesis library, the synthesised
+compiled glitch-aware netlist step, a synthesis library, the synthesised
 address decoder and the independent signal-level EC bus."""
 
 from .bus_rtl import CONTROL_FLOP_COUNT, RtlBus
 from .decoder import AddressDecoder, build_address_decoder, required_width
-from .gates import Flop, Gate, GateKind, Net
-from .netlist import Netlist, NetlistError
+from .gates import Flop, Gate, GateKind
+from .netlist import Net, Netlist, NetlistError
 from . import library
 
 __all__ = [

@@ -12,6 +12,7 @@ energy that separates the gate-level estimate from the layer-1 model.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.ec import ADDRESS_BITS, MemoryMap, Region
@@ -24,6 +25,10 @@ DECODER_NET_CAP_FF = 1.5
 #: Fanout load within the decoder (fF per connection).
 DECODER_FANOUT_CAP_FF = 0.6
 
+#: A memory-map layout as the synthesis sees it: (name, base, end) per
+#: region, in map order.
+Layout = typing.Tuple[typing.Tuple[str, int, int], ...]
+
 
 @dataclasses.dataclass
 class AddressDecoder:
@@ -34,47 +39,100 @@ class AddressDecoder:
     select_names: typing.Dict[str, Region]  # output name -> region
     miss_name: str
 
+    def __post_init__(self) -> None:
+        self.netlist.initialize()
+        names = [f"a{i}" for i in range(self.width)]
+        inputs = self.netlist.input_nets
+        #: input net of each address bit, LSB first
+        self._bit_nets = [inputs[name] for name in names]
+        #: the address the input nets currently hold
+        self._address = sum(self.netlist.input_value(name) << bit
+                            for bit, name in enumerate(names))
+        self._selected = self._lookup()
+
     def evaluate(self, address: int) -> typing.Optional[Region]:
         """Drive *address* for one cycle; return the selected region.
 
-        Glitch/transition activity accumulates in :attr:`netlist`.
-        Returns None on a miss.
+        Glitch/transition activity accumulates in :attr:`netlist`; only
+        the address bits that differ from the last driven address are
+        flipped, so a repeated address does no settling.  Returns None
+        on a miss; raises ValueError for an address the decoder's
+        inputs cannot carry.
         """
-        inputs = {f"a{i}": (address >> i) & 1 for i in range(self.width)}
-        outputs = self.netlist.step(inputs)
-        if outputs[self.miss_name]:
+        if not 0 <= address < 1 << self.width:
+            raise ValueError(
+                f"address {address:#x} outside the {self.width}-bit "
+                f"decoder input")
+        flipped = address ^ self._address
+        if not flipped:
+            self.netlist.cycle()
+            return self._selected
+        self._address = address
+        nets = []
+        while flipped:
+            low = flipped & -flipped
+            nets.append(self._bit_nets[low.bit_length() - 1])
+            flipped ^= low
+        self.netlist.cycle(nets)
+        self._selected = self._lookup()
+        return self._selected
+
+    def _lookup(self) -> typing.Optional[Region]:
+        netlist = self.netlist
+        if netlist.output_value(self.miss_name):
             return None
         for name, region in self.select_names.items():
-            if outputs[name]:
+            if netlist.output_value(name):
                 return region
         # can only happen if the netlist disagrees with itself
         raise AssertionError("decoder selected no region and no miss")
 
     def idle_cycle(self) -> None:
         """One cycle with the address bus unchanged (held value)."""
-        self.netlist.step({})
+        self.netlist.cycle()
 
 
 def required_width(memory_map: MemoryMap) -> int:
     """Number of low address bits the comparators must examine."""
-    highest = max(region.end - 1 for region in memory_map.regions)
-    return max(highest.bit_length(), 1)
+    return _width(region.end for region in memory_map.regions)
+
+
+def _width(ends: typing.Iterable[int]) -> int:
+    return max(max(end - 1 for end in ends).bit_length(), 1)
 
 
 def build_address_decoder(memory_map: MemoryMap,
                           address_bits: int = ADDRESS_BITS
                           ) -> AddressDecoder:
-    """Synthesise the decoder for *memory_map*.
+    """The decoder for *memory_map*.
 
-    Low bits feed per-region range comparators; any high bit outside
-    the populated range forces a miss (real decoders AND a "high bits
-    zero" term into every select).
+    The netlist is synthesised and settled once per layout — the
+    regions' (name, base, end) and *address_bits*; each call gets a
+    fresh copy of that template, with zero activity, whose select
+    outputs map to *memory_map*'s own regions.
     """
     if not memory_map.regions:
         raise ValueError("cannot build a decoder for an empty memory map")
-    width = required_width(memory_map)
-    if width > address_bits:
+    if required_width(memory_map) > address_bits:
         raise ValueError("memory map exceeds the address width")
+    layout = tuple((region.name, region.base, region.end)
+                   for region in memory_map.regions)
+    netlist = _synthesise(layout, address_bits).fresh_copy()
+    select_names = {f"sel_{region.name}": region
+                    for region in memory_map.regions}
+    return AddressDecoder(netlist, address_bits, select_names, "miss")
+
+
+@functools.lru_cache(maxsize=16)
+def _synthesise(layout: Layout, address_bits: int) -> Netlist:
+    """Synthesise and settle the decoder netlist for *layout*.
+
+    Low bits feed per-region range comparators; any high bit outside
+    the populated range forces a miss (real decoders AND a "high bits
+    zero" term into every select).  The result is cached per layout
+    and is a read-only template: use :meth:`Netlist.fresh_copy`.
+    """
+    width = _width(end for _, _, end in layout)
     netlist = Netlist("address_decoder",
                       default_net_cap_ff=DECODER_NET_CAP_FF,
                       fanout_cap_ff=DECODER_FANOUT_CAP_FF)
@@ -87,17 +145,14 @@ def build_address_decoder(memory_map: MemoryMap,
         high_zero = netlist.not_gate(high_nonzero)
     else:
         high_zero = None
-    select_names: typing.Dict[str, Region] = {}
     selects = []
-    for region in memory_map.regions:
-        in_window = range_decoder(netlist, low_bits, region.base,
-                                  region.end)
+    for name, base, end in layout:
+        in_window = range_decoder(netlist, low_bits, base, end)
         if high_zero is not None:
             in_window = netlist.and_gate(in_window, high_zero)
-        output_name = f"sel_{region.name}"
-        netlist.set_output(output_name, in_window)
-        select_names[output_name] = region
+        netlist.set_output(f"sel_{name}", in_window)
         selects.append(in_window)
     miss = netlist.not_gate(or_tree(netlist, selects))
     netlist.set_output("miss", miss)
-    return AddressDecoder(netlist, address_bits, select_names, "miss")
+    netlist.initialize()
+    return netlist

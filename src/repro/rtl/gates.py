@@ -1,12 +1,13 @@
-"""Gate and net primitives for the gate-level ("layer 0") model.
+"""Gate and flop primitives for the gate-level ("layer 0") model.
 
 The paper's reference is a real gate-level netlist with layout
 parasitics, simulated by a gate-level simulator and measured by the
 Diesel power estimator.  These primitives substitute for that: nets
-carry a capacitance, gates have a unit propagation delay, and the
-evaluation engine in :mod:`repro.rtl.netlist` counts *every* output
-change — including transient ones — so glitch energy exists, which is
-one of the contributions the transaction-level models cannot see.
+carry a capacitance, every gate has a unit propagation delay (the only
+delay model), and the evaluation engine in :mod:`repro.rtl.netlist`
+counts *every* output change — including transient ones — so glitch
+energy exists, which is one of the contributions the transaction-level
+models cannot see.
 """
 
 from __future__ import annotations
@@ -35,18 +36,6 @@ class GateKind(enum.Enum):
     MUX2 = "mux2"  # inputs: (select, a, b) -> b if select else a
 
 
-_EVALUATORS: typing.Dict[GateKind, typing.Callable[..., int]] = {
-    GateKind.BUF: lambda a: a,
-    GateKind.NOT: lambda a: 1 - a,
-    GateKind.AND: lambda *ins: int(all(ins)),
-    GateKind.OR: lambda *ins: int(any(ins)),
-    GateKind.NAND: lambda *ins: 1 - int(all(ins)),
-    GateKind.NOR: lambda *ins: 1 - int(any(ins)),
-    GateKind.XOR: lambda *ins: sum(ins) & 1,
-    GateKind.XNOR: lambda *ins: 1 - (sum(ins) & 1),
-    GateKind.MUX2: lambda sel, a, b: b if sel else a,
-}
-
 _ARITY: typing.Dict[GateKind, typing.Optional[int]] = {
     GateKind.BUF: 1,
     GateKind.NOT: 1,
@@ -60,40 +49,13 @@ _ARITY: typing.Dict[GateKind, typing.Optional[int]] = {
 }
 
 
-@dataclasses.dataclass
-class Net:
-    """One wire of the netlist."""
-
-    index: int
-    name: str
-    cap_ff: float = DEFAULT_NET_CAP_FF
-    value: int = 0
-    #: transitions committed this simulation (includes glitches)
-    transitions: int = 0
-    rise_count: int = 0
-    fall_count: int = 0
-    #: transitions that were later reversed within the same cycle
-    glitches: int = 0
-
-    def record_change(self, new_value: int) -> None:
-        if new_value == self.value:
-            return
-        if new_value:
-            self.rise_count += 1
-        else:
-            self.fall_count += 1
-        self.transitions += 1
-        self.value = new_value
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Gate:
-    """One combinational cell: output = f(inputs), delay 1 time unit."""
+    """One combinational cell: output = f(inputs), one unit later."""
 
     kind: GateKind
     inputs: typing.Tuple[int, ...]
     output: int
-    delay: int = 1
 
     def __post_init__(self) -> None:
         arity = _ARITY[self.kind]
@@ -104,15 +66,9 @@ class Gate:
         if arity is None and len(self.inputs) < 2:
             raise ValueError(
                 f"{self.kind.value} gate needs at least 2 inputs")
-        if self.delay < 1:
-            raise ValueError("gate delay must be at least 1")
-
-    def evaluate(self, input_values: typing.Sequence[int]) -> int:
-        """Compute the output from the already-extracted input values."""
-        return _EVALUATORS[self.kind](*input_values)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Flop:
     """A D flip-flop: output updates at the clock edge only."""
 

@@ -157,3 +157,26 @@ class TestStructure:
         a = netlist.input("a")
         netlist.not_gate(a)
         assert "gates=1" in repr(netlist)
+
+
+class TestNetReferences:
+    def test_gate_input_naming_no_net_rejected(self):
+        netlist = Netlist("dec")
+        a = netlist.input("a")
+        with pytest.raises(NetlistError, match="input 5 names no net"):
+            netlist.gate(GateKind.AND, [a, 5])
+        assert len(netlist.nets) == 1 and not netlist.gates
+
+    def test_gate_cannot_feed_its_own_output(self):
+        netlist = Netlist()
+        a = netlist.input("a")
+        with pytest.raises(NetlistError, match="names no net"):
+            netlist.and_gate(a, a + 1)
+
+    def test_negative_index_and_bad_flop_data_rejected(self):
+        netlist = Netlist()
+        netlist.input("a")
+        with pytest.raises(NetlistError, match="-1"):
+            netlist.not_gate(-1)
+        with pytest.raises(NetlistError, match="flop data 3"):
+            netlist.flop(3)

@@ -1,16 +1,20 @@
 """Property-based tests of the glitch-aware netlist engine.
 
-Hypothesis builds random combinational circuits; after every input
-step the netlist's settled outputs must equal a direct functional
-evaluation of the same circuit, regardless of the event ordering and
-transient glitching in between.
+Hypothesis builds random circuits.  After every input step the
+netlist's settled outputs must equal a direct functional evaluation of
+the same circuit, regardless of the event ordering and transient
+glitching in between; and over all nine gate kinds, variadic AND/OR
+and flops, the compiled step must match the event-driven oracle in
+:mod:`tests.rtl.reference_netlist` net for net, activity counters
+included.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.rtl.gates import GateKind
 from repro.rtl.netlist import Netlist
+
+from tests.rtl.reference_netlist import ReferenceNetlist, net_state
 
 TWO_INPUT_KINDS = [GateKind.AND, GateKind.OR, GateKind.NAND,
                    GateKind.NOR, GateKind.XOR, GateKind.XNOR]
@@ -110,3 +114,54 @@ class TestNetlistAgainstReference:
         before = netlist.total_transitions()
         netlist.step({f"i{i}": bit for i, bit in enumerate(vector)})
         assert netlist.total_transitions() == before
+
+
+#: fixed-arity kinds; every other kind takes 2..4 inputs
+_FIXED_ARITY = {GateKind.BUF: 1, GateKind.NOT: 1, GateKind.MUX2: 3}
+
+
+@st.composite
+def random_netlists(draw):
+    """Gates of all nine kinds (variadic ones with up to four inputs)
+    and flops over a handful of inputs, plus stimulus vectors."""
+    num_inputs = draw(st.integers(1, 5))
+    elements = []
+    node_count = num_inputs
+    for _ in range(draw(st.integers(1, 30))):
+        source = st.integers(0, node_count - 1)
+        if draw(st.integers(0, 5)) == 0:
+            elements.append(("flop", draw(source)))
+        else:
+            kind = draw(st.sampled_from(list(GateKind)))
+            arity = _FIXED_ARITY.get(kind) or draw(st.integers(2, 4))
+            elements.append((kind, tuple(draw(source)
+                                         for _ in range(arity))))
+        node_count += 1
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=num_inputs,
+                 max_size=num_inputs),
+        min_size=1, max_size=8))
+    return num_inputs, elements, vectors
+
+
+class TestCompiledStepAgainstOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(random_netlists())
+    def test_values_and_activity_match_oracle(self, circuit):
+        num_inputs, elements, vectors = circuit
+        netlist = Netlist("random")
+        nodes = [netlist.input(f"i{i}") for i in range(num_inputs)]
+        for index, (kind, sources) in enumerate(elements):
+            if kind == "flop":
+                out = netlist.flop(nodes[sources])
+            else:
+                out = netlist.gate(kind, [nodes[s] for s in sources])
+            netlist.set_output(f"n{index}", out)
+            nodes.append(out)
+        reference = ReferenceNetlist(netlist)
+        for vector in vectors:
+            inputs = {f"i{i}": bit for i, bit in enumerate(vector)}
+            assert netlist.step(inputs) == reference.step(inputs), vector
+            assert net_state(netlist.nets) == net_state(reference.nets), \
+                vector
