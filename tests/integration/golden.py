@@ -11,8 +11,11 @@ print a readable old/new diff.
 The value entries (:data:`VALUES`) pin the gate-level flows exactly:
 the default characterisation's coefficients, its Diesel module
 energies and glitch count plus a SHA-256 over every decoder net's
-activity counters, and every Table 1 and Table 2 row.  Floats are
-kept as ``repr`` strings, so a change in the last bit fails.
+activity counters, and every Table 1 and Table 2 row.  They also pin
+the experiments that build their buses outside a campaign: the
+Figure 6 samples, the case-study and coprocessor-study rows, and the
+SHA-256 of the ``repro vcd`` waveform file.  Floats are kept as
+``repr`` strings, so a change in the last bit fails.
 
 The manifest lives next to this module in ``golden_campaigns.json``;
 rewrite it with ``python tests/integration/test_golden_campaigns.py
@@ -28,11 +31,15 @@ import json
 import os
 import typing
 
-from repro.experiments import (run_bus_sweep, run_chaos_campaign,
-                               run_dpm_campaign, run_fabric_campaign,
-                               run_fault_campaign, run_link_campaign,
+from repro.cli import main as cli_main
+from repro.experiments import (characterization, run_bus_sweep,
+                               run_casestudy, run_chaos_campaign,
+                               run_coprocessor_study, run_dpm_campaign,
+                               run_fabric_campaign, run_fault_campaign,
+                               run_figure6, run_link_campaign,
                                run_robustness, run_table1, run_table2,
                                run_tear_campaign)
+from repro.javacard.explore import run_exploration
 from repro.power.characterize import default_characterization
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -62,6 +69,25 @@ RUNS: typing.Dict[str, typing.Tuple[typing.Callable[..., typing.Any],
     "robustness": (run_robustness, dict(classes=("sparse",))),
     "sweep": (run_bus_sweep,
               dict(burst_lengths=(1, 4), buffer_lines=(1, 8))),
+    # the layers the runs above leave out, at the same sizes
+    "faults_gate_level": (run_fault_campaign,
+                          dict(rates=(0.0, 0.05), classes=("random_mix",),
+                               layers=("gate-level",))),
+    "tear_layer2_gate_level": (run_tear_campaign,
+                               dict(points=3, transactions=4,
+                                    layers=("layer2", "gate-level"),
+                                    governor_study=False)),
+    "dpm_layer2": (run_dpm_campaign,
+                   dict(traces=1, transactions=6, layers=("layer2",),
+                        policies=("always_on", "budget_aware"),
+                        emergency_cells=1)),
+    "link_layer2": (run_link_campaign,
+                    dict(noise_rates=(0.0, 0.02), layers=("layer2",),
+                         sessions=2, commands=4)),
+    "fabric_layer2_layer3": (run_fabric_campaign,
+                             dict(topologies=("flat", "bridged"),
+                                  layers=("layer2", "layer3"),
+                                  commands=4, seed="resume-test")),
 }
 
 
@@ -104,11 +130,72 @@ def table2_values() -> dict:
                      for row in run_table2().rows]}
 
 
+def figure6_values() -> dict:
+    """The Figure 6 samples, windows, totals and phase timings."""
+    result = run_figure6()
+    return {
+        "sample_cycles": result.sample_cycles,
+        "layer2_samples_pj": [repr(v) for v in result.layer2_samples_pj],
+        "layer1_window_pj": [repr(v) for v in result.layer1_window_pj],
+        "phases": [[phase.label, phase.address_done_cycle,
+                    phase.data_done_cycle] for phase in result.phases],
+        "layer2_total_pj": repr(result.layer2_total_pj),
+        "layer1_total_pj": repr(result.layer1_total_pj),
+    }
+
+
+def _exploration_rows(exploration) -> list:
+    return [[row.config.name, row.bus_cycles, repr(row.bus_energy_pj),
+             row.bus_transactions, row.results_correct]
+            for row in exploration.rows]
+
+
+def casestudy_values() -> dict:
+    """The case study's functional results and exploration rows, plus
+    the same exploration on layer 2."""
+    result = run_casestudy()
+    layer2 = run_exploration(characterization().table, bus_layer=2)
+    return {
+        "functional": {name: repr(value) for name, value
+                       in sorted(result.functional_results.items())},
+        "rows": _exploration_rows(result.exploration),
+        "layer2_rows": _exploration_rows(layer2),
+    }
+
+
+def coprocessor_values() -> dict:
+    """Every coprocessor-study row."""
+    return {"rows": [[row.name, row.cycles, repr(row.bus_energy_pj),
+                      repr(row.coprocessor_energy_pj),
+                      row.bus_transactions, row.cpu_instructions,
+                      row.correct]
+                     for row in run_coprocessor_study().rows]}
+
+
+def vcd_values() -> dict:
+    """SHA-256 of the waveform file ``repro vcd`` writes."""
+    import contextlib
+    import io
+    import tempfile
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "bus.vcd")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli_main(["vcd", "-o", path])
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return {"status": status,
+            "vcd_sha256": hashlib.sha256(data).hexdigest()}
+
+
 #: value entry -> producer of its JSON record
 VALUES: typing.Dict[str, typing.Callable[[], dict]] = {
     "characterization": characterization_values,
     "table1": table1_values,
     "table2": table2_values,
+    "figure6": figure6_values,
+    "casestudy": casestudy_values,
+    "coprocessor": coprocessor_values,
+    "vcd": vcd_values,
 }
 
 
