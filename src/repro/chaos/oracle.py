@@ -44,8 +44,7 @@ from repro.faults.fabric import build_fault_processes
 from repro.fabric import Topology, build_fabric
 from repro.kernel import StallError
 from repro.power import (DpmController, DpmGovernor, FixedTimeoutPolicy,
-                         Layer1PowerModel, Layer2PowerModel, PowerDomain,
-                         PowerSupply)
+                         PowerDomain, PowerSupply)
 from repro.soc import DMA_BASE, RAM_BASE, SmartCardPlatform
 from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
 from repro.tlm.master import BlockingMaster, normalise_script, run_script
@@ -74,6 +73,10 @@ _DMA_WORDS = 8
 #: (a finding) instead of being silently cancelled mid-flight
 _RETRY_POLICY = RetryPolicy(max_attempts=3, backoff_cycles=2,
                             timeout_cycles=None)
+
+#: cycles a timed run may take to settle after its script; a fabric
+#: still busy after them is a hang finding
+DRAIN_CYCLES = 20_000
 
 
 @dataclasses.dataclass
@@ -206,29 +209,10 @@ def _bridge_counter_dict(bridge) -> typing.Dict[str, int]:
     }
 
 
-def _drain(platform: SmartCardPlatform, limit: int = 20_000) -> bool:
-    """Run the timed platform until DMA, buses and posted queues are
-    quiet; False when the fabric refuses to settle (a hang finding)."""
-    for _ in range(limit):
-        quiet = ((platform.dma is None or not platform.dma.busy)
-                 and platform.fabric.posted_writes_pending == 0
-                 and all(not segment.bus.busy
-                         for segment in
-                         platform.fabric.segments.values()))
-        if quiet:
-            return True
-        platform.run_cycles(1)
-    return False
-
-
 def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
     table = _characterization_table()
-    model_cls = Layer1PowerModel if layer == "layer1" else Layer2PowerModel
     platform = SmartCardPlatform(
-        bus_layer=1 if layer == "layer1" else 2,
-        power_model=model_cls(table),
-        topology=_topology(scenario, layer),
-        power_model_factory=lambda segment: model_cls(table),
+        bus_layer=layer, table=table, topology=_topology(scenario, layer),
         with_dma=scenario.with_dma)
     fault_process, glitch_process = build_fault_processes(scenario.faults)
     bridge = platform.fabric.bridge("bridge")
@@ -269,7 +253,7 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
         cycles = run_script(platform.simulator, master,
                             scenario.max_cycles, platform.clock,
                             stall_cycles=scenario.stall_cycles)
-        if not _drain(platform):
+        if not platform.drain(DRAIN_CYCLES):
             hang = True
             diagnostic = "fabric did not drain after script completion"
     except StallError as exc:
@@ -308,13 +292,9 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
 def _run_layer3(scenario: ChaosScenario) -> LayerRun:
     """The untimed arm: synchronous routing, emulated retry loop (the
     same attempts/cause decisions the blocking master makes)."""
-    platform = SmartCardPlatform(bus_layer=1)  # slave farm only
-    named = {"rom": platform.rom, "flash": platform.flash,
-             "eeprom": platform.eeprom, "ram": platform.ram,
-             "uart": platform.uart, "timers": platform.timers,
-             "trng": platform.rng, "intc": platform.intc}
-    fabric = build_fabric(_topology(scenario, "layer3"), named,
-                          bus_layer=3)
+    platform = SmartCardPlatform()  # slave farm only
+    fabric = build_fabric(_topology(scenario, "layer3"), platform.slaves,
+                          bus_layer="layer3")
     fault_process, glitch_process = build_fault_processes(scenario.faults)
     bridge = fabric.bridge("bridge")
     bridge.fault_process = fault_process

@@ -233,19 +233,23 @@ def _chaos_replay(path: str) -> int:
 
 def _cmd_vcd(args: argparse.Namespace) -> int:
     from repro.kernel import Clock, Simulator
-    from repro.power import (Layer1PowerModel, SignalStateRecorder,
-                             save_vcd)
+    from repro.power import SignalStateRecorder, save_vcd
     from repro.experiments.common import (CLOCK_PERIOD, characterization,
                                           fresh_memory_map,
                                           test_program_trace)
-    from repro.tlm import EcBusLayer1, PipelinedMaster, run_script
+    from repro.soc.layers import build_bus
+    from repro.tlm import PipelinedMaster, run_script
     simulator = Simulator("vcd")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = fresh_memory_map()
     recorder = SignalStateRecorder()
-    model = Layer1PowerModel(characterization().table, recorder=recorder)
-    bus = EcBusLayer1(simulator, clock, memory_map, power_model=model)
-    master = PipelinedMaster(simulator, clock, bus,
+    # the waveform of record leaves the EEPROM counting cycles on the
+    # idle bus of the platform that donated the memory map (its busy
+    # windows never close); binding it to this bus changes the file
+    layer_bus = build_bus("layer1", simulator, clock, memory_map,
+                          characterization().table, recorder=recorder,
+                          bind_slaves=False)
+    master = PipelinedMaster(simulator, clock, layer_bus.bus,
                              test_program_trace().to_script())
     run_script(simulator, master, 1_000_000, clock)
     save_vcd(recorder, args.output, clock_period_ps=CLOCK_PERIOD)

@@ -17,7 +17,7 @@ from .chaos_campaign import (ChaosCampaignResult, ChaosCell, ShrinkCell,
                              run_chaos_campaign)
 from .coprocessor import CoprocessorStudyResult, run_coprocessor_study
 from .common import (RunResult, characterization, evaluation_script,
-                     percent_error, run_on_layer, run_on_rtl,
+                     percent_error, run_on_layer,
                      test_program_trace)
 from .export import write_csv_reports
 from .dpm_campaign import (DpmCampaignResult, DpmCell, EmergencyCell,
@@ -82,7 +82,6 @@ __all__ = [
     "run_figure6",
     "run_link_campaign",
     "run_on_layer",
-    "run_on_rtl",
     "run_robustness",
     "run_table1",
     "run_table2",

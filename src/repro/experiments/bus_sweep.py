@@ -18,7 +18,6 @@ import dataclasses
 import typing
 
 from repro.ec import TransactionKind
-from repro.power import Layer1PowerModel
 from repro.soc.cpu import MipsCore
 from repro.soc.smartcard import ROM_BASE, SmartCardPlatform
 
@@ -98,8 +97,7 @@ class BusSweepResult:
 def run_point(fetch_burst_length: int, line_buffer_lines: int,
               table) -> SweepPoint:
     """Run the test program with one fetch-path configuration."""
-    power_model = Layer1PowerModel(table)
-    platform = SmartCardPlatform(bus_layer=1, power_model=power_model)
+    platform = SmartCardPlatform(bus_layer="layer1", table=table)
     platform.bus.enable_tracing()
     platform.cpu = MipsCore(platform.simulator, platform.clock,
                             platform.bus, reset_pc=ROM_BASE,
@@ -119,7 +117,7 @@ def run_point(fetch_burst_length: int, line_buffer_lines: int,
               - min(t.issue_cycle for t in finished) + 1)
     return SweepPoint(
         fetch_burst_length, line_buffer_lines, cycles,
-        power_model.total_energy_pj, len(fetches),
+        platform.layer_bus.energy_pj(), len(fetches),
         sum(t.burst_length for t in fetches))
 
 

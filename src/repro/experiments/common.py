@@ -19,17 +19,18 @@ import typing
 
 from repro.ec import MemoryMap
 from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel, Layer2PowerModel
 from repro.power.characterize import (CharacterizationResult,
                                       default_characterization)
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
 from repro.power.table import CharacterizationTable
-from repro.rtl import RtlBus
+from repro.soc.layers import build_bus, layer_name
 from repro.soc.smartcard import SmartCardPlatform
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.tlm import PipelinedMaster, run_script
 from repro.workloads import BusTrace
 
 CLOCK_PERIOD = 100
+
+#: cycle budget of one replay; every script here ends long before it
+MAX_REPLAY_CYCLES = 2_000_000
 
 
 @dataclasses.dataclass
@@ -60,63 +61,26 @@ def fresh_memory_map() -> MemoryMap:
     return SmartCardPlatform(bus_layer=1).memory_map
 
 
-def _bind_dynamic_slaves(memory_map: MemoryMap, bus) -> None:
-    for region in memory_map.regions:
-        if hasattr(region.slave, "bind_cycle_source"):
-            region.slave.bind_cycle_source(lambda: bus.cycle)
+def run_on_layer(layer: str, script, table: typing.Optional[
+        CharacterizationTable] = None) -> RunResult:
+    """Replay *script* on one rung (``"layer1"``, ``"layer2"`` or
+    ``"gate-level"``) over a fresh Figure-1 memory map.
 
-
-def run_on_layer(layer: int, script, table: typing.Optional[
-        CharacterizationTable] = None,
-        max_cycles: int = 2_000_000) -> RunResult:
-    """Replay *script* on a TLM layer, optionally with energy model."""
-    simulator = Simulator(f"layer{layer}")
+    With *table* the run is priced: the TLM layers through their energy
+    models, gate level through Diesel.  An unknown *layer* raises
+    :class:`ValueError`.
+    """
+    layer = layer_name(layer)
+    simulator = Simulator("rtl" if layer == "gate-level" else layer)
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = fresh_memory_map()
-    power_model = None
-    if table is not None:
-        power_model = (Layer1PowerModel(table) if layer == 1
-                       else Layer2PowerModel(table))
-    bus_class = EcBusLayer1 if layer == 1 else EcBusLayer2
-    bus = bus_class(simulator, clock, memory_map, power_model=power_model)
-    _bind_dynamic_slaves(memory_map, bus)
-    master = PipelinedMaster(simulator, clock, bus, script)
+    layer_bus = build_bus(layer, simulator, clock, memory_map, table=table)
+    master = PipelinedMaster(simulator, clock, layer_bus.bus, script)
     started = time.perf_counter()
-    run_script(simulator, master, max_cycles, clock)
+    run_script(simulator, master, MAX_REPLAY_CYCLES, clock)
     wall = time.perf_counter() - started
-    cycles = _busy_cycles(master)
-    energy = None
-    if power_model is not None:
-        if layer == 2:
-            power_model.account_cycles(bus.cycle)
-        energy = power_model.total_energy_pj
-    return RunResult(f"layer{layer}", cycles, len(master.completed),
-                     wall, energy)
-
-
-def run_on_rtl(script, estimate_power: bool = True,
-               max_cycles: int = 2_000_000) -> RunResult:
-    """Replay *script* on the gate-level reference (+ Diesel)."""
-    simulator = Simulator("rtl")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
-    activity = InterfaceActivityLog() if estimate_power else None
-    bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-    _bind_dynamic_slaves(memory_map, bus)
-    master = PipelinedMaster(simulator, clock, bus, script)
-    started = time.perf_counter()
-    run_script(simulator, master, max_cycles, clock)
-    wall = time.perf_counter() - started
-    energy = None
-    if estimate_power:
-        report = DieselEstimator().estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-        energy = report.total_energy_pj
-    return RunResult("gate-level", _busy_cycles(master),
-                     len(master.completed), wall, energy)
+    return RunResult(layer, _busy_cycles(master), len(master.completed),
+                     wall, layer_bus.energy_pj())
 
 
 def _busy_cycles(master) -> int:

@@ -29,12 +29,12 @@ import typing
 
 from repro.ec import MemoryMap
 from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel
 from repro.soc.crypto import (CryptoCoprocessor, DmaDriver,
                               xtea_encrypt)
 from repro.soc.cpu import MipsCore
 from repro.soc.memory import Rom, ScratchpadRam
-from repro.tlm import BusArbiter, EcBusLayer1
+from repro.soc.layers import build_bus
+from repro.tlm import BusArbiter
 
 from .common import CLOCK_PERIOD, characterization
 
@@ -234,9 +234,8 @@ def _run_implementation(name: str, program: str, blocks: int,
     memory_map.add_slave(rom, "rom")
     memory_map.add_slave(ram, "ram")
     memory_map.add_slave(crypto, "crypto")
-    power_model = Layer1PowerModel(table)
-    bus = EcBusLayer1(simulator, clock, memory_map,
-                      power_model=power_model)
+    layer_bus = build_bus("layer1", simulator, clock, memory_map, table)
+    bus = layer_bus.bus
     bus.enable_tracing()
     arbiter = BusArbiter(simulator, clock, bus, policy="priority")
     cpu = MipsCore(simulator, clock, arbiter.port("cpu", priority=0),
@@ -269,7 +268,7 @@ def _run_implementation(name: str, program: str, blocks: int,
     cycles = (max(t.data_done_cycle for t in finished)
               - min(t.issue_cycle for t in finished) + 1)
     return ImplementationResult(
-        name, cycles, power_model.total_energy_pj, crypto.energy_pj,
+        name, cycles, layer_bus.energy_pj(), crypto.energy_pj,
         bus.transactions_completed, cpu.instructions_executed, correct)
 
 

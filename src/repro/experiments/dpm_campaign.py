@@ -45,8 +45,7 @@ import random
 import typing
 
 from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, Layer1PowerModel,
-                         Layer2PowerModel, POLICIES, PowerDomain,
+                         FixedTimeoutPolicy, POLICIES, PowerDomain,
                          PowerSupply, default_technology_table)
 from repro.soc import EEPROM_BASE, SmartCardPlatform
 from repro.soc.uart import CTRL as UART_CTRL, CTRL_ENABLE as UART_ENABLE
@@ -321,14 +320,11 @@ def _scaled(values: typing.Mapping[str, float],
 
 
 def _grid_platform(layer: str, table):
-    model = (Layer1PowerModel(table) if layer == "layer1"
-             else Layer2PowerModel(table))
-    platform = SmartCardPlatform(bus_layer=1 if layer == "layer1" else 2,
-                                 power_model=model)
+    platform = SmartCardPlatform(bus_layer=layer, table=table)
     # an enabled UART idles at 0.02 pJ/cycle — the card OS keeps the
     # reader link up between APDUs, which is exactly what DPM gates
     platform.uart.registers[UART_CTRL] = UART_ENABLE
-    return platform, model
+    return platform, platform.layer_bus.power_model
 
 
 def _run_grid_cell(layer: str, policy_name: str, trace: int,
@@ -432,7 +428,7 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
         violations.append("checkpoint fired after the power loss")
 
     # cold boot + bus-level recovery, then verify
-    booted = platform.cold_boot(power_model=Layer1PowerModel(table))
+    booted = platform.cold_boot()
     read = workload.reader(booted)
     boot_state = workload.journal.decode(read)
     recovery = workload.journal.recovery_script(boot_state)

@@ -33,7 +33,6 @@ import typing
 
 from repro.ec import data_read, data_write
 from repro.fabric import Topology, build_fabric
-from repro.power import Layer1PowerModel, Layer2PowerModel
 from repro.soc import DMA_BASE, RAM_BASE, UART_BASE, SmartCardPlatform
 from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
 from repro.tlm.master import PipelinedMaster, normalise_script, run_script
@@ -54,6 +53,9 @@ _DMA_WORDS = 8
 
 #: Cycle budget of every run_script call in a cell.
 MAX_CYCLES = 300_000
+
+#: Cycles a timed cell may take to drain after its script completes.
+DRAIN_CYCLES = 4000
 
 
 @dataclasses.dataclass
@@ -236,30 +238,9 @@ def _dma_descriptor(rng: random.Random) -> typing.List:
 
 
 def _timed_platform(topology: str, layer: str, table):
-    model_cls = Layer1PowerModel if layer == "layer1" else Layer2PowerModel
     return SmartCardPlatform(
-        bus_layer=1 if layer == "layer1" else 2,
-        power_model=model_cls(table),
-        topology=_campaign_topology(topology, layer),
-        power_model_factory=lambda segment: model_cls(table),
-        with_dma=True)
-
-
-def _drain(platform, limit: int = 4000) -> None:
-    """Run until the DMA, every segment bus and every posted queue is
-    quiet — the books are only comparable on a quiescent fabric."""
-    for _ in range(limit):
-        quiet = (not platform.dma.busy
-                 and platform.fabric.posted_writes_pending == 0
-                 and all(not segment.bus.busy
-                         for segment in platform.fabric.segments.values()))
-        if quiet:
-            return
-        platform.run_cycles(1)
-    raise RuntimeError(
-        f"fabric did not drain within {limit} cycles (dma busy: "
-        f"{platform.dma.busy}, posted: "
-        f"{platform.fabric.posted_writes_pending})")
+        bus_layer=layer, table=table,
+        topology=_campaign_topology(topology, layer), with_dma=True)
 
 
 def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
@@ -277,11 +258,8 @@ def _flat_identity(layer: str, seed, commands: int, table,
     topology — run the same session, demand bitwise-equal results."""
     results = []
     for topology in (None, Topology.flat()):
-        model_cls = (Layer1PowerModel if layer == "layer1"
-                     else Layer2PowerModel)
-        platform = SmartCardPlatform(
-            bus_layer=1 if layer == "layer1" else 2,
-            power_model=model_cls(table), topology=topology)
+        platform = SmartCardPlatform(bus_layer=layer, table=table,
+                                     topology=topology)
         script = _session_script(f"{seed}/identity/{layer}", commands)
         master = PipelinedMaster(platform.simulator, platform.clock,
                                  platform.cpu_interface, script,
@@ -310,7 +288,11 @@ def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
                              platform.cpu_interface, script, name="cpu")
     run_script(platform.simulator, master, MAX_CYCLES, platform.clock,
                wall_seconds=wall_seconds)
-    _drain(platform)
+    if not platform.drain(DRAIN_CYCLES):
+        raise RuntimeError(
+            f"fabric did not drain within {DRAIN_CYCLES} cycles (dma "
+            f"busy: {platform.dma.busy}, posted: "
+            f"{platform.fabric.posted_writes_pending})")
     # summed in-flight latency: end-to-end wall time hides the bridge
     # (crossings absorb into the script's inter-command gaps), but the
     # cycles each transaction spends on the bus cannot lie
@@ -347,13 +329,9 @@ def _run_layer3_cell(topology: str, rng: random.Random, seed,
                      commands: int) -> dict:
     """The untimed arm: same traffic, synchronous routing, energy from
     the peripheral + bridge ledgers only (layer 3 prices no wires)."""
-    platform = SmartCardPlatform(bus_layer=1)  # slave farm only
-    named = {"rom": platform.rom, "flash": platform.flash,
-             "eeprom": platform.eeprom, "ram": platform.ram,
-             "uart": platform.uart, "timers": platform.timers,
-             "trng": platform.rng, "intc": platform.intc}
+    platform = SmartCardPlatform()  # slave farm only
     fabric = build_fabric(_campaign_topology(topology, "layer3"),
-                          named, bus_layer=3)
+                          platform.slaves, bus_layer="layer3")
     script = (_session_script(f"{seed}/session/layer3", commands)
               + _periph_probe())
     errors = completed = 0

@@ -40,12 +40,10 @@ from repro.faults import (BitFlipInjector, FaultySlave,
                           TransientErrorInjector)
 from repro.kernel import Clock, Simulator
 from repro.ec import MemoryMap
-from repro.power import Layer1PowerModel, Layer2PowerModel
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
-from repro.rtl import RtlBus
+from repro.soc.layers import LAYERS, build_bus
 from repro.soc.memory import Eeprom, Rom, ScratchpadRam
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.tlm import PipelinedMaster, run_script
 
 from .common import CLOCK_PERIOD, _busy_cycles, characterization
 from .robustness import DEFAULT_SEED, workload_script
@@ -58,8 +56,6 @@ DEFAULT_CLASSES = ("random_mix", "burst_heavy", "eeprom_contention")
 
 #: Fault-rate axis.  Rate 0 doubles as the overhead baseline.
 DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1)
-
-LAYERS = ("layer1", "layer2", "gate-level")
 
 #: Recovery policy of record for the campaign: generous retry budget,
 #: short backoff, and a watchdog tighter than a stuck-slave window so
@@ -227,44 +223,19 @@ def _run_cell(layer: str, workload: str, rate: float,
     simulator = Simulator(f"faults-{layer}")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = _campaign_memory_map(seed, workload, rate)
-
-    power_model = None
-    activity = None
-    if layer == "layer1":
-        power_model = Layer1PowerModel(table)
-        bus = EcBusLayer1(simulator, clock, memory_map,
-                          power_model=power_model)
-    elif layer == "layer2":
-        power_model = Layer2PowerModel(table)
-        bus = EcBusLayer2(simulator, clock, memory_map,
-                          power_model=power_model)
-    else:
-        activity = InterfaceActivityLog()
-        bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-    for region in memory_map.regions:
-        region.slave.bind_cycle_source(lambda: bus.cycle)
-
+    layer_bus = build_bus(layer, simulator, clock, memory_map, table=table)
+    # gate level prices energy only post hoc: no per-episode probe
+    power_model = layer_bus.tlm_model
     energy_probe = None
     if power_model is not None:
         energy_probe = lambda: power_model.total_energy_pj
     script = workload_script(workload, seed)
-    master = PipelinedMaster(simulator, clock, bus, script,
+    master = PipelinedMaster(simulator, clock, layer_bus.bus, script,
                              retry_policy=DEFAULT_POLICY,
                              energy_probe=energy_probe)
     run_script(simulator, master, MAX_CYCLES, clock,
                wall_seconds=wall_seconds)
-
-    if power_model is not None:
-        if layer == "layer2":
-            power_model.account_cycles(bus.cycle)
-        energy = power_model.total_energy_pj
-    else:
-        report = DieselEstimator().estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-        energy = report.total_energy_pj
+    energy = layer_bus.energy_pj()
 
     retry_energy = None
     if power_model is not None and master.fault_reports:

@@ -25,10 +25,10 @@ import typing
 
 from repro.ec import data_read, data_write
 from repro.kernel import Clock, Process, Simulator
-from repro.power import (Layer1PowerModel, Layer2PowerModel,
-                         SignalStateRecorder)
+from repro.power import SignalStateRecorder
+from repro.soc.layers import build_bus
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.tlm import PipelinedMaster, run_script
 
 from .common import CLOCK_PERIOD, characterization, fresh_memory_map
 
@@ -85,8 +85,8 @@ def _layer2_task(sample_cycles, table) -> dict:
     simulator = Simulator("figure6_l2")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = fresh_memory_map()
-    model = Layer2PowerModel(table)
-    bus = EcBusLayer2(simulator, clock, memory_map, power_model=model)
+    layer_bus = build_bus("layer2", simulator, clock, memory_map, table)
+    bus, model = layer_bus.bus, layer_bus.power_model
     master = PipelinedMaster(simulator, clock, bus, figure6_script())
     samples: typing.List[float] = []
     remaining = list(sample_cycles)
@@ -99,13 +99,12 @@ def _layer2_task(sample_cycles, table) -> dict:
     Process(simulator, sampler, "sampler", dont_initialize=True).sensitive(
         clock.posedge_event)
     run_script(simulator, master, 10_000, clock)
-    model.account_cycles(bus.cycle)  # clock baseline for the whole run
+    total = layer_bus.energy_pj()  # clock baseline for the whole run
     samples.append(model.energy_since_last_call_pj())  # final drain
     phases = [(txn.address_done_cycle, txn.data_done_cycle)
               for txn in sorted(master.completed,
                                 key=lambda t: (t.issue_cycle, t.txn_id))]
-    return {"samples": samples, "phases": phases,
-            "total_pj": model.total_energy_pj}
+    return {"samples": samples, "phases": phases, "total_pj": total}
 
 
 def _layer1_task(sample_cycles, table) -> dict:
@@ -115,16 +114,17 @@ def _layer1_task(sample_cycles, table) -> dict:
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = fresh_memory_map()
     recorder = SignalStateRecorder()
-    model = Layer1PowerModel(table, recorder=recorder)
-    bus = EcBusLayer1(simulator, clock, memory_map, power_model=model)
-    master = PipelinedMaster(simulator, clock, bus, figure6_script())
+    layer_bus = build_bus("layer1", simulator, clock, memory_map, table,
+                          recorder=recorder)
+    master = PipelinedMaster(simulator, clock, layer_bus.bus,
+                             figure6_script())
     run_script(simulator, master, 10_000, clock)
     windows: typing.List[float] = []
     previous = 0
     for cycle in list(sample_cycles) + [len(recorder.energies)]:
         windows.append(sum(recorder.energies[previous:cycle]))
         previous = cycle
-    return {"windows": windows, "total_pj": model.total_energy_pj}
+    return {"windows": windows, "total_pj": layer_bus.energy_pj()}
 
 
 def run_figure6(sample_cycles: typing.Sequence[int] = (4, 9)

@@ -38,8 +38,7 @@ import typing
 
 from repro.link import LinkParams, NoisyChannel, run_link_session
 from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, Layer1PowerModel,
-                         Layer2PowerModel, PowerDomain, PowerSupply)
+                         FixedTimeoutPolicy, PowerDomain, PowerSupply)
 from repro.soc import SmartCardPlatform
 from repro.workloads.apdu import COMMANDS
 
@@ -230,10 +229,8 @@ class LinkCampaignResult:
 def _link_platform(layer: str, dpm: str, table):
     """A fresh platform for one session, with the energy probe and
     (for the DPM arm) the full power stack attached."""
-    model = (Layer1PowerModel(table) if layer == "layer1"
-             else Layer2PowerModel(table))
-    platform = SmartCardPlatform(bus_layer=1 if layer == "layer1" else 2,
-                                 power_model=model)
+    platform = SmartCardPlatform(bus_layer=layer, table=table)
+    model = platform.layer_bus.power_model
     composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
     if dpm == "on":
         supply = PowerSupply(composite, **DPM_SUPPLY)

@@ -34,7 +34,7 @@ from repro.workloads import (Mix, Window, apdu_session,
                              generate_script, sub_word_script)
 
 from .common import (characterization, percent_error, run_on_layer,
-                     run_on_rtl, test_program_trace)
+                     test_program_trace)
 from .supervisor import CampaignSupervisor
 
 
@@ -171,10 +171,12 @@ def workload_script(name: str,
 
 def _robustness_row(name: str, seed: typing.Union[int, str],
                     table) -> dict:
-    gate = run_on_rtl(workload_script(name, seed),
-                      estimate_power=True)
-    layer1 = run_on_layer(1, workload_script(name, seed), table=table)
-    layer2 = run_on_layer(2, workload_script(name, seed), table=table)
+    gate = run_on_layer("gate-level", workload_script(name, seed),
+                        table=table)
+    layer1 = run_on_layer("layer1", workload_script(name, seed),
+                          table=table)
+    layer2 = run_on_layer("layer2", workload_script(name, seed),
+                          table=table)
     return dataclasses.asdict(RobustnessRow(
         name, gate.cycles,
         percent_error(layer1.cycles, gate.cycles),

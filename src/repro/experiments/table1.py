@@ -21,7 +21,7 @@ import dataclasses
 import typing
 
 from .common import (RunResult, evaluation_script, percent_error,
-                     run_on_layer, run_on_rtl)
+                     run_on_layer)
 
 
 @dataclasses.dataclass
@@ -62,9 +62,9 @@ def run_table1(script_factory: typing.Callable[[], list] = None
                ) -> Table1Result:
     """Reproduce Table 1; returns rows in the paper's order."""
     factory = script_factory or evaluation_script
-    gate = run_on_rtl(factory(), estimate_power=False)
-    layer1 = run_on_layer(1, factory())
-    layer2 = run_on_layer(2, factory())
+    gate = run_on_layer("gate-level", factory())
+    layer1 = run_on_layer("layer1", factory())
+    layer2 = run_on_layer("layer2", factory())
     rows = [
         Table1Row("Gate-level model", gate.cycles, 100.0, None),
         Table1Row("Layer one model", layer1.cycles,

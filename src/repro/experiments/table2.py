@@ -23,7 +23,7 @@ import dataclasses
 import typing
 
 from .common import (RunResult, characterization, evaluation_script,
-                     percent_error, run_on_layer, run_on_rtl)
+                     percent_error, run_on_layer)
 
 
 @dataclasses.dataclass
@@ -63,9 +63,9 @@ def run_table2(script_factory: typing.Callable[[], list] = None
     """Reproduce Table 2; returns rows in the paper's order."""
     factory = script_factory or evaluation_script
     table = characterization().table
-    gate = run_on_rtl(factory(), estimate_power=True)
-    layer1 = run_on_layer(1, factory(), table=table)
-    layer2 = run_on_layer(2, factory(), table=table)
+    gate = run_on_layer("gate-level", factory(), table=table)
+    layer1 = run_on_layer("layer1", factory(), table=table)
+    layer2 = run_on_layer("layer2", factory(), table=table)
     reference = gate.energy_pj
     rows = [
         Table2Row("Gate-level estimation", reference, 100.0, None),

@@ -29,7 +29,7 @@ import typing
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE
 from repro.workloads import table3_script
 
-from .common import RunResult, characterization, run_on_layer, run_on_rtl
+from .common import RunResult, characterization, run_on_layer
 
 
 @dataclasses.dataclass
@@ -83,24 +83,25 @@ def run_table3(transactions: int = 2_000, seed: int = 42,
                gate_level_transactions: int = 200) -> Table3Result:
     """Reproduce Table 3 by timing all four model configurations."""
     table = characterization().table
-    results: typing.Dict[typing.Tuple[int, bool], RunResult] = {}
-    for layer in (1, 2):
+    results: typing.Dict[typing.Tuple[str, bool], RunResult] = {}
+    for layer in ("layer1", "layer2"):
         for with_estimation in (True, False):
             script = make_script(transactions, seed)
             results[(layer, with_estimation)] = run_on_layer(
                 layer, script, table=table if with_estimation else None)
-    baseline = results[(1, True)].transactions_per_second
+    baseline = results[("layer1", True)].transactions_per_second
     rows = []
-    for layer in (1, 2):
+    for layer, label in (("layer1", "TL Layer 1"), ("layer2", "TL Layer 2")):
         with_est = results[(layer, True)].transactions_per_second
         without_est = results[(layer, False)].transactions_per_second
         rows.append(Table3Row(
-            f"TL Layer {layer}",
+            label,
             with_est / 1e3, with_est / baseline,
             without_est / 1e3, without_est / baseline))
     gate_kts = None
     if include_gate_level:
-        gate = run_on_rtl(make_script(gate_level_transactions, seed),
-                          estimate_power=True)
+        gate = run_on_layer("gate-level",
+                            make_script(gate_level_transactions, seed),
+                            table=table)
         gate_kts = gate.transactions_per_second / 1e3
     return Table3Result(rows, transactions, gate_kts)

@@ -52,18 +52,14 @@ import random
 import typing
 
 from repro.faults import TearInjector, tear_schedule
-from repro.power import (EnergyGovernor, Layer1PowerModel,
-                         Layer2PowerModel, PowerDomain, PowerSupply)
-from repro.power.diesel import DieselEstimator, InterfaceActivityLog
-from repro.rtl import RtlBus
+from repro.power import EnergyGovernor, PowerDomain, PowerSupply
 from repro.soc import EEPROM_BASE, SmartCardPlatform, TransactionJournal
+from repro.soc.layers import LAYERS
 from repro.tlm import BlockingMaster, run_script
 
 from .common import characterization
 from .robustness import DEFAULT_SEED
 from .supervisor import CampaignSupervisor, check_choices, check_counts
-
-LAYERS = ("layer1", "layer2", "gate-level")
 
 #: Home words per logical transaction (each journaled all-or-nothing).
 WORDS_PER_TXN = 2
@@ -301,57 +297,11 @@ class _JournalWorkload:
         return statuses
 
 
-def _fresh_model(layer: str, table):
-    if layer == "layer1":
-        return Layer1PowerModel(table)
-    if layer == "layer2":
-        return Layer2PowerModel(table)
-    return None
-
-
-class _GateFactory:
-    """Bus factory for gate-level platforms; one activity log per
-    platform built, so the torn run and the cold-booted recovery run
-    are priced separately."""
-
-    def __init__(self) -> None:
-        self.logs: typing.List[InterfaceActivityLog] = []
-
-    def __call__(self, simulator, clock, memory_map, power_model=None):
-        self.logs.append(InterfaceActivityLog())
-        return RtlBus(simulator, clock, memory_map,
-                      activity_log=self.logs[-1])
-
-
-def _fresh_platform(layer: str, table):
-    if layer == "gate-level":
-        factory = _GateFactory()
-        return SmartCardPlatform(bus_factory=factory), None, factory
-    model = _fresh_model(layer, table)
-    bus_layer = 1 if layer == "layer1" else 2
-    return SmartCardPlatform(bus_layer=bus_layer,
-                             power_model=model), model, None
-
-
-def _platform_energy(platform: SmartCardPlatform, layer: str,
-                     power_model, activity) -> float:
-    if layer == "gate-level":
-        report = DieselEstimator().estimate(
-            activity, netlists=[platform.bus.decoder.netlist],
-            control_register_toggles=platform.bus.control_register_toggles,
-            control_flop_count=platform.bus.control_flop_count,
-            cycles=platform.bus.cycle)
-        return report.total_energy_pj
-    if layer == "layer2":
-        power_model.account_cycles(platform.bus.cycle)
-    return power_model.total_energy_pj
-
-
 def _run_baseline(layer: str, seed, transactions: int, table,
                   wall_seconds: typing.Optional[float]) -> dict:
     """The tear-free run of one layer: the grid's cycle span."""
     workload = _JournalWorkload(seed, transactions)
-    platform, model, factory = _fresh_platform(layer, table)
+    platform = SmartCardPlatform(bus_layer=layer, table=table)
     workload.preload(platform)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
@@ -364,17 +314,15 @@ def _run_baseline(layer: str, seed, transactions: int, table,
     if statuses != ["new"] * transactions:
         raise RuntimeError(f"{layer} baseline left home region "
                            f"inconsistent: {statuses}")
-    activity = factory.logs[-1] if factory else None
     return {"layer": layer, "cycles": cycles,
-            "energy_pj": _platform_energy(platform, layer, model,
-                                          activity)}
+            "energy_pj": platform.layer_bus.energy_pj()}
 
 
 def _run_tear_cell(layer: str, tear_cycle: int, seed,
                    transactions: int, table,
                    wall_seconds: typing.Optional[float]) -> dict:
     workload = _JournalWorkload(seed, transactions)
-    platform, model, factory = _fresh_platform(layer, table)
+    platform = SmartCardPlatform(bus_layer=layer, table=table)
     workload.preload(platform)
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
@@ -385,9 +333,9 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
     torn = platform.simulator.powered_off
     state_at_tear = workload.journal.decode(workload.reader(platform))
 
-    # re-field the card: fresh volatile world, same EEPROM image
-    recovery_model = _fresh_model(layer, table)
-    booted = platform.cold_boot(power_model=recovery_model)
+    # re-field the card: fresh volatile world (and energy model), same
+    # EEPROM image
+    booted = platform.cold_boot()
     state = workload.journal.decode(workload.reader(booted))
     recovery = workload.journal.recovery_script(state)
     recovery_master = BlockingMaster(booted.simulator, booted.clock,
@@ -395,9 +343,7 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
     recovery_cycles = run_script(booted.simulator, recovery_master,
                                  MAX_CYCLES, booted.clock,
                                  wall_seconds=wall_seconds)
-    activity = factory.logs[-1] if factory else None
-    recovery_energy = _platform_energy(booted, layer, recovery_model,
-                                       activity)
+    recovery_energy = booted.layer_bus.energy_pj()
 
     violations = []
     if not recovery_master.done:
@@ -431,10 +377,9 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
 def _run_governor_cell(governed: bool, seed, transactions: int, table,
                        wall_seconds: typing.Optional[float]) -> dict:
     workload = _JournalWorkload(seed, transactions)
-    model = Layer1PowerModel(table)
-    platform = SmartCardPlatform(bus_layer=1, power_model=model)
+    platform = SmartCardPlatform(bus_layer="layer1", table=table)
     workload.preload(platform)
-    supply = PowerSupply(model, **GOVERNOR_SUPPLY)
+    supply = PowerSupply(platform.layer_bus.power_model, **GOVERNOR_SUPPLY)
     PowerDomain(platform.simulator, platform.clock, platform.bus,
                 supply, halt_on_power_loss=False)
     governor = (EnergyGovernor(supply, table,

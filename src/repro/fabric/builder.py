@@ -218,40 +218,39 @@ def build_fabric(topology: Topology,
                  bus_layer: typing.Union[int, str] = 1,
                  simulator: typing.Optional["Simulator"] = None,
                  clock: typing.Optional["Clock"] = None,
-                 bus_factory: typing.Optional[typing.Callable] = None,
-                 power_models: typing.Union[
-                     typing.Mapping[str, typing.Any],
-                     typing.Callable[[str], typing.Any], None] = None,
+                 table: typing.Any = None,
+                 power_models: typing.Optional[
+                     typing.Mapping[str, typing.Any]] = None,
                  ) -> BusFabric:
     """Instantiate *topology* over the named *slaves*.
 
-    * ``bus_layer`` 1/2 build clocked :class:`~repro.tlm.EcBusLayer1` /
-      :class:`~repro.tlm.EcBusLayer2` segments (*simulator* and
-      *clock* required); ``3`` builds untimed
-      :class:`~repro.tlm.EcBusLayer3` segments whose routing is
-      synchronous.
+    * ``bus_layer`` ``"layer1"``/``"layer2"`` (or ``1``/``2``) build
+      clocked segment buses through :func:`repro.soc.layers.build_bus`
+      (*simulator* and *clock* required); ``"layer3"`` (or ``3``)
+      builds untimed :class:`~repro.tlm.EcBusLayer3` segments whose
+      routing is synchronous.
     * ``power_models`` maps segment names to per-segment bus power
-      models (or is a callable invoked per segment name); segments it
-      does not cover run without estimation.
+      models; with a characterisation *table* every other segment gets
+      a fresh model of its own, and without one it runs unpriced.
     * Each bridge becomes a slave window on its upstream map (spanning
       the downstream map) and a master on the downstream segment — via
       a priority-0 arbiter port when the downstream segment declares
       an arbiter, directly on the bus otherwise.
     """
-    from repro.tlm import EcBusLayer1, EcBusLayer2, EcBusLayer3
+    from repro.soc.layers import build_bus, layer_name
+    from repro.tlm import EcBusLayer3
     from repro.tlm.arbiter import BusArbiter
 
-    layer3 = bus_layer in (3, "l3")
-    if not layer3 and (simulator is None or clock is None):
-        raise ValueError("bus layers 1 and 2 need a simulator and clock")
-    if bus_factory is None and not layer3:
-        bus_factory = {1: EcBusLayer1, 2: EcBusLayer2,
-                       "l1": EcBusLayer1, "l2": EcBusLayer2}[bus_layer]
-    if callable(power_models):
-        models = {spec.name: power_models(spec.name)
-                  for spec in topology.segments}
-    else:
-        models = dict(power_models or {})
+    layer3 = bus_layer in (3, "layer3")
+    if not layer3:
+        bus_layer = layer_name(bus_layer)
+        if bus_layer == "gate-level":
+            raise ValueError("fabric segments are transaction-level "
+                             "buses; gate level models the flat card")
+        if simulator is None or clock is None:
+            raise ValueError("bus layers 1 and 2 need a simulator and "
+                             "clock")
+    models = dict(power_models or {})
 
     missing = [name for name in topology.slave_names()
                if name not in slaves]
@@ -286,9 +285,10 @@ def build_fabric(topology: Topology,
             bus = EcBusLayer3(memory_map, name=f"ec_bus_{spec_name}")
             arbiter = None
         else:
-            bus = bus_factory(simulator, clock, memory_map,
-                              name=f"ec_bus_{spec_name}",
-                              power_model=model)
+            layer_bus = build_bus(bus_layer, simulator, clock, memory_map,
+                                  table=table, power_model=model,
+                                  name=f"ec_bus_{spec_name}")
+            bus, model = layer_bus.bus, layer_bus.power_model
             arbiter = (BusArbiter(simulator, clock, bus,
                                   policy=spec.arbiter,
                                   name=f"{spec_name}_arbiter")

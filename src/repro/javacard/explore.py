@@ -19,11 +19,10 @@ import typing
 
 from repro.ec import MemoryMap, MergePattern
 from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel, Layer2PowerModel
 from repro.power.table import CharacterizationTable
+from repro.soc.layers import build_bus
 from repro.soc.memory import Rom, ScratchpadRam
 from repro.soc.smartcard import RAM_BASE, ROM_BASE
-from repro.tlm import EcBusLayer1, EcBusLayer2
 
 from .adapters import StackMasterAdapter, StaticsBusPort
 from .bytecode import Package
@@ -112,7 +111,8 @@ class ExplorationResult:
 
 def _build_refined_model(config: InterfaceConfig,
                          table: CharacterizationTable,
-                         applet: Package, bus_layer: int = 1):
+                         applet: Package,
+                         bus_layer: typing.Union[str, int] = "layer1"):
     """Figure 7(b): interpreter + adapters + TLM bus + coprocessor."""
     simulator = Simulator(f"explore_{config.name}")
     clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
@@ -121,51 +121,48 @@ def _build_refined_model(config: InterfaceConfig,
     memory_map.add_slave(ScratchpadRam(RAM_BASE), "ram")
     hw_stack = HardwareStack(config.stack_base, layout=config.layout)
     memory_map.add_slave(hw_stack, "hw_stack")
-    if bus_layer == 1:
-        power_model = Layer1PowerModel(table)
-        bus = EcBusLayer1(simulator, clock, memory_map,
-                          power_model=power_model)
-    else:
-        power_model = Layer2PowerModel(table)
-        bus = EcBusLayer2(simulator, clock, memory_map,
-                          power_model=power_model)
-    adapter = StackMasterAdapter(simulator, clock, bus, config.stack_base,
+    layer_bus = build_bus(bus_layer, simulator, clock, memory_map,
+                          table=table)
+    adapter = StackMasterAdapter(simulator, clock, layer_bus.bus,
+                                 config.stack_base,
                                  layout=config.layout,
                                  access_pattern=config.access_pattern)
     statics = StaticsBusPort(adapter, RAM_BASE, applet.num_statics)
     interpreter = BytecodeInterpreter(applet, adapter,
                                       statics_port=statics)
-    return simulator, bus, power_model, adapter, interpreter
+    return layer_bus, adapter, interpreter
 
 
 def evaluate_configuration(config: InterfaceConfig,
                            table: CharacterizationTable,
-                           bus_layer: int = 1) -> ConfigResult:
+                           bus_layer: typing.Union[str, int] = "layer1"
+                           ) -> ConfigResult:
     """Run all benchmarks on the refined model for one configuration.
 
     *bus_layer* selects the model accuracy: layer 1 resolves every
     exploration dimension; layer 2 is faster but its per-phase energy
     model cannot see address-map effects (it charges a characterised
     average per address phase regardless of the actual addresses).
+    An unknown layer raises :class:`ValueError`.
     """
     applet = benchmark_package()
-    simulator, bus, power_model, adapter, interpreter = \
+    layer_bus, adapter, interpreter = \
         _build_refined_model(config, table, applet, bus_layer)
     correct = True
     for method_name, arguments, reference in BENCHMARKS:
         result = interpreter.run(method_name, arguments)
         if result != reference(*arguments):
             correct = False
-    if bus_layer == 2:
-        power_model.account_cycles(bus.cycle)
-    return ConfigResult(config, bus.cycle, power_model.total_energy_pj,
+    energy = layer_bus.energy_pj()
+    return ConfigResult(config, layer_bus.bus.cycle, energy,
                         adapter.bus_transactions, correct)
 
 
 def run_exploration(table: typing.Optional[CharacterizationTable] = None,
                     configurations: typing.Optional[
                         typing.List[InterfaceConfig]] = None,
-                    bus_layer: int = 1) -> ExplorationResult:
+                    bus_layer: typing.Union[str, int] = "layer1"
+                    ) -> ExplorationResult:
     """The §4.3 experiment: sweep the interface configurations."""
     if table is None:
         from repro.power.characterize import default_characterization

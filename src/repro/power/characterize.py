@@ -30,11 +30,12 @@ import typing
 
 from repro.ec import EC_SIGNALS, MemoryMap, SIGNALS_BY_NAME
 from repro.kernel import Clock, Simulator
-from repro.rtl import Netlist, RtlBus
+from repro.rtl import Netlist
+from repro.soc.layers import build_bus
 from repro.tlm import PipelinedMaster, run_script
 
-from .diesel import (DieselEstimator, DieselReport, InterfaceActivityLog,
-                     WireLoadModel, default_wire_load)
+from .diesel import (DieselReport, InterfaceActivityLog, WireLoadModel,
+                     default_wire_load)
 from .layer1 import SignalStateRecorder
 from .table import CharacterizationTable
 from .units import transition_energy_pj
@@ -163,20 +164,12 @@ def characterize(memory_map_factory: typing.Callable[[], MemoryMap],
     memory_map = memory_map_factory()
     activity = InterfaceActivityLog()
     recorder = SignalStateRecorder()
-    bus = RtlBus(simulator, clock, memory_map, activity_log=activity,
-                 recorder=recorder)
-    for region in memory_map.regions:
-        # dynamic slaves (EEPROM busy windows) must follow THIS bus
-        if hasattr(region.slave, "bind_cycle_source"):
-            region.slave.bind_cycle_source(lambda: bus.cycle)
+    layer_bus = build_bus("gate-level", simulator, clock, memory_map,
+                          power_model=activity, recorder=recorder)
+    bus = layer_bus.bus
     master = PipelinedMaster(simulator, clock, bus, script_factory())
     run_script(simulator, master, max_cycles, clock)
-    estimator = DieselEstimator(wire_load)
-    report = estimator.estimate(
-        activity, netlists=[bus.decoder.netlist],
-        control_register_toggles=bus.control_register_toggles,
-        control_flop_count=bus.control_flop_count,
-        cycles=bus.cycle)
+    report = layer_bus.diesel_report(wire_load)
     table = build_table(report, activity, recorder, wire_load, source,
                         completed=master.completed)
     return CharacterizationResult(table, report, activity, bus.cycle,

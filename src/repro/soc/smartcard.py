@@ -6,6 +6,12 @@ plus the memory-mapped UART, the two 16-bit timers, the TRNG and the
 interrupt controller.  A platform tick process advances the
 peripherals once per clock cycle.
 
+*bus_layer* names the rung of the model hierarchy the bus models
+(``"layer1"``, ``"layer2"`` or ``"gate-level"``; see
+:mod:`repro.soc.layers`).  Pass ``table=`` to price the card: every
+segment bus then gets a fresh energy model, rebuilt on each
+:meth:`SmartCardPlatform.cold_boot`.
+
 The bus need not be flat: pass ``topology=`` (a
 :class:`~repro.fabric.Topology` or a preset name) to split the card
 into bridged segments — e.g. ``"two_segment"`` keeps the memories on
@@ -23,10 +29,10 @@ from repro.ec import MemoryMap
 from repro.fabric import (BusFabric, FabricSegment, Topology, build_fabric)
 from repro.kernel import Clock, Module, Simulator
 from repro.kernel import time as ktime
-from repro.tlm import EcBusLayer1, EcBusLayer2
 
 from .cpu import MipsCore
 from .dma import DmaController
+from .layers import LayerBus, build_bus, layer_name
 from .interrupt import (InterruptController, LINE_TIMER0, LINE_TIMER1,
                         LINE_UART)
 from .memory import Eeprom, Flash, Rom, ScratchpadRam
@@ -48,8 +54,6 @@ DMA_BASE = 0x0040_4000
 #: 10 MHz system clock (contact-mode smart card operating point)
 DEFAULT_CLOCK_HZ = 10e6
 
-BusFactory = typing.Callable[..., object]
-
 
 class SmartCardPlatform(Module):
     """Simulator + clock + memories + peripherals + one bus model."""
@@ -57,25 +61,23 @@ class SmartCardPlatform(Module):
     def __init__(self, bus_layer: typing.Union[int, str] = 1,
                  clock_hz: float = DEFAULT_CLOCK_HZ,
                  power_model=None,
-                 bus_factory: typing.Optional[BusFactory] = None,
                  with_cpu: bool = False,
                  rom_image: typing.Optional[typing.Sequence[int]] = None,
                  eeprom_tear_rate: float = 0.0,
                  fault_seed: typing.Union[int, str, None] = None,
                  topology: typing.Union[Topology, str, None] = None,
-                 power_model_factory: typing.Optional[
-                     typing.Callable[[str], typing.Any]] = None,
                  with_dma: bool = False,
+                 table=None,
                  ) -> None:
+        layer = layer_name(bus_layer)
         simulator = Simulator("smartcard")
         super().__init__(simulator, "platform")
         # construction recipe, so cold_boot() can rebuild the card
         self._config = dict(
             bus_layer=bus_layer, clock_hz=clock_hz,
-            power_model=power_model, bus_factory=bus_factory,
-            with_cpu=with_cpu, eeprom_tear_rate=eeprom_tear_rate,
-            fault_seed=fault_seed, topology=topology,
-            power_model_factory=power_model_factory, with_dma=with_dma)
+            power_model=power_model, with_cpu=with_cpu,
+            eeprom_tear_rate=eeprom_tear_rate, fault_seed=fault_seed,
+            topology=topology, with_dma=with_dma, table=table)
         period = ktime.period_from_frequency_hz(clock_hz)
         if period % 2:
             period += 1
@@ -106,12 +108,13 @@ class SmartCardPlatform(Module):
                                                  "priority_rr")
             topology = topology.with_slave(topology.root, "dma")
         self.topology = topology
-        named_slaves = {"rom": self.rom, "flash": self.flash,
+        #: every slave the card provides, by topology name
+        self.slaves = {"rom": self.rom, "flash": self.flash,
                         "eeprom": self.eeprom, "ram": self.ram,
                         "uart": self.uart, "timers": self.timers,
                         "trng": self.rng, "intc": self.intc}
         if self.dma is not None:
-            named_slaves["dma"] = self.dma
+            self.slaves["dma"] = self.dma
         legacy_flat = (topology.is_flat
                        and topology.segments[0].arbiter is None)
         if legacy_flat:
@@ -120,30 +123,26 @@ class SmartCardPlatform(Module):
             # ledgers and journals to the historical single-bus card
             self.memory_map = MemoryMap()
             for name in topology.segments[0].slaves:
-                self.memory_map.add_slave(named_slaves[name], name)
-            if bus_factory is None:
-                bus_factory = {1: EcBusLayer1, 2: EcBusLayer2,
-                               "l1": EcBusLayer1, "l2": EcBusLayer2,
-                               }[bus_layer]
-            self.bus = bus_factory(simulator, self.clock, self.memory_map,
-                                   power_model=power_model)
+                self.memory_map.add_slave(self.slaves[name], name)
+            #: the root bus as a rung of the model hierarchy: its
+            #: energy model and final-energy rule
+            self.layer_bus = build_bus(layer, simulator, self.clock,
+                                       self.memory_map, table=table,
+                                       power_model=power_model)
+            self.bus = self.layer_bus.bus
             segment = FabricSegment(topology.root, self.memory_map,
-                                    self.bus, power_model=power_model)
+                                    self.bus,
+                                    power_model=self.layer_bus.tlm_model)
             self.fabric = BusFabric(topology, {topology.root: segment}, {})
         else:
-            models = {topology.root: power_model}
-            if power_model_factory is not None:
-                for spec in topology.segments:
-                    if spec.name != topology.root:
-                        models[spec.name] = power_model_factory(spec.name)
             self.fabric = build_fabric(
-                topology, named_slaves, bus_layer=bus_layer,
-                simulator=simulator, clock=self.clock,
-                bus_factory=bus_factory, power_models=models)
+                topology, self.slaves, bus_layer=layer,
+                simulator=simulator, clock=self.clock, table=table,
+                power_models={topology.root: power_model})
             self.bus = self.fabric.root_bus
             self.memory_map = self.fabric.root_map
-        eeprom_bus = self._segment_bus_of("eeprom")
-        self.eeprom.bind_cycle_source(lambda: eeprom_bus.cycle)
+            self.layer_bus = LayerBus(layer, self.bus,
+                                      self.fabric.root.power_model)
         root_segment = self.fabric.root
         #: where CPU-side masters issue: the root arbiter (via a port)
         #: when the root segment is arbitrated, the root bus otherwise
@@ -168,13 +167,6 @@ class SmartCardPlatform(Module):
                     sensitive=[self.clock.posedge_event],
                     dont_initialize=True)
 
-    def _segment_bus_of(self, slave_name: str):
-        """The bus of the segment hosting *slave_name*."""
-        for spec in self.topology.segments:
-            if slave_name in spec.slaves:
-                return self.fabric.segment(spec.name).bus
-        raise KeyError(f"no segment hosts slave {slave_name!r}")
-
     def _tick_peripherals(self) -> None:
         self.uart.tick()
         self.timers.tick()
@@ -198,6 +190,21 @@ class SmartCardPlatform(Module):
         """Advance the platform by *cycles* clock cycles."""
         self.simulator.run(cycles * self.clock.period)
 
+    def drain(self, limit: int) -> bool:
+        """Run until the DMA, every segment bus and every posted bridge
+        queue is quiet — energy books are only comparable on a
+        quiescent fabric.  False when the fabric has not settled after
+        *limit* cycles."""
+        for _ in range(limit):
+            quiet = ((self.dma is None or not self.dma.busy)
+                     and self.fabric.posted_writes_pending == 0
+                     and all(not segment.bus.busy
+                             for segment in self.fabric.segments.values()))
+            if quiet:
+                return True
+            self.run_cycles(1)
+        return False
+
     def cold_boot(self, **overrides) -> "SmartCardPlatform":
         """Re-field the card: a fresh platform with this card's
         non-volatile state.
@@ -209,9 +216,12 @@ class SmartCardPlatform(Module):
         that matters for anti-tearing — the EEPROM image, byte for
         byte, including any partially-applied journal frame.
 
-        *overrides* patch the recipe: after a power loss the caller
-        usually passes a fresh ``power_model=`` (energy models are
-        stateful and stay bound to the dead platform's bus).  Boot-time
+        A card priced through ``table=`` boots with fresh energy models
+        (and, at gate level, a fresh activity log), so every boot is
+        priced separately.  *overrides* patch the recipe: a card built
+        with an explicit ``power_model=`` needs a fresh one passed here
+        (energy models are stateful and stay bound to the dead
+        platform's bus).  Boot-time
         journal recovery is the firmware's first job on the new
         platform — see :class:`~repro.soc.journal.TransactionJournal`.
         """

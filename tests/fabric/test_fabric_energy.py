@@ -23,10 +23,7 @@ def _script():
 
 
 def _timed_platform(layer, **kwargs):
-    model_cls = Layer1PowerModel if layer == 1 else Layer2PowerModel
-    return SmartCardPlatform(
-        bus_layer=layer, power_model=model_cls(TABLE),
-        power_model_factory=lambda segment: model_cls(TABLE), **kwargs)
+    return SmartCardPlatform(bus_layer=layer, table=TABLE, **kwargs)
 
 
 def _run(platform, script, max_cycles=5_000):
@@ -93,11 +90,8 @@ class TestFlatIdentity:
 class TestLayer3Telescoping:
     def _fabric(self, topology):
         platform = SmartCardPlatform(bus_layer=1)  # slave farm only
-        named = {"rom": platform.rom, "flash": platform.flash,
-                 "eeprom": platform.eeprom, "ram": platform.ram,
-                 "uart": platform.uart, "timers": platform.timers,
-                 "trng": platform.rng, "intc": platform.intc}
-        return platform, build_fabric(topology, named, bus_layer=3)
+        return platform, build_fabric(topology, platform.slaves,
+                                      bus_layer=3)
 
     def test_bridged_untimed_books_balance(self):
         platform, fabric = self._fabric(Topology.two_segment())
@@ -114,13 +108,9 @@ class TestLayer3Telescoping:
 
     def test_layer3_rejects_arbitrated_segments(self):
         platform, _ = self._fabric(Topology.two_segment())
-        named = {"rom": platform.rom, "flash": platform.flash,
-                 "eeprom": platform.eeprom, "ram": platform.ram,
-                 "uart": platform.uart, "timers": platform.timers,
-                 "trng": platform.rng, "intc": platform.intc}
         with pytest.raises(ValueError):
             build_fabric(Topology.two_segment(arbiter="priority_rr"),
-                         named, bus_layer=3)
+                         platform.slaves, bus_layer=3)
 
 
 class TestBuilderValidation:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ec import data_read, data_write
 from repro.experiments.common import characterization
-from repro.power import Layer1PowerModel, Layer2PowerModel
 from repro.soc import DMA_BASE, RAM_BASE, UART_BASE, SmartCardPlatform
 from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
 from repro.tlm import PipelinedMaster, run_script
@@ -15,10 +14,7 @@ TABLE = characterization().table
 
 
 def _platform(layer, **kwargs):
-    model_cls = Layer1PowerModel if layer == 1 else Layer2PowerModel
-    return SmartCardPlatform(
-        bus_layer=layer, power_model=model_cls(TABLE),
-        power_model_factory=lambda segment: model_cls(TABLE), **kwargs)
+    return SmartCardPlatform(bus_layer=layer, table=TABLE, **kwargs)
 
 
 def _run(platform, script, max_cycles=8_000):
@@ -29,15 +25,7 @@ def _run(platform, script, max_cycles=8_000):
 
 
 def _drain(platform, limit=3_000):
-    for _ in range(limit):
-        quiet = ((platform.dma is None or not platform.dma.busy)
-                 and platform.fabric.posted_writes_pending == 0
-                 and all(not segment.bus.busy for segment in
-                         platform.fabric.segments.values()))
-        if quiet:
-            return
-        platform.run_cycles(1)
-    raise AssertionError("fabric did not drain")
+    assert platform.drain(limit), "fabric did not drain"
 
 
 class TestTwoSegmentCard:

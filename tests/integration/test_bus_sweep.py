@@ -42,6 +42,26 @@ class TestSweepShape:
             assert point.label in text
 
 
+class TestDefaultGridPoints:
+    """Points of the default 3x3 grid outside the golden sub-grid."""
+
+    def _point(self, burst, lines):
+        return run_point(burst, lines, characterization().table)
+
+    def test_line_fill_dominates_word_at_a_time(self):
+        word_at_a_time = self._point(1, 1)
+        line_fill = self._point(4, 4)
+        assert line_fill.cycles < word_at_a_time.cycles
+        assert line_fill.bus_energy_pj < word_at_a_time.bus_energy_pj
+        assert (line_fill.fetch_transactions
+                < word_at_a_time.fetch_transactions)
+
+    def test_big_bursts_overfetch_a_tiny_buffer(self):
+        # a tiny buffer with big bursts over-fetches: traffic exceeds
+        # the same buffer with smaller bursts
+        assert self._point(4, 1).fetch_words > self._point(2, 1).fetch_words
+
+
 class TestSweepValidation:
     def test_bad_burst_rejected(self):
         from repro.soc.cpu import MipsCore

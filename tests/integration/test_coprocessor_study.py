@@ -51,6 +51,24 @@ class TestOrdering:
             assert name in text
 
 
+class TestDefaultStudy:
+    """The default four-block study, as ``repro coprocessor`` runs it."""
+
+    @pytest.fixture(scope="class")
+    def default_study(self):
+        return run_coprocessor_study()
+
+    def test_bus_transactions_ordering(self, default_study):
+        software, pio, dma = (default_study.row(name)
+                              for name in ("software", "pio", "dma"))
+        assert software.bus_transactions > pio.bus_transactions \
+            > dma.bus_transactions
+
+    def test_cpu_almost_idle_in_dma_mode(self, default_study):
+        assert default_study.row("dma").cpu_instructions \
+            < default_study.row("pio").cpu_instructions / 2
+
+
 class TestScaling:
     def test_costs_scale_with_block_count(self):
         small = run_coprocessor_study(blocks=2)
