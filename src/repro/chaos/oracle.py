@@ -43,8 +43,7 @@ from repro.ec import RetryPolicy, data_write
 from repro.faults.fabric import build_fault_processes
 from repro.fabric import Topology, build_fabric
 from repro.kernel import StallError
-from repro.power import (DpmController, DpmGovernor, FixedTimeoutPolicy,
-                         PowerDomain, PowerSupply)
+from repro.power import FixedTimeoutPolicy
 from repro.soc import DMA_BASE, RAM_BASE, SmartCardPlatform
 from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
 from repro.tlm.master import BlockingMaster, normalise_script, run_script
@@ -223,17 +222,9 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
 
     psm_ledgers: typing.List = []
     if scenario.dpm:
-        composite = platform.fabric.composite(platform.energy_ledgers())
-        supply = PowerSupply(composite)  # well-fed: chaos, not brownout
-        PowerDomain(platform.simulator, platform.clock, platform.bus,
-                    supply, halt_on_power_loss=False)
-        governor = DpmGovernor(supply, table,
-                               policy=FixedTimeoutPolicy())
-        psms = platform.attach_dpm(governor)
-        for psm in psms.values():
-            composite.add_ledger(psm)
-        DpmController(platform.simulator, platform.clock, governor)
-        psm_ledgers = list(psms.values())
+        # default supply, well-fed: chaos, not brownout
+        stack = platform.attach_power(FixedTimeoutPolicy())
+        psm_ledgers = list(stack.psms.values())
 
     script = scenario_script(scenario)
     dma_items = 0

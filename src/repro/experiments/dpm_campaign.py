@@ -44,9 +44,8 @@ import dataclasses
 import random
 import typing
 
-from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, POLICIES, PowerDomain,
-                         PowerSupply, default_technology_table)
+from repro.power import (FixedTimeoutPolicy, POLICIES,
+                         default_technology_table)
 from repro.soc import EEPROM_BASE, SmartCardPlatform
 from repro.soc.uart import CTRL as UART_CTRL, CTRL_ENABLE as UART_ENABLE
 from repro.tlm import BlockingMaster, run_script
@@ -324,7 +323,7 @@ def _grid_platform(layer: str, table):
     # an enabled UART idles at 0.02 pJ/cycle — the card OS keeps the
     # reader link up between APDUs, which is exactly what DPM gates
     platform.uart.registers[UART_CTRL] = UART_ENABLE
-    return platform, platform.layer_bus.power_model
+    return platform
 
 
 def _run_grid_cell(layer: str, policy_name: str, trace: int,
@@ -333,21 +332,15 @@ def _run_grid_cell(layer: str, policy_name: str, trace: int,
                    wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/trace{trace}", transactions,
                             GRID_GAPS)
-    platform, model = _grid_platform(layer, table)
+    platform = _grid_platform(layer, table)
     workload.preload(platform)
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
-    supply = PowerSupply(composite,
-                         harvest_pj_per_cycle=harvest * supply_scale,
-                         **_scaled(GRID_SUPPLY, supply_scale))
-    PowerDomain(platform.simulator, platform.clock, platform.bus,
-                supply, halt_on_power_loss=False)
     # no watermarks: the grid compares pure policies — degradation
     # staging would rescue the always-on baseline and muddy the verdict
-    governor = DpmGovernor(supply, table, policy=POLICIES[policy_name]())
-    psms = platform.attach_dpm(governor)
-    for psm in psms.values():
-        composite.add_ledger(psm)
-    DpmController(platform.simulator, platform.clock, governor)
+    stack = platform.attach_power(
+        POLICIES[policy_name](),
+        supply=dict(_scaled(GRID_SUPPLY, supply_scale),
+                    harvest_pj_per_cycle=harvest * supply_scale))
+    supply, psms = stack.supply, stack.psms
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, workload.script())
     cycles = run_script(platform.simulator, master, MAX_CYCLES,
@@ -375,13 +368,8 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
                         wall_seconds: typing.Optional[float]) -> dict:
     workload = _DpmWorkload(f"{seed}/emergency{trace}", transactions,
                             EMERGENCY_GAPS)
-    platform, model = _grid_platform("layer1", table)
+    platform = _grid_platform("layer1", table)
     workload.preload(platform)
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
-    supply = PowerSupply(composite,
-                         **_scaled(EMERGENCY_SUPPLY, supply_scale))
-    PowerDomain(platform.simulator, platform.clock, platform.bus,
-                supply, halt_on_power_loss=True)
     script = workload.script()
     items_per_txn = len(script) // transactions
     holder: typing.Dict[str, typing.Any] = {}
@@ -401,14 +389,13 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
         mark["cycle"] = platform.bus.cycle
         mark["txn"] = k
 
-    governor = DpmGovernor(supply, table, policy=FixedTimeoutPolicy(),
-                           emergency_checkpoint=emergency_checkpoint,
-                           **_scaled(EMERGENCY_WATERMARKS,
-                                     supply_scale))
-    psms = platform.attach_dpm(governor)
-    for psm in psms.values():
-        composite.add_ledger(psm)
-    DpmController(platform.simulator, platform.clock, governor)
+    stack = platform.attach_power(
+        FixedTimeoutPolicy(),
+        supply=_scaled(EMERGENCY_SUPPLY, supply_scale),
+        halt_on_power_loss=True,
+        emergency_checkpoint=emergency_checkpoint,
+        **_scaled(EMERGENCY_WATERMARKS, supply_scale))
+    supply, governor = stack.supply, stack.governor
     master = BlockingMaster(platform.simulator, platform.clock,
                             platform.bus, script,
                             governor=governor.gate("journal_master",

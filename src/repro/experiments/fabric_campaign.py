@@ -5,9 +5,9 @@ The routable fabric (:mod:`repro.fabric`) makes three claims:
 * **routing is transparent** — the same APDU firmware traffic runs
   unmodified whether the peripherals sit on the CPU bus or behind a
   bridge, on every abstraction layer (1, 2 and 3),
-* **the flat default is the legacy card** — a platform built from the
-  explicit flat topology is byte-identical (cycle counts *and* probe
-  energy, bit for bit) to the historical single-bus construction,
+* **the flat default is the flat topology** — a platform built from
+  the explicit flat topology is byte-identical (cycle counts *and*
+  probe energy, bit for bit) to the default-constructed card,
 * **per-link energy books telescope** — every picojoule lands in a
   named per-link bucket (segment wires, bridge logic, arbitration,
   peripheral ledgers) and the buckets sum *exactly* to the composite
@@ -83,7 +83,7 @@ class FabricCell:
     #: so whole-workload cycle counts cannot isolate the crossing)
     periph_cycles: int = 0
     #: flat arms only: explicit-flat-topology platform byte-identical
-    #: to the legacy default construction (None on bridged arms)
+    #: to the default-constructed card (None on bridged arms)
     flat_identity: typing.Optional[bool] = None
     status: str = "ok"
     error: typing.Optional[str] = None
@@ -131,7 +131,7 @@ class FabricCampaignResult:
 
     @property
     def flat_is_legacy(self) -> bool:
-        """The explicit flat topology reproduces the legacy default
+        """The explicit flat topology reproduces the default
         single-bus platform byte-identically (cycles and energy)."""
         return all(cell.flat_identity is not False for cell in self.cells
                    if cell.status == "ok")
@@ -254,8 +254,9 @@ def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
 
 def _flat_identity(layer: str, seed, commands: int, table,
                    wall_seconds: typing.Optional[float]) -> bool:
-    """Build the same card twice — legacy default vs explicit flat
-    topology — run the same session, demand bitwise-equal results."""
+    """Build the same card twice — default vs explicit flat topology,
+    both through :func:`~repro.fabric.build_fabric` — run the same
+    session, demand bitwise-equal results."""
     results = []
     for topology in (None, Topology.flat()):
         platform = SmartCardPlatform(bus_layer=layer, table=table,

@@ -37,8 +37,7 @@ import time
 import typing
 
 from repro.link import LinkParams, NoisyChannel, run_link_session
-from repro.power import (CardPowerModel, DpmController, DpmGovernor,
-                         FixedTimeoutPolicy, PowerDomain, PowerSupply)
+from repro.power import FixedTimeoutPolicy
 from repro.soc import SmartCardPlatform
 from repro.workloads.apdu import COMMANDS
 
@@ -230,26 +229,17 @@ def _link_platform(layer: str, dpm: str, table):
     """A fresh platform for one session, with the energy probe and
     (for the DPM arm) the full power stack attached."""
     platform = SmartCardPlatform(bus_layer=layer, table=table)
-    model = platform.layer_bus.power_model
-    composite = CardPowerModel(model, ledgers=platform.energy_ledgers())
     if dpm == "on":
-        supply = PowerSupply(composite, **DPM_SUPPLY)
-        PowerDomain(platform.simulator, platform.clock, platform.bus,
-                    supply, halt_on_power_loss=False)
-        governor = DpmGovernor(supply, table,
-                               policy=FixedTimeoutPolicy(**DPM_POLICY))
-        psms = platform.attach_dpm(governor)
-        for psm in psms.values():
-            composite.add_ledger(psm)
-        DpmController(platform.simulator, platform.clock, governor)
-    account = getattr(model, "account_cycles", None)
+        composite = platform.attach_power(
+            FixedTimeoutPolicy(**DPM_POLICY), supply=DPM_SUPPLY).composite
+    else:
+        composite = platform.fabric.composite(platform.energy_ledgers())
 
     def probe() -> float:
         # layer 2 accrues bus-clock energy lazily; bring the books up
         # to the current cycle before reading the total (PowerSupply
         # owns energy_since_last_call_pj — only ever read the total)
-        if account is not None:
-            account(platform.bus.cycle)
+        platform.fabric.sync_accounts()
         return composite.total_energy_pj
 
     return platform, probe

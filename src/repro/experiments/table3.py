@@ -29,7 +29,7 @@ import typing
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE
 from repro.workloads import table3_script
 
-from .common import RunResult, characterization, run_on_layer
+from .common import characterization, run_on_layer
 
 
 @dataclasses.dataclass
@@ -78,30 +78,33 @@ def make_script(transactions: int, seed: int = 42) -> list:
                          fast_base=RAM_BASE, slow_base=EEPROM_BASE)
 
 
+#: timed runs per configuration; each keeps its fastest, and the
+#: rounds interleave the configurations so a slow spell on the host
+#: hits all of them alike
+REPEATS = 3
+
+
 def run_table3(transactions: int = 2_000, seed: int = 42,
                include_gate_level: bool = False,
                gate_level_transactions: int = 200) -> Table3Result:
-    """Reproduce Table 3 by timing all four model configurations."""
+    """Reproduce Table 3 by timing all four model configurations (and
+    gate level), best of :data:`REPEATS` interleaved runs each."""
     table = characterization().table
-    results: typing.Dict[typing.Tuple[str, bool], RunResult] = {}
-    for layer in ("layer1", "layer2"):
-        for with_estimation in (True, False):
-            script = make_script(transactions, seed)
-            results[(layer, with_estimation)] = run_on_layer(
-                layer, script, table=table if with_estimation else None)
-    baseline = results[("layer1", True)].transactions_per_second
-    rows = []
-    for layer, label in (("layer1", "TL Layer 1"), ("layer2", "TL Layer 2")):
-        with_est = results[(layer, True)].transactions_per_second
-        without_est = results[(layer, False)].transactions_per_second
-        rows.append(Table3Row(
-            label,
-            with_est / 1e3, with_est / baseline,
-            without_est / 1e3, without_est / baseline))
-    gate_kts = None
+    configurations = [(layer, estimate, transactions)
+                      for layer in ("layer1", "layer2")
+                      for estimate in (True, False)]
     if include_gate_level:
-        gate = run_on_layer("gate-level",
-                            make_script(gate_level_transactions, seed),
-                            table=table)
-        gate_kts = gate.transactions_per_second / 1e3
-    return Table3Result(rows, transactions, gate_kts)
+        configurations.append(("gate-level", True, gate_level_transactions))
+    kts: typing.Dict[typing.Tuple[str, bool], float] = {}
+    for _ in range(REPEATS):
+        for layer, estimate, count in configurations:
+            run = run_on_layer(layer, make_script(count, seed),
+                               table=table if estimate else None)
+            kts[layer, estimate] = max(kts.get((layer, estimate), 0.0),
+                                       run.transactions_per_second / 1e3)
+    baseline = kts["layer1", True]
+    rows = [Table3Row(label, kts[layer, True], kts[layer, True] / baseline,
+                      kts[layer, False], kts[layer, False] / baseline)
+            for layer, label in (("layer1", "TL Layer 1"),
+                                 ("layer2", "TL Layer 2"))]
+    return Table3Result(rows, transactions, kts.get(("gate-level", True)))

@@ -47,8 +47,9 @@ class FabricSegment:
     name: str
     memory_map: MemoryMap
     bus: typing.Any
-    power_model: typing.Any = None
+    power_model: typing.Any = None  # transaction-level; None at gate level
     arbiter: typing.Any = None
+    layer_bus: typing.Any = None  # the clocked rung; None at layer 3
 
     @property
     def master_interface(self) -> typing.Any:
@@ -219,19 +220,20 @@ def build_fabric(topology: Topology,
                  simulator: typing.Optional["Simulator"] = None,
                  clock: typing.Optional["Clock"] = None,
                  table: typing.Any = None,
-                 power_models: typing.Optional[
-                     typing.Mapping[str, typing.Any]] = None,
+                 power_model: typing.Any = None,
                  ) -> BusFabric:
     """Instantiate *topology* over the named *slaves*.
 
     * ``bus_layer`` ``"layer1"``/``"layer2"`` (or ``1``/``2``) build
       clocked segment buses through :func:`repro.soc.layers.build_bus`
-      (*simulator* and *clock* required); ``"layer3"`` (or ``3``)
-      builds untimed :class:`~repro.tlm.EcBusLayer3` segments whose
-      routing is synchronous.
-    * ``power_models`` maps segment names to per-segment bus power
-      models; with a characterisation *table* every other segment gets
-      a fresh model of its own, and without one it runs unpriced.
+      (*simulator* and *clock* required); ``"gate-level"`` does too,
+      but only for a single-segment topology — gate level models the
+      flat card; ``"layer3"`` (or ``3``) builds untimed
+      :class:`~repro.tlm.EcBusLayer3` segments whose routing is
+      synchronous.
+    * ``power_model`` is the root segment's bus power model; with a
+      characterisation *table* every other segment gets a fresh model
+      of its own, and without one it runs unpriced.
     * Each bridge becomes a slave window on its upstream map (spanning
       the downstream map) and a master on the downstream segment — via
       a priority-0 arbiter port when the downstream segment declares
@@ -244,13 +246,13 @@ def build_fabric(topology: Topology,
     layer3 = bus_layer in (3, "layer3")
     if not layer3:
         bus_layer = layer_name(bus_layer)
-        if bus_layer == "gate-level":
-            raise ValueError("fabric segments are transaction-level "
-                             "buses; gate level models the flat card")
+        if bus_layer == "gate-level" and not topology.is_flat:
+            raise ValueError("a routed topology needs transaction-level "
+                             "segment buses; gate level models the flat "
+                             "card")
         if simulator is None or clock is None:
-            raise ValueError("bus layers 1 and 2 need a simulator and "
+            raise ValueError("timed bus layers need a simulator and "
                              "clock")
-    models = dict(power_models or {})
 
     missing = [name for name in topology.slave_names()
                if name not in slaves]
@@ -276,7 +278,8 @@ def build_fabric(topology: Topology,
             memory_map.add_slave(bridge, bridge_spec.name)
             bridges[bridge_spec.name] = bridge
             pending.append((bridge, child))
-        model = models.get(spec_name)
+        model = power_model if spec_name == topology.root else None
+        layer_bus = None
         if layer3:
             if spec.arbiter is not None:
                 raise ValueError(
@@ -288,13 +291,14 @@ def build_fabric(topology: Topology,
             layer_bus = build_bus(bus_layer, simulator, clock, memory_map,
                                   table=table, power_model=model,
                                   name=f"ec_bus_{spec_name}")
-            bus, model = layer_bus.bus, layer_bus.power_model
+            bus, model = layer_bus.bus, layer_bus.tlm_model
             arbiter = (BusArbiter(simulator, clock, bus,
                                   policy=spec.arbiter,
                                   name=f"{spec_name}_arbiter")
                        if spec.arbiter is not None else None)
         segment = FabricSegment(spec_name, memory_map, bus,
-                                power_model=model, arbiter=arbiter)
+                                power_model=model, arbiter=arbiter,
+                                layer_bus=layer_bus)
         for bridge, child in pending:
             downstream = (child.arbiter.port(bridge.name, priority=0)
                           if child.arbiter is not None else child.bus)

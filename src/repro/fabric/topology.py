@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-#: slave order of the flat Figure-1 platform — the canonical legacy map
+#: slave order of the flat Figure-1 platform — the canonical map
 FLAT_SLAVES = ("rom", "flash", "eeprom", "ram",
                "uart", "timers", "trng", "intc")
 
@@ -186,7 +186,7 @@ class Topology:
 
     @classmethod
     def flat(cls, arbiter: typing.Optional[str] = None) -> "Topology":
-        """The legacy single-bus Figure-1 topology."""
+        """The single-bus Figure-1 topology (the card's default)."""
         return cls((SegmentSpec("bus", FLAT_SLAVES, arbiter=arbiter),))
 
     @classmethod

@@ -12,27 +12,32 @@ peripherals once per clock cycle.
 segment bus then gets a fresh energy model, rebuilt on each
 :meth:`SmartCardPlatform.cold_boot`.
 
-The bus need not be flat: pass ``topology=`` (a
-:class:`~repro.fabric.Topology` or a preset name) to split the card
-into bridged segments — e.g. ``"two_segment"`` keeps the memories on
-the CPU bus and moves the peripherals behind a bridge.  The default
-flat topology reproduces the legacy single-bus card *exactly*, cycle
-for cycle and picojoule for picojoule.
+Every card is a :class:`~repro.fabric.Topology` built by
+:func:`~repro.fabric.build_fabric`.  The default is the flat
+single-segment card; pass ``topology=`` (a topology or a preset name)
+to split it into bridged segments — e.g. ``"two_segment"`` keeps the
+memories on the CPU bus and moves the peripherals behind a bridge.
+Gate level models the flat card only.
+
+:meth:`SmartCardPlatform.attach_power` puts the card on a DPM-managed
+supply: the one recipe for the supply, power domain, governor, power
+state machines and controller.
 """
 
 from __future__ import annotations
 
-import random
+import dataclasses
 import typing
 
-from repro.ec import MemoryMap
-from repro.fabric import (BusFabric, FabricSegment, Topology, build_fabric)
+from repro.fabric import Topology, build_fabric
 from repro.kernel import Clock, Module, Simulator
 from repro.kernel import time as ktime
+from repro.power import (CardPowerModel, DpmController, DpmGovernor,
+                         PowerDomain, PowerStateMachine, PowerSupply)
 
 from .cpu import MipsCore
 from .dma import DmaController
-from .layers import LayerBus, build_bus, layer_name
+from .layers import layer_name
 from .interrupt import (InterruptController, LINE_TIMER0, LINE_TIMER1,
                         LINE_UART)
 from .memory import Eeprom, Flash, Rom, ScratchpadRam
@@ -55,16 +60,24 @@ DMA_BASE = 0x0040_4000
 DEFAULT_CLOCK_HZ = 10e6
 
 
+@dataclasses.dataclass(frozen=True)
+class PowerStack:
+    """What :meth:`SmartCardPlatform.attach_power` built."""
+
+    #: bus + peripheral + PSM energy, the stream the supply drains
+    composite: CardPowerModel
+    supply: PowerSupply
+    governor: DpmGovernor
+    #: the power state machines, by peripheral name
+    psms: typing.Dict[str, PowerStateMachine]
+
+
 class SmartCardPlatform(Module):
-    """Simulator + clock + memories + peripherals + one bus model."""
+    """Simulator + clock + memories + peripherals + one bus fabric."""
 
     def __init__(self, bus_layer: typing.Union[int, str] = 1,
-                 clock_hz: float = DEFAULT_CLOCK_HZ,
                  power_model=None,
                  with_cpu: bool = False,
-                 rom_image: typing.Optional[typing.Sequence[int]] = None,
-                 eeprom_tear_rate: float = 0.0,
-                 fault_seed: typing.Union[int, str, None] = None,
                  topology: typing.Union[Topology, str, None] = None,
                  with_dma: bool = False,
                  table=None,
@@ -74,14 +87,12 @@ class SmartCardPlatform(Module):
         super().__init__(simulator, "platform")
         # construction recipe, so cold_boot() can rebuild the card
         self._config = dict(
-            bus_layer=bus_layer, clock_hz=clock_hz,
-            power_model=power_model, with_cpu=with_cpu,
-            eeprom_tear_rate=eeprom_tear_rate, fault_seed=fault_seed,
-            topology=topology, with_dma=with_dma, table=table)
-        period = ktime.period_from_frequency_hz(clock_hz)
-        if period % 2:
-            period += 1
-        self.clock = Clock(simulator, "clk", period=period)
+            bus_layer=bus_layer, power_model=power_model,
+            with_cpu=with_cpu, topology=topology, with_dma=with_dma,
+            table=table)
+        self.clock = Clock(
+            simulator, "clk",
+            period=ktime.period_from_frequency_hz(DEFAULT_CLOCK_HZ))
         self.intc = InterruptController(INTC_BASE)
         self.uart = Uart(UART_BASE,
                          irq_callback=lambda: self.intc.raise_irq(LINE_UART))
@@ -92,10 +103,7 @@ class SmartCardPlatform(Module):
         self.rng = TrueRandomNumberGenerator(RNG_BASE)
         self.rom = Rom(ROM_BASE)
         self.flash = Flash(FLASH_BASE)
-        self.eeprom = Eeprom(
-            EEPROM_BASE, tear_rate=eeprom_tear_rate,
-            tear_rng=(random.Random(f"{fault_seed}/eeprom-tear")
-                      if eeprom_tear_rate else None))
+        self.eeprom = Eeprom(EEPROM_BASE)
         self.ram = ScratchpadRam(RAM_BASE)
         self.dma: typing.Optional[DmaController] = None
         topology = Topology.coerce(topology)
@@ -115,35 +123,15 @@ class SmartCardPlatform(Module):
                         "trng": self.rng, "intc": self.intc}
         if self.dma is not None:
             self.slaves["dma"] = self.dma
-        legacy_flat = (topology.is_flat
-                       and topology.segments[0].arbiter is None)
-        if legacy_flat:
-            # the exact legacy construction path: same map, same bus
-            # module name, same power-model wiring — byte-identical
-            # ledgers and journals to the historical single-bus card
-            self.memory_map = MemoryMap()
-            for name in topology.segments[0].slaves:
-                self.memory_map.add_slave(self.slaves[name], name)
-            #: the root bus as a rung of the model hierarchy: its
-            #: energy model and final-energy rule
-            self.layer_bus = build_bus(layer, simulator, self.clock,
-                                       self.memory_map, table=table,
-                                       power_model=power_model)
-            self.bus = self.layer_bus.bus
-            segment = FabricSegment(topology.root, self.memory_map,
-                                    self.bus,
-                                    power_model=self.layer_bus.tlm_model)
-            self.fabric = BusFabric(topology, {topology.root: segment}, {})
-        else:
-            self.fabric = build_fabric(
-                topology, self.slaves, bus_layer=layer,
-                simulator=simulator, clock=self.clock, table=table,
-                power_models={topology.root: power_model})
-            self.bus = self.fabric.root_bus
-            self.memory_map = self.fabric.root_map
-            self.layer_bus = LayerBus(layer, self.bus,
-                                      self.fabric.root.power_model)
+        self.fabric = build_fabric(
+            topology, self.slaves, bus_layer=layer, simulator=simulator,
+            clock=self.clock, table=table, power_model=power_model)
         root_segment = self.fabric.root
+        self.bus = root_segment.bus
+        self.memory_map = root_segment.memory_map
+        #: the root bus as a rung of the model hierarchy: its energy
+        #: model and final-energy rule
+        self.layer_bus = root_segment.layer_bus
         #: where CPU-side masters issue: the root arbiter (via a port)
         #: when the root segment is arbitrated, the root bus otherwise
         self.cpu_interface = (
@@ -153,8 +141,6 @@ class SmartCardPlatform(Module):
             self.dma.attach_port(
                 self.fabric.master_port(topology.root, "dma", priority=1))
         self.cpu: typing.Optional[MipsCore] = None
-        if rom_image is not None:
-            self.load_rom(rom_image)
         if with_cpu:
             self.cpu = MipsCore(simulator, self.clock, self.cpu_interface,
                                 reset_pc=ROM_BASE)
@@ -257,30 +243,57 @@ class SmartCardPlatform(Module):
         probe total (see :meth:`repro.fabric.BusFabric.energy_report`)."""
         return self.fabric.energy_report(self.energy_ledgers())
 
-    def attach_dpm(self, governor, profiles: typing.Optional[
-            typing.Mapping] = None) -> typing.Dict[str, object]:
+    def attach_dpm(self, governor: DpmGovernor
+                   ) -> typing.Dict[str, PowerStateMachine]:
         """Give every DPM-capable peripheral a power state machine and
-        register it with *governor* (:class:`~repro.power.DpmGovernor`).
+        register it with *governor*.
 
         Returns the created PSMs by peripheral name.  The timers are
         registered *critical*: a running timer is busy by definition
         (gating it would lose time), and stage-2 degradation must not
-        force it to sleep.  *profiles* optionally overrides the
-        per-state :class:`~repro.power.StateProfile` numbers for every
-        created PSM.
+        force it to sleep.
         """
-        from repro.power import PowerStateMachine  # late: avoid cycles
-
         specs = (
             ("uart", self.uart, lambda: self.uart.busy, False),
             ("timers", self.timers, lambda: self.timers.busy, True),
             ("trng", self.rng, lambda: self.rng.busy, False),
             ("eeprom", self.eeprom, lambda: self.eeprom.busy, False),
         )
-        psms: typing.Dict[str, object] = {}
+        psms: typing.Dict[str, PowerStateMachine] = {}
         for name, peripheral, busy, critical in specs:
-            psm = PowerStateMachine(name=name, profiles=profiles)
+            psm = PowerStateMachine(name=name)
             peripheral.attach_power_state_machine(psm)
             governor.register(psm, busy, critical=critical)
             psms[name] = psm
         return psms
+
+    def attach_power(self, policy,
+                     supply: typing.Optional[
+                         typing.Mapping[str, float]] = None,
+                     halt_on_power_loss: bool = False,
+                     **governor_options) -> PowerStack:
+        """Put the card on a DPM-managed supply — the one recipe for
+        the power stack.
+
+        Builds, in this order: the fabric composite over
+        :meth:`energy_ledgers`; a :class:`~repro.power.PowerSupply`
+        draining it (*supply* holds its keyword arguments); the
+        :class:`~repro.power.PowerDomain` stepping it each cycle; a
+        :class:`~repro.power.DpmGovernor` applying *policy* over the
+        card's own ``table`` (*governor_options*: watermarks,
+        ``emergency_checkpoint``); :meth:`attach_dpm`, each PSM booked
+        into the composite; and the
+        :class:`~repro.power.DpmController`, last, so the governor
+        sees the charge the domain just settled for the cycle.
+        """
+        composite = self.fabric.composite(self.energy_ledgers())
+        power_supply = PowerSupply(composite, **(supply or {}))
+        PowerDomain(self.simulator, self.clock, self.bus, power_supply,
+                    halt_on_power_loss=halt_on_power_loss)
+        governor = DpmGovernor(power_supply, self._config["table"],
+                               policy=policy, **governor_options)
+        psms = self.attach_dpm(governor)
+        for psm in psms.values():
+            composite.add_ledger(psm)
+        DpmController(self.simulator, self.clock, governor)
+        return PowerStack(composite, power_supply, governor, psms)

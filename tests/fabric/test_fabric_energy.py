@@ -6,7 +6,9 @@ import pytest
 from repro.ec import data_read, data_write
 from repro.experiments.common import characterization
 from repro.fabric import Topology, build_fabric
+from repro.kernel import Clock, Simulator
 from repro.power import Layer1PowerModel, Layer2PowerModel
+from repro.rtl import RtlBus
 from repro.soc import RAM_BASE, UART_BASE, SmartCardPlatform
 from repro.tlm import PipelinedMaster, run_script
 from repro.tlm.master import normalise_script
@@ -73,7 +75,7 @@ class TestTimedTelescoping:
 
 class TestFlatIdentity:
     @pytest.mark.parametrize("layer", [1, 2])
-    def test_explicit_flat_matches_legacy_default(self, layer):
+    def test_explicit_flat_matches_the_default(self, layer):
         results = []
         for topology in (None, Topology.flat()):
             model_cls = Layer1PowerModel if layer == 1 else Layer2PowerModel
@@ -122,6 +124,25 @@ class TestBuilderValidation:
     def test_timed_layers_need_simulator_and_clock(self):
         with pytest.raises(ValueError):
             build_fabric(Topology.flat(), {}, bus_layer=1)
+
+    def _gate_level(self, topology):
+        platform = SmartCardPlatform(bus_layer=1)  # slave farm only
+        simulator = Simulator("gate")
+        clock = Clock(simulator, "clk", period=100)
+        return build_fabric(topology, platform.slaves,
+                            bus_layer="gate-level", simulator=simulator,
+                            clock=clock, table=TABLE)
+
+    def test_gate_level_builds_the_flat_card(self):
+        fabric = self._gate_level(Topology.flat())
+        assert isinstance(fabric.root_bus, RtlBus)
+        # the activity log is priced after the run, not per link
+        assert fabric.root.power_model is None
+        assert fabric.root.layer_bus.power_model is not None
+
+    def test_gate_level_refuses_a_routed_card(self):
+        with pytest.raises(ValueError, match="gate level"):
+            self._gate_level(Topology.two_segment())
 
     def test_master_port_needs_an_arbiter(self):
         platform = _timed_platform(1, topology="two_segment")

@@ -117,12 +117,6 @@ class TestEepromTear:
                 for i in range(50)])
         assert patterns[0] == patterns[1]
 
-    def test_platform_wiring(self):
-        platform = SmartCardPlatform(eeprom_tear_rate=0.25,
-                                     fault_seed=7)
-        assert platform.eeprom.tear_rate == 0.25
-        assert platform.eeprom.tear_rng is not None
-
     def test_platform_default_has_no_tearing(self):
         platform = SmartCardPlatform()
         assert platform.eeprom.tear_rate == 0.0

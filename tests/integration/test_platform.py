@@ -3,8 +3,9 @@ peripherals working together, across bus layers."""
 
 import pytest
 
-from repro.ec import AccessRights, data_write
-from repro.power import Layer1PowerModel, default_table
+from repro.ec import AccessRights, data_read, data_write
+from repro.power import (FixedTimeoutPolicy, Layer1PowerModel,
+                         default_table)
 from repro.soc import (EEPROM_BASE, FLASH_BASE, INTC_BASE, RAM_BASE,
                        RNG_BASE, ROM_BASE, SmartCardPlatform, TIMER_BASE,
                        UART_BASE)
@@ -160,3 +161,45 @@ class TestLayerChoice:
             platform.layer_bus.power_model
         assert first > 0
         assert booted.layer_bus.energy_pj() < first
+
+
+class TestAttachPower:
+    """The one DPM stack recipe: composite, supply, domain, governor,
+    PSMs and controller, in that order."""
+
+    def _card(self):
+        platform = SmartCardPlatform(bus_layer=1, table=default_table())
+        return platform, platform.attach_power(FixedTimeoutPolicy())
+
+    def test_every_psm_is_in_the_composite(self):
+        platform, stack = self._card()
+        assert set(stack.psms) == {"uart", "timers", "trng", "eeprom"}
+        assert stack.supply.power_model is stack.composite
+        assert stack.composite.ledgers == (platform.energy_ledgers()
+                                           + list(stack.psms.values()))
+
+    def test_energy_report_balances_with_the_psms(self):
+        platform, stack = self._card()
+        master = BlockingMaster(platform.simulator, platform.clock,
+                                platform.bus,
+                                [data_write(EEPROM_BASE, [0x1234]),
+                                 data_read(RAM_BASE, burst_length=4)])
+        run_script(platform.simulator, master, 5_000, platform.clock)
+        platform.run_cycles(500)  # long enough for idle peripherals to gate
+        psms = list(stack.psms.values())
+        assert sum(psm.energy_pj for psm in psms) > 0.0
+        report = platform.fabric.energy_report(platform.energy_ledgers()
+                                               + psms)
+        assert report.balanced
+        assert report.probe_total_pj == stack.composite.total_energy_pj
+
+    def test_the_domain_ticks_before_the_controller(self):
+        platform, stack = self._card()
+        order = []
+        step, tick = stack.supply.step, stack.governor.tick
+        stack.supply.step = lambda cycle: (order.append("domain"),
+                                           step(cycle))
+        stack.governor.tick = lambda: (order.append("governor"), tick())
+        platform.run_cycles(5)
+        assert len(order) >= 2
+        assert order == ["domain", "governor"] * (len(order) // 2)
