@@ -81,7 +81,7 @@ def make_script(transactions: int, seed: int = 42) -> list:
 #: timed runs per configuration; each keeps its fastest, and the
 #: rounds interleave the configurations so a slow spell on the host
 #: hits all of them alike
-REPEATS = 3
+REPEATS = 5
 
 
 def run_table3(transactions: int = 2_000, seed: int = 42,

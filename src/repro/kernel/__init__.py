@@ -7,7 +7,7 @@ and a two-phase clock.
 """
 
 from .event import Event
-from .module import Module, Process
+from .module import STEADY_FOREVER, Module, Process
 from .signal import BitSignal, Clock, Signal
 from .simulator import SimulationError, Simulator
 from .supervision import (BlockedWaiter, DeadlockError, JournalEntry,
@@ -25,6 +25,7 @@ __all__ = [
     "Module",
     "Process",
     "ProgressWatchdog",
+    "STEADY_FOREVER",
     "Signal",
     "SimulationError",
     "Simulator",

@@ -67,6 +67,7 @@ class Simulator:
         self._fast_lane_enabled = fast_lane
         self._fast_lane = None
         self._fast_lane_time = 0
+        self._steady_cycles = 0
         self._stop_requested = False
         self._started = False
         self._powered_off = False
@@ -317,6 +318,13 @@ class Simulator:
         tells which path a run took.
         """
         return self._fast_lane_time
+
+    @property
+    def steady_cycles(self) -> int:
+        """Clock cycles the fast lane advanced through steady steps
+        (see :mod:`repro.kernel.fastlane`) instead of full activations.
+        """
+        return self._steady_cycles
 
     # -- supervision -------------------------------------------------------
 

@@ -33,7 +33,7 @@ import dataclasses
 import random
 import typing
 
-from repro.kernel import Module
+from repro.kernel import STEADY_FOREVER, Module
 
 from .channel import NoisyChannel
 from .frame import (Block, FrameDecoder, R_EDC, R_OK, R_OTHER, S_ABORT,
@@ -132,9 +132,10 @@ class T1Host(Module):
         self._window_kind: typing.Optional[str] = None
         self._window_start = 0.0
 
-        self.method(self._on_clock, name="on_clock",
-                    sensitive=[self.clock.posedge_event],
-                    dont_initialize=True)
+        self._process = self.method(
+            self._on_clock, name="on_clock",
+            sensitive=[self.clock.posedge_event], dont_initialize=True,
+            steady=self._steady_clock)
 
     # -- energy attribution ------------------------------------------------
 
@@ -247,9 +248,15 @@ class T1Host(Module):
     # -- the session loop --------------------------------------------------
 
     def _on_clock(self) -> None:
+        process = self._process
         if self.done:
+            process.steady_until = STEADY_FOREVER
             return
         cycle = self.clock.cycles
+        if process.steady_armed:
+            # the hint counts this activation too: read it first
+            process.steady_until = (process.run_count
+                                    + self._steady_clocks(cycle) - 1)
         self._pump_wire(cycle)
         if self.done:
             return
@@ -261,6 +268,40 @@ class T1Host(Module):
                 self._think_left -= 1
                 return
             self._start_next_command(cycle)
+
+    def _steady_clocks(self, cycle: int) -> int:
+        """Activations from *cycle* on, this one included, in which no
+        byte moves and no deadline fires: they only count think time
+        down (see :meth:`_steady_clock`)."""
+        if self._tx_seen < len(self.uart.transmitted):
+            return 0
+        steady = STEADY_FOREVER
+        if self._current_tx is not None:
+            # BAUD pacing: the next byte leaves at _next_tx_cycle
+            steady = self._next_tx_cycle - cycle
+        elif self._outbox:
+            return 0
+        if self._to_card:
+            steady = min(steady, self._to_card[0][0] - cycle)
+        if self._rx_pending:
+            steady = min(steady, self._rx_pending[0][0] - cycle)
+        if self._await_kind is not None:
+            if self.decoder.in_frame:
+                if not self._rx_pending:
+                    # CWT fires once cycle - last_byte_cycle > cwt
+                    steady = min(steady, self.decoder.last_byte_cycle
+                                 + self.params.cwt + 1 - cycle)
+            elif (self._bwt_deadline is not None
+                    and self._current_tx is None):
+                # BWT fires once cycle > _bwt_deadline
+                steady = min(steady, self._bwt_deadline + 1 - cycle)
+        if self._state == "think":
+            steady = min(steady, self._think_left)
+        return max(steady, 0)
+
+    def _steady_clock(self) -> None:
+        if self._state == "think":
+            self._think_left -= 1
 
     def _start_next_command(self, cycle: int) -> None:
         if self._cmd_index >= len(self.commands):

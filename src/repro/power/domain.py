@@ -35,6 +35,7 @@ import dataclasses
 import typing
 
 from repro.ec import Transaction, TransactionKind
+from repro.kernel import STEADY_FOREVER
 
 from .interfaces import PowerInterface
 from .table import CharacterizationTable
@@ -132,20 +133,25 @@ class PowerSupply:
     def step(self, cycle: int) -> float:
         """Advance one cycle: harvest, drain the model's delta, emit
         threshold-crossing events.  Returns the energy drained (pJ)."""
-        was_brownout = self.in_brownout
-        was_down = self.powered_down
+        # runs every cycle of a powered card: properties inlined
+        charge = self.charge_pj
+        brownout = self.brownout_pj
+        was_brownout = charge < brownout
+        was_down = bool(self.power_losses)
         drained = self.power_model.energy_since_last_call_pj()
         self.drained_pj += drained
-        self.harvested_pj += self.harvest_pj_per_cycle
-        self.charge_pj = min(
-            self.charge_pj + self.harvest_pj_per_cycle - drained,
-            self.capacity_pj)
-        if self.charge_pj < 0.0:
-            self.charge_pj = 0.0
+        harvest = self.harvest_pj_per_cycle
+        self.harvested_pj += harvest
+        charge = charge + harvest - drained
+        if charge > self.capacity_pj:
+            charge = self.capacity_pj
+        if charge < 0.0:
+            charge = 0.0
+        self.charge_pj = charge
         self.cycles_stepped += 1
-        if self.in_brownout and not was_brownout:
+        if charge < brownout and not was_brownout:
             self.brownouts.append(BrownoutEvent(cycle, self.charge_nj))
-        if self.charge_pj < self.power_loss_pj and not was_down:
+        if charge < self.power_loss_pj and not was_down:
             self.power_losses.append(
                 PowerLossEvent(cycle, self.charge_nj))
         return drained
@@ -248,18 +254,31 @@ class PowerDomain:
         self._account_cycles = getattr(supply.power_model,
                                        "account_cycles", None)
         self._module = Module(simulator, name)
-        self._module.method(self._on_posedge, name="sample",
-                            sensitive=[clock.posedge_event],
-                            dont_initialize=True)
+        self._process = self._module.method(
+            self._on_posedge, name="sample",
+            sensitive=[clock.posedge_event], dont_initialize=True,
+            steady=self._sample)
+
+    def _sample(self) -> None:
+        """Settle one cycle's drain and harvest into the supply — the
+        whole of a cycle when no power loss can halt the card, so it
+        is also the steady step (threshold events still land on their
+        own cycle)."""
+        if self._account_cycles is not None:
+            self._account_cycles(self.bus.cycle)
+        self.supply.step(self.bus.cycle)
 
     def _on_posedge(self) -> None:
         if self.simulator.powered_off:
             return
-        if self._account_cycles is not None:
-            self._account_cycles(self.bus.cycle)
-        self.supply.step(self.bus.cycle)
-        if (self.halt_on_power_loss and self.supply.powered_down):
-            event = self.supply.power_losses[0]
-            self.simulator.power_off(
-                f"supply exhausted at cycle {event.cycle} "
-                f"({event.charge_nj:.2f} nJ left)")
+        self._sample()
+        if self.halt_on_power_loss:
+            # a power loss would stop the kernel mid-cycle
+            self._process.steady_until = 0
+            if self.supply.powered_down:
+                event = self.supply.power_losses[0]
+                self.simulator.power_off(
+                    f"supply exhausted at cycle {event.cycle} "
+                    f"({event.charge_nj:.2f} nJ left)")
+        else:
+            self._process.steady_until = STEADY_FOREVER

@@ -45,10 +45,18 @@ import abc
 import typing
 
 from repro.ec import Transaction
+from repro.kernel import STEADY_FOREVER
 
 from .domain import EnergyGovernor, PowerSupply, PJ_PER_NJ
 from .psm import PowerState, PowerStateMachine
 from .table import CharacterizationTable
+
+
+# member lookups on an Enum class are slow attribute walks; the
+# per-cycle policy paths use these module constants instead
+_IDLE = PowerState.IDLE
+_CLOCK_GATED = PowerState.CLOCK_GATED
+_SLEEP = PowerState.SLEEP
 
 
 class DpmPolicy(abc.ABC):
@@ -94,10 +102,10 @@ class FixedTimeoutPolicy(DpmPolicy):
     def select(self, psm: PowerStateMachine,
                supply: typing.Optional[PowerSupply]) -> PowerState:
         if psm.idle_cycles >= self.sleep_after:
-            return PowerState.SLEEP
+            return _SLEEP
         if psm.idle_cycles >= self.gate_after:
-            return PowerState.CLOCK_GATED
-        return PowerState.IDLE
+            return _CLOCK_GATED
+        return _IDLE
 
 
 class HistoryPredictivePolicy(DpmPolicy):
@@ -177,10 +185,10 @@ class BudgetAwarePolicy(DpmPolicy):
         gate_after = max(1, int(self.base.gate_after * scale))
         sleep_after = max(gate_after, int(self.base.sleep_after * scale))
         if psm.idle_cycles >= sleep_after:
-            return PowerState.SLEEP
+            return _SLEEP
         if psm.idle_cycles >= gate_after:
-            return PowerState.CLOCK_GATED
-        return PowerState.IDLE
+            return _CLOCK_GATED
+        return _IDLE
 
 
 #: The selectable policies of the ``repro dpm`` campaign.
@@ -281,6 +289,13 @@ class DpmGovernor(EnergyGovernor):
         self._emergency_armed = True
         self._managed: typing.List[_ManagedPsm] = []
         self._gates: typing.Dict[str, IssueGate] = {}
+        #: ticks after the last one that would only repeat
+        #: :meth:`steady_tick` (kept at 0 where that cannot be shown
+        #: cheaply: watermarks, or a policy other than fixed timeouts)
+        self.steady_hint = 0
+        #: (psm, residency cost, state, idle) per PSM for steady_tick,
+        #: built by the first steady tick after a real one
+        self._steady_rows: typing.Optional[typing.Tuple[tuple, ...]] = None
 
     # -- registration ------------------------------------------------------
 
@@ -289,7 +304,14 @@ class DpmGovernor(EnergyGovernor):
                  critical: bool = False) -> PowerStateMachine:
         """Manage *psm*: tick it each cycle with the *busy* predicate
         and apply the policy while the component is idle.  Critical
-        components are never forced to SLEEP by stage 2."""
+        components are never forced to SLEEP by stage 2.
+
+        *busy* may change only in a cycle in which some clocked process
+        does real work, or between runs: the steady hint (see
+        :meth:`steady_tick`) holds its verdict fixed.  A window that
+        closes by itself must end a steady run from elsewhere, as the
+        platform's peripheral tick does for the EEPROM and the TRNG.
+        """
         self._managed.append(_ManagedPsm(psm, busy, critical))
         return psm
 
@@ -332,15 +354,58 @@ class DpmGovernor(EnergyGovernor):
         elif not self._emergency_armed:
             # charge recovered above the emergency watermark: re-arm
             self._emergency_armed = True
-        for psm, busy, critical in self._managed:
+        policy = self.policy
+        if (type(policy) is not FixedTimeoutPolicy
+                or self.defer_pj is not None or self.sleep_pj is not None
+                or self.emergency_pj is not None):
+            for psm, busy, critical in self._managed:
+                psm.tick(busy())
+                if psm.idle_cycles == 0:
+                    continue  # busy (or just woken): stay ACTIVE
+                if self.stage >= 2 and not critical:
+                    psm.request(_SLEEP, forced=True)
+                    continue
+                psm.request(policy.select(psm, self.supply))
+            self.steady_hint = 0
+            return
+        # fixed timeouts, no watermarks: the stage stays 0, and a PSM
+        # only changes state when woken or when its idle count reaches
+        # the next timeout — count the ticks until then
+        steady = STEADY_FOREVER
+        for psm, busy, _critical in self._managed:
+            state = psm.state
             psm.tick(busy())
-            if psm.idle_cycles == 0:
-                continue  # busy (or just woken): stay ACTIVE
-            if self.stage >= 2 and not critical:
-                psm.request(PowerState.SLEEP, forced=True)
-                continue
-            target = self.policy.select(psm, self.supply)
-            psm.request(target)
+            idle = psm.idle_cycles
+            if idle:
+                psm.request(policy.select(psm, self.supply))
+            if psm.state is not state:
+                steady = 0
+            elif idle:
+                if state < _CLOCK_GATED:
+                    steady = min(steady, policy.gate_after - 1 - idle)
+                elif state < _SLEEP:
+                    steady = min(steady, policy.sleep_after - 1 - idle)
+        self.steady_hint = steady
+        self._steady_rows = None
+
+    def steady_tick(self) -> None:
+        """One tick in which no PSM changes state: each books its
+        residency and advances its idle count exactly as
+        :meth:`tick` would (the stage stays 0)."""
+        rows = self._steady_rows
+        if rows is None:
+            # states and busy verdicts hold for the whole steady run
+            rows = self._steady_rows = tuple(
+                (psm, psm.profiles[psm.state].cycle_cost_pj, psm.state,
+                 psm.idle_cycles > 0)
+                for psm, _busy, _critical in self._managed)
+        for psm, cost, state, idle in rows:
+            if cost:
+                psm.energy_pj += cost
+                psm.residency_energy_pj += cost
+            psm.residency_cycles[state] += 1
+            if idle:
+                psm.idle_cycles += 1
 
 
 class DpmController:
@@ -359,11 +424,19 @@ class DpmController:
         self.simulator = simulator
         self.governor = governor
         self._module = Module(simulator, name)
-        self._module.method(self._on_posedge, name="govern",
-                            sensitive=[clock.posedge_event],
-                            dont_initialize=True)
+        self._process = self._module.method(
+            self._on_posedge, name="govern",
+            sensitive=[clock.posedge_event], dont_initialize=True,
+            steady=self._steady)
 
     def _on_posedge(self) -> None:
         if self.simulator.powered_off:
             return
-        self.governor.tick()
+        governor = self.governor
+        governor.tick()
+        process = self._process
+        if process.steady_armed:
+            process.steady_until = process.run_count + governor.steady_hint
+
+    def _steady(self) -> None:
+        self.governor.steady_tick()

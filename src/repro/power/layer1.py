@@ -45,8 +45,8 @@ import typing
 from repro.ec import (BusState, EC_SIGNALS, SignalGroup, SlaveResponse,
                       Transaction, TransactionKind)
 
-from .engine import (GROUP_ORDER, LANES, RESET_WORD, PackedEngine,
-                     unpack_word)
+from .engine import (GROUP_INDEX, GROUP_ORDER, LANES, RESET_WORD,
+                     PackedEngine, unpack_word)
 from .interfaces import CycleAccuratePowerInterface, EnergyAccumulator
 from .table import CharacterizationTable
 
@@ -176,6 +176,8 @@ _READ_IDLE_CLEAR = ~(_RDVAL | _RBERR)
 _READ_OK_CLEAR = ~(_RDATA_MASK | _RDVAL | _RBERR)
 _WRITE_IDLE_CLEAR = ~(_WDRDY | _WBERR)
 _WRITE_ACTIVE_CLEAR = ~(_WDATA_MASK | _WDRDY | _WBERR)
+
+_GI_CLOCK = GROUP_INDEX[SignalGroup.CLOCK]
 
 _INSTRUCTION_READ = TransactionKind.INSTRUCTION_READ
 _DATA_WRITE = TransactionKind.DATA_WRITE
@@ -325,14 +327,36 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
             if len(pending) >= FLUSH_CAP:
                 self._flush()
 
+    def steady_idle_ok(self) -> bool:
+        """Whether an all-idle bus cycle may be booked with
+        :meth:`steady_idle_cycle` (no per-cycle sink must see it)."""
+        return not self._sinks
+
+    def steady_idle_cycle(self) -> None:
+        """Book one more all-idle cycle after an all-idle cycle.
+
+        The idle hooks leave the packed word as it was, so no lane
+        toggles: the engine would add the clock baseline to the clock
+        group and to the total, nothing else.  This makes exactly those
+        additions, after flushing any deferred words so the order of
+        additions is the engine's.
+        """
+        if self._pending:
+            self._flush()
+        clock_e = self.table.clock_energy_per_cycle_pj
+        self._gvals[_GI_CLOCK] += clock_e
+        self._acc._total += clock_e
+        self._last_cycle_energy = clock_e
+
     # ------------------------------------------------------------------
     # PowerInterface
     # ------------------------------------------------------------------
 
     @property
     def total_energy_pj(self) -> float:
-        self._flush()
-        return self._acc.total
+        if self._pending:
+            self._flush()
+        return self._acc._total
 
     def energy_last_cycle_pj(self) -> float:
         self._flush()

@@ -52,6 +52,12 @@ class PowerState(enum.IntEnum):
     SLEEP = 3         # power-gated except retention, slow wake
 
 
+# member lookups on an Enum class are slow attribute walks; the
+# per-cycle paths below use these module constants instead
+_ACTIVE = PowerState.ACTIVE
+_IDLE = PowerState.IDLE
+
+
 @dataclasses.dataclass(frozen=True)
 class StateProfile:
     """The numbers of one PSM state.
@@ -150,7 +156,7 @@ class PowerStateMachine:
     def clock_running(self) -> bool:
         """Whether the component's functional clock is running (its
         ``tick()`` may advance)."""
-        return self.state in (PowerState.ACTIVE, PowerState.IDLE)
+        return self.state <= _IDLE
 
     def event_scale(self) -> float:
         """Multiplier for dynamic event energy booked right now."""
@@ -189,11 +195,11 @@ class PowerStateMachine:
         latency in cycles (extra wait states the in-flight access
         suffers).  Waking from ACTIVE/IDLE is free and instantaneous.
         """
-        if self.state is PowerState.ACTIVE:
+        if self.state is _ACTIVE:
             return 0
         profile = self.profiles[self.state]
         latency = profile.wake_cycles
-        self._book_transition(PowerState.ACTIVE, profile.exit_pj)
+        self._book_transition(_ACTIVE, profile.exit_pj)
         if latency or profile.exit_pj:
             self.wakes += 1
         if self.idle_cycles:
@@ -205,7 +211,7 @@ class PowerStateMachine:
     def notify_activity(self) -> None:
         """The component did real work this cycle: wake if needed and
         restart the idle counter."""
-        if self.state is not PowerState.ACTIVE:
+        if self.state is not _ACTIVE:
             self.wake()
         self.idle_cycles = 0
 
@@ -278,7 +284,12 @@ class CardPowerModel(PowerInterface):
         return total
 
     def energy_since_last_call_pj(self) -> float:
-        total = self.total_energy_pj
+        # total_energy_pj inlined: a supply calls this every cycle
+        bus_model = self.bus_model
+        total = (bus_model.total_energy_pj
+                 if bus_model is not None else 0.0)
+        for ledger in self.ledgers:
+            total += ledger.energy_pj
         delta = total - self._last_sample
         self._last_sample = total
         return delta

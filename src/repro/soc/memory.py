@@ -104,6 +104,13 @@ class Eeprom(MemorySlave):
         """True while an internal programming operation is running."""
         return self._cycle_source() < self._busy_until
 
+    def busy_cycles_left(self) -> int:
+        """Cycles of the programming window still to run (0 when idle):
+        :attr:`busy` stays True for exactly that many cycle-source
+        values."""
+        left = self._busy_until - self._cycle_source()
+        return left if left > 0 else 0
+
     def attach_power_state_machine(self, psm) -> None:
         """Manage the EEPROM with *psm*
         (:class:`~repro.power.PowerStateMachine`); ``None`` detaches.

@@ -13,6 +13,10 @@ Register map (word offsets): 0 ``DATA``, 1 ``STATUS`` (bit0 READY),
 
 from __future__ import annotations
 
+import typing
+
+from repro.kernel import STEADY_FOREVER
+
 from .peripheral import Peripheral
 
 DATA, STATUS, CTRL = range(3)
@@ -78,6 +82,16 @@ class TrueRandomNumberGenerator(Peripheral):
     def busy(self) -> bool:
         """True while a harvest is still filling the entropy word."""
         return self.enabled and self._harvest_remaining > 0
+
+    def steady_ticks(self) -> typing.Optional[int]:
+        """Ticks, the next one included, before a harvest completes
+        and :attr:`busy` drops (:data:`~repro.kernel.STEADY_FOREVER`
+        when none is running); None while :meth:`tick` does nothing."""
+        if not self.registers[CTRL] & CTRL_ENABLE or self._dpm_frozen():
+            return None
+        if not self._harvest_remaining:
+            return STEADY_FOREVER
+        return self._harvest_remaining - 1
 
     def tick(self) -> None:
         if not self.enabled or self._dpm_frozen():

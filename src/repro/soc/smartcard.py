@@ -30,7 +30,7 @@ import dataclasses
 import typing
 
 from repro.fabric import Topology, build_fabric
-from repro.kernel import Clock, Module, Simulator
+from repro.kernel import STEADY_FOREVER, Clock, Module, Simulator
 from repro.kernel import time as ktime
 from repro.power import (CardPowerModel, DpmController, DpmGovernor,
                          PowerDomain, PowerStateMachine, PowerSupply)
@@ -106,6 +106,8 @@ class SmartCardPlatform(Module):
         self.eeprom = Eeprom(EEPROM_BASE)
         self.ram = ScratchpadRam(RAM_BASE)
         self.dma: typing.Optional[DmaController] = None
+        #: the ticks a steady cycle runs (see _steady_ticks)
+        self._steady_live: typing.Tuple[typing.Callable[[], None], ...] = ()
         topology = Topology.coerce(topology)
         if with_dma:
             self.dma = DmaController(DMA_BASE)
@@ -149,16 +151,48 @@ class SmartCardPlatform(Module):
             # cpu.interrupt_vector (default ROM_BASE + 0x180)
             self.cpu.bind_interrupt_source(self.intc.active,
                                            vector=ROM_BASE + 0x180)
-        self.method(self._tick_peripherals, name="peripheral_tick",
-                    sensitive=[self.clock.posedge_event],
-                    dont_initialize=True)
+        self._tick_process = self.method(
+            self._tick_peripherals, name="peripheral_tick",
+            sensitive=[self.clock.posedge_event], dont_initialize=True,
+            steady=self._steady_peripherals)
 
     def _tick_peripherals(self) -> None:
+        process = self._tick_process
+        if process.steady_armed:
+            # the hint counts this tick too: read it before ticking
+            process.steady_until = (process.run_count
+                                    + self._steady_ticks() - 1)
         self.uart.tick()
         self.timers.tick()
         self.rng.tick()
         if self.dma is not None:
             self.dma.tick()
+
+    def _steady_ticks(self) -> int:
+        """Peripheral ticks, this one included, before one does
+        something another process can see: a UART byte leaving, a
+        timer expiring, a TRNG harvest or the EEPROM programming
+        window completing (both flip a PSM's ``busy()``).  0 with a
+        DMA."""
+        if self.dma is not None:
+            return 0
+        steady = STEADY_FOREVER
+        live = []
+        for peripheral in (self.uart, self.timers, self.rng):
+            ticks = peripheral.steady_ticks()
+            if ticks is not None:  # else its tick does nothing
+                live.append(peripheral.tick)
+                if ticks < steady:
+                    steady = ticks
+        self._steady_live = tuple(live)
+        programming = self.eeprom.busy_cycles_left()
+        if programming and programming < steady:
+            steady = programming
+        return steady
+
+    def _steady_peripherals(self) -> None:
+        for tick in self._steady_live:
+            tick()
 
     # -- conveniences --------------------------------------------------------
 
@@ -263,6 +297,8 @@ class SmartCardPlatform(Module):
         for name, peripheral, busy, critical in specs:
             psm = PowerStateMachine(name=name)
             peripheral.attach_power_state_machine(psm)
+            # each busy() flips only with bus traffic, the host's wire
+            # or a window the peripheral tick counts (_steady_ticks)
             governor.register(psm, busy, critical=critical)
             psms[name] = psm
         return psms

@@ -62,8 +62,27 @@ class TimerUnit(Peripheral):
     def busy(self) -> bool:
         """True while any counter is enabled — gating an enabled timer
         would lose time, so DPM treats running timers as busy."""
-        return any(self.registers[self._reg(t, CTRL)] & CTRL_ENABLE
-                   for t in range(NUM_TIMERS))
+        registers = self.registers  # polled every cycle under DPM
+        for timer in range(NUM_TIMERS):
+            if registers[timer * REGS_PER_TIMER + CTRL] & CTRL_ENABLE:
+                return True
+        return False
+
+    def steady_ticks(self) -> typing.Optional[int]:
+        """Ticks, the next one included, before an enabled timer
+        expires; None while :meth:`tick` does nothing (frozen, or no
+        timer enabled)."""
+        if self._dpm_frozen():
+            return None
+        registers = self.registers
+        steady = None
+        for timer in range(NUM_TIMERS):
+            base = timer * REGS_PER_TIMER
+            if registers[base + CTRL] & CTRL_ENABLE:
+                count = registers[base + COUNT] & 0xFFFF
+                if steady is None or count < steady:
+                    steady = count
+        return steady
 
     def tick(self) -> None:
         if self._dpm_frozen():

@@ -30,6 +30,8 @@ from __future__ import annotations
 import collections
 import typing
 
+from repro.kernel import STEADY_FOREVER
+
 from .peripheral import Peripheral
 
 DATA, STATUS, CTRL, BAUD = range(4)
@@ -118,6 +120,16 @@ class Uart(Peripheral):
             if self._tx_countdown == 0:
                 self.transmitted.append(self.tx_fifo.popleft())
                 self.book("byte_transmitted")
+
+    def steady_ticks(self) -> typing.Optional[int]:
+        """Ticks, the next one included, before a byte leaves the TX
+        FIFO (:data:`~repro.kernel.STEADY_FOREVER` when none is
+        queued); None while :meth:`tick` does nothing at all."""
+        if not self.registers[CTRL] & CTRL_ENABLE or self._dpm_frozen():
+            return None
+        if not self.tx_fifo:
+            return STEADY_FOREVER
+        return (self._tx_countdown or max(self.registers[BAUD], 1)) - 1
 
     def receive_byte(self, value: int) -> None:
         """Wire side: a byte arrives at the RX pad."""

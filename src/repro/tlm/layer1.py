@@ -26,7 +26,7 @@ import typing
 
 from repro.ec import (BusState, DecodeError, Direction, ErrorCause,
                       MemoryMap, Region, SlaveResponse, Transaction)
-from repro.kernel import Clock, Simulator
+from repro.kernel import STEADY_FOREVER, Clock, Simulator
 
 from .bus_base import EcBusBase
 from .queues import TransactionQueue
@@ -83,8 +83,10 @@ class EcBusLayer1(EcBusBase):
         #: the bridge-capability getattr and the window containment
         #: re-check (resolve_checked already validated the full burst)
         self._routes: typing.Dict[int, tuple] = {}
-        self.method(self._bus_process, name="bus_process",
-                    sensitive=[clock.negedge_event], dont_initialize=True)
+        self._process = self.method(
+            self._bus_process, name="bus_process",
+            sensitive=[clock.negedge_event], dont_initialize=True,
+            steady=self._steady_idle)
 
     def _accept(self, transaction: Transaction) -> None:
         self.request_queue.push(transaction)
@@ -108,10 +110,14 @@ class EcBusLayer1(EcBusBase):
         # -- phase 2: address (the FSM of Figure 3) --------------------
         fsm = self._address_fsm
         addr_busy = True
+        # steady: a cycle with every phase idle repeats identically
+        # until a master issues (see _steady_idle)
+        idle = False
         if fsm.state == fsm.IDLE:
             fifo = self.request_queue._fifo
             if not fifo:
                 addr_busy = False
+                idle = True
             else:
                 head = fifo.popleft()
                 try:
@@ -160,6 +166,7 @@ class EcBusLayer1(EcBusBase):
             if power_model is not None:
                 power_model.read_phase_idle()
         else:
+            idle = False
             transaction = fifo[0]
             (_region, slave, forward, _fw,
              base) = routes[transaction.txn_id]
@@ -183,6 +190,7 @@ class EcBusLayer1(EcBusBase):
             if power_model is not None:
                 power_model.write_phase_idle()
         else:
+            idle = False
             transaction = fifo[0]
             (_region, slave, _fr, forward,
              base) = routes[transaction.txn_id]
@@ -204,6 +212,19 @@ class EcBusLayer1(EcBusBase):
         if power_model is not None:
             power_model.end_of_cycle(cycle)
         self.cycle = cycle + 1
+        process = self._process
+        if process.steady_armed:
+            process.steady_until = (
+                STEADY_FOREVER if idle and (power_model is None
+                                            or power_model.steady_idle_ok())
+                else 0)
+
+    def _steady_idle(self) -> None:
+        """One more all-idle cycle: the energy model books the same
+        idle word again and the cycle counter advances."""
+        if self.power_model is not None:
+            self.power_model.steady_idle_cycle()
+        self.cycle += 1
 
     def get_slave_state(self, region: Region):
         """Invoke the slave control interface (the paper's phase 1).
