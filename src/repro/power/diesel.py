@@ -211,11 +211,12 @@ class DieselEstimator:
         decoder_total = 0.0
         glitches = 0
         for netlist in netlists:
-            for net in netlist.nets:
-                if net.transitions:
-                    decoder_total += net.transitions * transition_energy_pj(
-                        net.cap_ff, vdd)
-                glitches += net.glitches
+            caps, transitions, net_glitches = netlist.net_activity()
+            for cap_ff, count in zip(caps, transitions):
+                if count:
+                    decoder_total += count * transition_energy_pj(cap_ff,
+                                                                  vdd)
+            glitches += sum(net_glitches)
         # controller datapath: mux/pipeline nets behind the data and
         # address buses switch with every bus-bit transition — visible
         # to the gate-level estimator, invisible to the TLM layers

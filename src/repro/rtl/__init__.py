@@ -1,5 +1,5 @@
 """Gate-level ("layer 0") reference model: gate/net primitives, the
-compiled glitch-aware netlist step, a synthesis library, the synthesised
+windowed glitch-aware netlist step, a synthesis library, the synthesised
 address decoder and the independent signal-level EC bus."""
 
 from .bus_rtl import CONTROL_FLOP_COUNT, RtlBus

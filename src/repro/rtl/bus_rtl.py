@@ -3,7 +3,7 @@
 This is an *independent* implementation of the EC protocol, coded the
 way the hardware is structured — per-channel engines with wait-state
 registers — rather than with the layer-1 transaction queues.  Per cycle
-it drives a value for every EC interface wire, steps the synthesised
+it drives a value for every EC interface wire, drives the synthesised
 gate-level address decoder (collecting internal transitions and
 glitches) and reports its control-register activity.  Together with the
 Diesel estimator it plays the role of the paper's gate-level reference:
@@ -294,10 +294,11 @@ class RtlBus(EcBusBase):
 
     def _commit(self, new: typing.Dict[str, int]) -> None:
         """End of cycle: decoder activity, logs, register accounting."""
-        # the decoder's inputs are wired to the address bus: step it
+        # the decoder's inputs are wired to the address bus: drive it
         # with the bus value of this cycle so ripple/glitch activity is
         # collected even though the functional decode already happened
-        self.decoder.evaluate(new["EB_A"])
+        # (the netlist defers the cycle until its activity is read)
+        self.decoder.drive(new["EB_A"])
         if self.activity_log is not None:
             self.activity_log.record_cycle(self._values, new)
         for sink in self._sinks:

@@ -7,6 +7,13 @@ comparator per slave window plus a miss detector.  Because the
 comparators are trees of real gates with unit delays, an address-bus
 change ripples through them and produces transient toggles — the glitch
 energy that separates the gate-level estimate from the layer-1 model.
+
+The bus drives an address every cycle with :meth:`AddressDecoder.drive`
+and never reads the decoder back: its functional decode is the memory
+map's.  The netlist is purely combinational, so it defers those cycles
+into one bit-parallel window (:mod:`repro.rtl.netlist`) that settles
+when its activity is read — by the Diesel estimate, as a rule.
+:meth:`AddressDecoder.evaluate` is drive, settle, then read the select.
 """
 
 from __future__ import annotations
@@ -41,44 +48,39 @@ class AddressDecoder:
 
     def __post_init__(self) -> None:
         self.netlist.initialize()
-        names = [f"a{i}" for i in range(self.width)]
-        inputs = self.netlist.input_nets
-        #: input net of each address bit, LSB first
-        self._bit_nets = [inputs[name] for name in names]
+        names = tuple(f"a{i}" for i in range(self.width))
+        if self.netlist.input_names != names:
+            raise ValueError(
+                f"decoder inputs must be a0..a{self.width - 1}, LSB "
+                f"first: bit j of an address flips the j-th input")
         #: the address the input nets currently hold
         self._address = sum(self.netlist.input_value(name) << bit
                             for bit, name in enumerate(names))
-        self._selected = self._lookup()
 
-    def evaluate(self, address: int) -> typing.Optional[Region]:
-        """Drive *address* for one cycle; return the selected region.
+    def drive(self, address: int) -> None:
+        """Drive *address* for one cycle; the netlist defers it.
 
-        Glitch/transition activity accumulates in :attr:`netlist`; only
-        the address bits that differ from the last driven address are
-        flipped, so a repeated address does no settling.  Returns None
-        on a miss; raises ValueError for an address the decoder's
-        inputs cannot carry.
+        Only the address bits that differ from the last driven address
+        flip input nets, so a repeated address is a quiet cycle.
+        Raises ValueError, at once, for an address the decoder's inputs
+        cannot carry.
         """
         if not 0 <= address < 1 << self.width:
             raise ValueError(
                 f"address {address:#x} outside the {self.width}-bit "
                 f"decoder input")
-        flipped = address ^ self._address
-        if not flipped:
-            self.netlist.cycle()
-            return self._selected
+        self.netlist.drive(address ^ self._address)
         self._address = address
-        nets = []
-        while flipped:
-            low = flipped & -flipped
-            nets.append(self._bit_nets[low.bit_length() - 1])
-            flipped ^= low
-        self.netlist.cycle(nets)
-        self._selected = self._lookup()
-        return self._selected
 
-    def _lookup(self) -> typing.Optional[Region]:
+    def evaluate(self, address: int) -> typing.Optional[Region]:
+        """Drive *address* for one cycle and settle it; return the
+        selected region (None on a miss).
+
+        Glitch/transition activity accumulates in :attr:`netlist`.
+        """
+        self.drive(address)
         netlist = self.netlist
+        # the first read settles the window this cycle joined
         if netlist.output_value(self.miss_name):
             return None
         for name, region in self.select_names.items():
@@ -89,7 +91,7 @@ class AddressDecoder:
 
     def idle_cycle(self) -> None:
         """One cycle with the address bus unchanged (held value)."""
-        self.netlist.cycle()
+        self.netlist.drive()
 
 
 def required_width(memory_map: MemoryMap) -> int:
