@@ -18,19 +18,11 @@ The ``repro chaos`` campaign (:mod:`repro.experiments.chaos_campaign`)
 drives all three under the journaled supervisor.
 """
 
-from .scenario import (CHAOS_WORKLOADS, ChaosScenario, generate_scenario,
-                       scenario_script)
-from .oracle import (LayerRun, ScenarioResult, run_scenario)
-from .shrink import ShrinkResult, shrink_scenario
+from .._exports import lazy_exports
 
-__all__ = [
-    "CHAOS_WORKLOADS",
-    "ChaosScenario",
-    "LayerRun",
-    "ScenarioResult",
-    "ShrinkResult",
-    "generate_scenario",
-    "run_scenario",
-    "scenario_script",
-    "shrink_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "scenario": ("CHAOS_WORKLOADS", "ChaosScenario", "generate_scenario",
+                 "scenario_script"),
+    "oracle": ("LayerRun", "ScenarioResult", "run_scenario"),
+    "shrink": ("ShrinkResult", "shrink_scenario"),
+})

@@ -6,72 +6,25 @@ separate unidirectional read/write paths, slave wait states, pipelined
 address/data phases, merge patterns and the 4/4/4 outstanding budgets.
 """
 
-from .checker import (ProtocolChecker, ProtocolViolationError, Violation,
-                      check_recorder)
-from .decoder import (MAX_ROUTE_DEPTH, DecodeError, MapConflictError,
-                      MemoryMap, Region, Route)
-from .monitor import BusMonitor, Observation
-from .interfaces import (BusMasterInterface, Slave, SlaveControlInterface,
-                         SlaveDataInterface, SlaveResponse, WaitStates)
-from .limits import OutstandingBudget
-from .recovery import ErrorCause, FaultReport, RetryPolicy
-from .signals import (EC_SIGNALS, SIGNALS_BY_GROUP, SIGNALS_BY_NAME,
-                      SignalGroup, SignalSpec, hamming_distance,
-                      total_interface_bits)
-from .transaction import (Transaction, data_read, data_write,
-                          instruction_fetch)
-from .types import (ADDRESS_BITS, ADDRESS_MASK, BYTES_PER_WORD, DATA_BITS,
-                    DATA_MASK, LEGAL_BURST_LENGTHS,
-                    MAX_OUTSTANDING_PER_KIND, AccessRights, BusState,
-                    Direction, MergePattern, MisalignedAccessError,
-                    ProtocolError, TransactionKind)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ADDRESS_BITS",
-    "ADDRESS_MASK",
-    "AccessRights",
-    "BusMasterInterface",
-    "BusMonitor",
-    "BusState",
-    "BYTES_PER_WORD",
-    "DATA_BITS",
-    "DATA_MASK",
-    "DecodeError",
-    "Direction",
-    "EC_SIGNALS",
-    "ErrorCause",
-    "FaultReport",
-    "LEGAL_BURST_LENGTHS",
-    "MapConflictError",
-    "MAX_OUTSTANDING_PER_KIND",
-    "MAX_ROUTE_DEPTH",
-    "MemoryMap",
-    "MergePattern",
-    "MisalignedAccessError",
-    "Observation",
-    "OutstandingBudget",
-    "ProtocolChecker",
-    "ProtocolError",
-    "ProtocolViolationError",
-    "Region",
-    "RetryPolicy",
-    "Route",
-    "SIGNALS_BY_GROUP",
-    "SIGNALS_BY_NAME",
-    "SignalGroup",
-    "SignalSpec",
-    "Slave",
-    "SlaveControlInterface",
-    "SlaveDataInterface",
-    "SlaveResponse",
-    "Transaction",
-    "Violation",
-    "TransactionKind",
-    "WaitStates",
-    "check_recorder",
-    "data_read",
-    "data_write",
-    "hamming_distance",
-    "instruction_fetch",
-    "total_interface_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "checker": ("ProtocolChecker", "ProtocolViolationError", "Violation",
+                "check_recorder"),
+    "decoder": ("MAX_ROUTE_DEPTH", "DecodeError", "MapConflictError",
+                "MemoryMap", "Region", "Route"),
+    "monitor": ("BusMonitor", "Observation"),
+    "interfaces": ("BusMasterInterface", "Slave", "SlaveControlInterface",
+                   "SlaveDataInterface", "SlaveResponse", "WaitStates"),
+    "limits": ("OutstandingBudget",),
+    "recovery": ("ErrorCause", "FaultReport", "RetryPolicy"),
+    "signals": ("EC_SIGNALS", "SIGNALS_BY_GROUP", "SIGNALS_BY_NAME",
+                "SignalGroup", "SignalSpec", "hamming_distance",
+                "total_interface_bits"),
+    "transaction": ("Transaction", "data_read", "data_write",
+                    "instruction_fetch"),
+    "types": ("ADDRESS_BITS", "ADDRESS_MASK", "BYTES_PER_WORD", "DATA_BITS",
+              "DATA_MASK", "LEGAL_BURST_LENGTHS", "MAX_OUTSTANDING_PER_KIND",
+              "AccessRights", "BusState", "Direction", "MergePattern",
+              "MisalignedAccessError", "ProtocolError", "TransactionKind"),
+})

@@ -10,24 +10,12 @@ per-link energy bucket — segment wires, bridge logic, arbitration —
 into one probe total that must balance exactly.
 """
 
-from .bridge import BusBridge
-from .builder import (BusFabric, FabricEnergyReport, FabricSegment,
-                      build_fabric)
-from .topology import (ARBITER_POLICIES, CPU_SLAVES, FLAT_SLAVES,
-                       PERIPHERAL_SLAVES, BridgeSpec, SegmentSpec,
-                       Topology)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ARBITER_POLICIES",
-    "BridgeSpec",
-    "BusBridge",
-    "BusFabric",
-    "CPU_SLAVES",
-    "FLAT_SLAVES",
-    "FabricEnergyReport",
-    "FabricSegment",
-    "PERIPHERAL_SLAVES",
-    "SegmentSpec",
-    "Topology",
-    "build_fabric",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bridge": ("BusBridge",),
+    "builder": ("BusFabric", "FabricEnergyReport", "FabricSegment",
+                "build_fabric"),
+    "topology": ("ARBITER_POLICIES", "CPU_SLAVES", "FLAT_SLAVES",
+                 "PERIPHERAL_SLAVES", "BridgeSpec", "SegmentSpec", "Topology"),
+})

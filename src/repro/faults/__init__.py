@@ -10,38 +10,17 @@ them to any behavioural slave identically under every model layer
 cycles and energy on each layer.
 """
 
-from .fabric import (ArbiterGlitchProcess, BRIDGE_FAULT_KINDS,
-                     BridgeFaultProcess, FABRIC_FAULT_KINDS,
-                     FabricFaultSpec, FaultyBridge, ROUTE_ERROR_CAUSES,
-                     build_fault_processes, split_fault_specs)
-from .injectors import (BitFlipInjector, ErrorSlave, FaultAction,
-                        FaultEvent, FaultInjector, FaultKind,
-                        IntermittentErrorInjector, StuckWaitInjector,
-                        TransientErrorInjector, WriteTearInjector)
-from .tear import TearInjector, tear_schedule
-from .wrapper import FaultySlave
+from .._exports import lazy_exports
 
-__all__ = [
-    "ArbiterGlitchProcess",
-    "BRIDGE_FAULT_KINDS",
-    "BitFlipInjector",
-    "BridgeFaultProcess",
-    "ErrorSlave",
-    "FABRIC_FAULT_KINDS",
-    "FabricFaultSpec",
-    "FaultAction",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultyBridge",
-    "FaultySlave",
-    "IntermittentErrorInjector",
-    "ROUTE_ERROR_CAUSES",
-    "StuckWaitInjector",
-    "TearInjector",
-    "TransientErrorInjector",
-    "WriteTearInjector",
-    "build_fault_processes",
-    "split_fault_specs",
-    "tear_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "fabric": ("ArbiterGlitchProcess", "BRIDGE_FAULT_KINDS",
+               "BridgeFaultProcess", "FABRIC_FAULT_KINDS", "FabricFaultSpec",
+               "FaultyBridge", "ROUTE_ERROR_CAUSES", "build_fault_processes",
+               "split_fault_specs"),
+    "injectors": ("BitFlipInjector", "ErrorSlave", "FaultAction",
+                  "FaultEvent", "FaultInjector", "FaultKind",
+                  "IntermittentErrorInjector", "StuckWaitInjector",
+                  "TransientErrorInjector", "WriteTearInjector"),
+    "tear": ("TearInjector", "tear_schedule"),
+    "wrapper": ("FaultySlave",),
+})

@@ -2,40 +2,17 @@
 interpreter, hardware stack coprocessor, communication-refinement
 adapters and the HW/SW interface design-space exploration."""
 
-from .adapters import StackMasterAdapter, StaticsBusPort
-from .bytecode import (BytecodeError, Instruction, Method, Package,
-                       assemble_method, package, to_short)
-from .explore import (ConfigResult, ExplorationResult, InterfaceConfig,
-                      default_configurations, evaluate_configuration,
-                      run_exploration)
-from .interpreter import BytecodeInterpreter, InterpreterError
-from .stack import (FunctionalStack, HardwareStack, SfrLayout,
-                    StackError, StackInterface)
-from .workloads import BENCHMARKS, benchmark_package
+from .._exports import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "BytecodeError",
-    "BytecodeInterpreter",
-    "ConfigResult",
-    "ExplorationResult",
-    "FunctionalStack",
-    "HardwareStack",
-    "Instruction",
-    "InterfaceConfig",
-    "InterpreterError",
-    "Method",
-    "Package",
-    "SfrLayout",
-    "StackError",
-    "StackInterface",
-    "StackMasterAdapter",
-    "StaticsBusPort",
-    "assemble_method",
-    "benchmark_package",
-    "default_configurations",
-    "evaluate_configuration",
-    "package",
-    "run_exploration",
-    "to_short",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adapters": ("StackMasterAdapter", "StaticsBusPort"),
+    "bytecode": ("BytecodeError", "Instruction", "Method", "Package",
+                 "assemble_method", "package", "to_short"),
+    "explore": ("ConfigResult", "ExplorationResult", "InterfaceConfig",
+                "default_configurations", "evaluate_configuration",
+                "run_exploration"),
+    "interpreter": ("BytecodeInterpreter", "InterpreterError"),
+    "stack": ("FunctionalStack", "HardwareStack", "SfrLayout", "StackError",
+              "StackInterface"),
+    "workloads": ("BENCHMARKS", "benchmark_package"),
+})

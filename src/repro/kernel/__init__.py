@@ -6,31 +6,15 @@ semantics, ``SC_METHOD`` processes with static and dynamic sensitivity,
 and a two-phase clock.
 """
 
-from .event import Event
-from .module import STEADY_FOREVER, Module, Process
-from .signal import BitSignal, Clock, Signal
-from .simulator import SimulationError, Simulator
-from .supervision import (BlockedWaiter, DeadlockError, JournalEntry,
-                          ProgressWatchdog, StallError)
-from .thread import ThreadProcess, wait_cycles
-from . import time
+from .._exports import lazy_exports
 
-__all__ = [
-    "BitSignal",
-    "BlockedWaiter",
-    "Clock",
-    "DeadlockError",
-    "Event",
-    "JournalEntry",
-    "Module",
-    "Process",
-    "ProgressWatchdog",
-    "STEADY_FOREVER",
-    "Signal",
-    "SimulationError",
-    "Simulator",
-    "StallError",
-    "ThreadProcess",
-    "time",
-    "wait_cycles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "event": ("Event",),
+    "module": ("STEADY_FOREVER", "Module", "Process"),
+    "signal": ("BitSignal", "Clock", "Signal"),
+    "simulator": ("SimulationError", "Simulator"),
+    "supervision": ("BlockedWaiter", "DeadlockError", "JournalEntry",
+                    "ProgressWatchdog", "StallError"),
+    "thread": ("ThreadProcess", "wait_cycles"),
+    "time": ("time",),
+})

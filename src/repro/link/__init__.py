@@ -7,36 +7,15 @@ R-block retransmission, a RESYNC → IFS → ABORT degradation ladder,
 and per-session energy attribution in :class:`LinkReport`.
 """
 
-from .channel import NoisyChannel
-from .endpoint import T1CardEndpoint
-from .frame import (Block, DecodeResult, FrameDecoder, MAX_INF, R_EDC,
-                    R_OK, R_OTHER, S_ABORT, S_IFS, S_RESYNC, S_WTX,
-                    encode, i_block, lrc, r_block, s_block)
-from .host import LinkParams, T1Host
-from .report import LinkReport
-from .session import run_link_session
+from .._exports import lazy_exports
 
-__all__ = [
-    "Block",
-    "DecodeResult",
-    "FrameDecoder",
-    "LinkParams",
-    "LinkReport",
-    "MAX_INF",
-    "NoisyChannel",
-    "R_EDC",
-    "R_OK",
-    "R_OTHER",
-    "S_ABORT",
-    "S_IFS",
-    "S_RESYNC",
-    "S_WTX",
-    "T1CardEndpoint",
-    "T1Host",
-    "encode",
-    "i_block",
-    "lrc",
-    "r_block",
-    "run_link_session",
-    "s_block",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "channel": ("NoisyChannel",),
+    "endpoint": ("T1CardEndpoint",),
+    "frame": ("Block", "DecodeResult", "FrameDecoder", "MAX_INF", "R_EDC",
+              "R_OK", "R_OTHER", "S_ABORT", "S_IFS", "S_RESYNC", "S_WTX",
+              "encode", "i_block", "lrc", "r_block", "s_block"),
+    "host": ("LinkParams", "T1Host"),
+    "report": ("LinkReport",),
+    "session": ("run_link_session",),
+})

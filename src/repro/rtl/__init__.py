@@ -2,23 +2,12 @@
 windowed glitch-aware netlist step, a synthesis library, the synthesised
 address decoder and the independent signal-level EC bus."""
 
-from .bus_rtl import CONTROL_FLOP_COUNT, RtlBus
-from .decoder import AddressDecoder, build_address_decoder, required_width
-from .gates import Flop, Gate, GateKind
-from .netlist import Net, Netlist, NetlistError
-from . import library
+from .._exports import lazy_exports
 
-__all__ = [
-    "AddressDecoder",
-    "CONTROL_FLOP_COUNT",
-    "Flop",
-    "Gate",
-    "GateKind",
-    "Net",
-    "Netlist",
-    "NetlistError",
-    "RtlBus",
-    "build_address_decoder",
-    "library",
-    "required_width",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bus_rtl": ("CONTROL_FLOP_COUNT", "RtlBus"),
+    "decoder": ("AddressDecoder", "build_address_decoder", "required_width"),
+    "gates": ("Flop", "Gate", "GateKind"),
+    "netlist": ("Net", "Netlist", "NetlistError"),
+    "library": ("library",),
+})

@@ -5,56 +5,23 @@ wait-state behaviour, and the smart card peripherals with per-event
 energy ledgers.
 """
 
-from .assembler import AssemblerError, assemble, load_words
-from .cpu import CpuFault, MipsCore
-from .crypto import (CryptoCoprocessor, DmaDriver, xtea_decrypt,
-                     xtea_encrypt)
-from .dma import DmaController
-from . import firmware
-from .interrupt import InterruptController
-from .journal import JournalState, TransactionJournal
-from .memory import Eeprom, Flash, Rom, ScratchpadRam
-from .peripheral import Peripheral
-from .rng import TrueRandomNumberGenerator
-from .smartcard import (DEFAULT_CLOCK_HZ, DMA_BASE, EEPROM_BASE,
-                        FLASH_BASE, INTC_BASE, RAM_BASE, RNG_BASE,
-                        ROM_BASE, SmartCardPlatform, TIMER_BASE,
-                        UART_BASE)
-from .timer import TimerUnit
-from .uart import Uart
+from .._exports import lazy_exports
 
-__all__ = [
-    "AssemblerError",
-    "CpuFault",
-    "CryptoCoprocessor",
-    "DmaController",
-    "DmaDriver",
-    "DEFAULT_CLOCK_HZ",
-    "DMA_BASE",
-    "EEPROM_BASE",
-    "Eeprom",
-    "FLASH_BASE",
-    "Flash",
-    "INTC_BASE",
-    "InterruptController",
-    "JournalState",
-    "MipsCore",
-    "Peripheral",
-    "RAM_BASE",
-    "RNG_BASE",
-    "ROM_BASE",
-    "Rom",
-    "ScratchpadRam",
-    "SmartCardPlatform",
-    "TIMER_BASE",
-    "TimerUnit",
-    "TransactionJournal",
-    "TrueRandomNumberGenerator",
-    "UART_BASE",
-    "Uart",
-    "assemble",
-    "firmware",
-    "load_words",
-    "xtea_decrypt",
-    "xtea_encrypt",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "assembler": ("AssemblerError", "assemble", "load_words"),
+    "cpu": ("CpuFault", "MipsCore"),
+    "crypto": ("CryptoCoprocessor", "DmaDriver", "xtea_decrypt",
+               "xtea_encrypt"),
+    "dma": ("DmaController",),
+    "firmware": ("firmware",),
+    "interrupt": ("InterruptController",),
+    "journal": ("JournalState", "TransactionJournal"),
+    "memory": ("Eeprom", "Flash", "Rom", "ScratchpadRam"),
+    "peripheral": ("Peripheral",),
+    "rng": ("TrueRandomNumberGenerator",),
+    "smartcard": ("DEFAULT_CLOCK_HZ", "DMA_BASE", "EEPROM_BASE",
+                  "FLASH_BASE", "INTC_BASE", "RAM_BASE", "RNG_BASE",
+                  "ROM_BASE", "SmartCardPlatform", "TIMER_BASE", "UART_BASE"),
+    "timer": ("TimerUnit",),
+    "uart": ("Uart",),
+})

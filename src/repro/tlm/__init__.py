@@ -7,31 +7,16 @@
   and behavioural slaves shared by both layers.
 """
 
-from .arbiter import ArbiterPort, BusArbiter
-from .bus_base import EcBusBase
-from .layer1 import EcBusLayer1
-from .layer2 import EcBusLayer2
-from .layer3 import EcBusLayer3
-from .master import (BlockingMaster, PipelinedMaster, ScriptedMaster,
-                     normalise_script, run_script)
-from .queues import FinishPool, TransactionQueue
-from .slave import BehaviouralSlave, MemorySlave, RegisterSlave
+from .._exports import lazy_exports
 
-__all__ = [
-    "ArbiterPort",
-    "BehaviouralSlave",
-    "BusArbiter",
-    "BlockingMaster",
-    "EcBusBase",
-    "EcBusLayer1",
-    "EcBusLayer2",
-    "EcBusLayer3",
-    "FinishPool",
-    "MemorySlave",
-    "PipelinedMaster",
-    "RegisterSlave",
-    "ScriptedMaster",
-    "TransactionQueue",
-    "normalise_script",
-    "run_script",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "arbiter": ("ArbiterPort", "BusArbiter"),
+    "bus_base": ("EcBusBase",),
+    "layer1": ("EcBusLayer1",),
+    "layer2": ("EcBusLayer2",),
+    "layer3": ("EcBusLayer3",),
+    "master": ("BlockingMaster", "PipelinedMaster", "ScriptedMaster",
+               "normalise_script", "run_script"),
+    "queues": ("FinishPool", "TransactionQueue"),
+    "slave": ("BehaviouralSlave", "MemorySlave", "RegisterSlave"),
+})

@@ -1,24 +1,12 @@
 """Stimulus: the EC-spec verification sequences, parameterised random
 generators, and the bus trace record/replay format."""
 
-from .apdu import ApduSession, apdu_session
-from .ecspec import ALL_SEQUENCES, full_suite
-from .generator import (Mix, PROGRAM_MIX, TABLE3_MIX, Window,
-                        generate_script, sub_word_script, table3_script)
-from .trace import BusTrace, TraceRecord
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALL_SEQUENCES",
-    "ApduSession",
-    "apdu_session",
-    "BusTrace",
-    "Mix",
-    "PROGRAM_MIX",
-    "TABLE3_MIX",
-    "TraceRecord",
-    "Window",
-    "full_suite",
-    "generate_script",
-    "sub_word_script",
-    "table3_script",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "apdu": ("ApduSession", "apdu_session"),
+    "ecspec": ("ALL_SEQUENCES", "full_suite"),
+    "generator": ("Mix", "PROGRAM_MIX", "TABLE3_MIX", "Window",
+                  "generate_script", "sub_word_script", "table3_script"),
+    "trace": ("BusTrace", "TraceRecord"),
+})
