@@ -4,9 +4,10 @@ The layer-1 energy model works "like a transaction level to RTL
 adapter" (§3.3): every cycle it reconstructs the value of each bus
 interface signal and counts bit transitions.  This module is the single
 definition of those signals — name, width and group — shared by the
-gate-level model (which drives real :class:`~repro.kernel.Signal`
-objects), the TL1 power model (which reconstructs values) and the
-power characterisation flow (which keys its table by these names).
+gate-level model (which drives one integer value per signal each
+cycle, keyed by these names), the TL1 power model (which reconstructs
+the same values) and the power characterisation flow (which keys its
+table by these names).
 
 Signal names follow the public MIPS EC interface convention.
 """

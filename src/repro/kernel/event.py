@@ -1,14 +1,16 @@
-"""Events and notification semantics.
+"""Events: the clock's edges and journal-only notifications.
 
-Implements the SystemC 2.0 notification model the paper's models rely on:
+The kernel knows two kinds of :class:`Event`:
 
-* *immediate* notification — fires in the current evaluation phase,
-* *delta* notification — fires in the next delta cycle (after the update
-  phase) without advancing simulated time,
-* *timed* notification — fires after a simulated delay.
-
-A pending timed notification is cancelled by a later immediate/delta
-notification, mirroring ``sc_event`` override rules.
+* a clock *edge* (:attr:`~repro.kernel.Clock.posedge_event`,
+  :attr:`~repro.kernel.Clock.negedge_event`) — the only thing a
+  process can be statically sensitive to (§3.1: masters and slaves on
+  the rising edge, the bus process on the falling edge);
+* a *notification* event from :meth:`~repro.kernel.Simulator.event`,
+  such as a master's ``done_event``.  Nothing waits on it:
+  :meth:`Event.notify_delta` records it in the kernel's journal at the
+  end of the current delta cycle, exactly where a SystemC 2.0 delta
+  notification without waiters shows in the event trace.
 """
 
 from __future__ import annotations
@@ -16,119 +18,37 @@ from __future__ import annotations
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .simulator import Simulator
     from .module import Process
+    from .simulator import Simulator
 
 
 class Event:
-    """A named synchronisation point processes can wait on.
+    """A named synchronisation point (see the module docstring)."""
 
-    Processes become *statically* sensitive to an event via their
-    sensitivity list, or *dynamically* sensitive via
-    :meth:`repro.kernel.module.Process.next_trigger`.
-    """
+    __slots__ = ("name", "_simulator", "_static_waiters")
 
-    __slots__ = ("name", "_simulator", "_static_waiters", "_dynamic_waiters",
-                 "_timed_handle", "_waiters_version")
-
-    def __init__(self, simulator: "Simulator", name: str = "event") -> None:
+    def __init__(self, simulator: "Simulator", name: str = "event", *,
+                 edge: bool = False) -> None:
         self.name = name
         self._simulator = simulator
-        self._static_waiters: list["Process"] = []
-        self._dynamic_waiters: list["Process"] = []
-        self._timed_handle: typing.Optional[list] = None
-        # bumped whenever the waiter set changes, so the fast lane's
-        # compiled process lists know when to recompile (see fastlane.py)
-        self._waiters_version = 0
-        simulator._register_event(self)
-
-    # -- wiring ---------------------------------------------------------
+        #: processes triggered by this edge (None: a notification event)
+        self._static_waiters: typing.Optional[list] = [] if edge else None
 
     def add_static_sensitivity(self, process: "Process") -> None:
-        """Make *process* run whenever this event fires (static list)."""
-        if process not in self._static_waiters:
-            self._static_waiters.append(process)
-            self._waiters_version += 1
-
-    def remove_static_sensitivity(self, process: "Process") -> None:
-        """Remove *process* from the static sensitivity list."""
-        if process in self._static_waiters:
-            self._static_waiters.remove(process)
-            self._waiters_version += 1
-
-    def add_dynamic_waiter(self, process: "Process") -> None:
-        """Register a one-shot dynamic waiter (``next_trigger`` support)."""
-        if process not in self._dynamic_waiters:
-            self._dynamic_waiters.append(process)
-            self._waiters_version += 1
-
-    def remove_dynamic_waiter(self, process: "Process") -> None:
-        """Drop a dynamic waiter (e.g. its trigger was re-targeted)."""
-        if process in self._dynamic_waiters:
-            self._dynamic_waiters.remove(process)
-            self._waiters_version += 1
-
-    # -- notification ---------------------------------------------------
-
-    def notify(self) -> None:
-        """Immediate notification: trigger waiters in this evaluation phase."""
-        self._cancel_timed()
-        self._simulator._notify_immediate(self)
+        """Make *process* run whenever this clock edge fires."""
+        waiters = self._static_waiters
+        if waiters is None:
+            from .simulator import SimulationError
+            raise SimulationError(
+                f"process {process.name!r} cannot be sensitive to "
+                f"{self.name!r}: only clock edges trigger processes")
+        if process not in waiters:
+            waiters.append(process)
+            self._simulator._invalidate_plans()
 
     def notify_delta(self) -> None:
-        """Delta notification: trigger waiters in the next delta cycle."""
-        self._cancel_timed()
+        """Journal this event at the end of the current delta cycle."""
         self._simulator._notify_delta(self)
-
-    def notify_delayed(self, delay: int) -> None:
-        """Timed notification after *delay* kernel time units.
-
-        A pending timed notification is replaced only if the new one is
-        earlier, following ``sc_event`` semantics.
-        """
-        if delay < 0:
-            raise ValueError(f"negative notification delay: {delay}")
-        if delay == 0:
-            self.notify_delta()
-            return
-        when = self._simulator.now + delay
-        if self._timed_handle is not None:
-            if self._timed_handle[0] <= when and not self._timed_handle[2]:
-                return  # existing notification is earlier or equal: keep it
-            self._cancel_timed()
-        self._timed_handle = self._simulator._schedule_event(self, when)
-
-    def cancel(self) -> None:
-        """Cancel any pending timed notification."""
-        self._cancel_timed()
-
-    def _cancel_timed(self) -> None:
-        if self._timed_handle is not None:
-            self._timed_handle[2] = True  # tombstone in the timed queue
-            self._timed_handle = None
-            self._simulator._timed_live -= 1
-
-    # -- firing (called by the simulator) --------------------------------
-
-    def waiters(self) -> list[str]:
-        """Names of every process currently sensitive to this event."""
-        names = [process.name for process in self._static_waiters]
-        names.extend(process.name for process in self._dynamic_waiters
-                     if process.name not in names)
-        return names
-
-    def _collect_triggered(self) -> list["Process"]:
-        """Return processes to run because this event fired."""
-        self._timed_handle = None
-        triggered = list(self._static_waiters)
-        if self._dynamic_waiters:
-            self._waiters_version += 1
-            dynamic, self._dynamic_waiters = self._dynamic_waiters, []
-            for process in dynamic:
-                process._dynamic_trigger_fired(self)
-                if process not in triggered:
-                    triggered.append(process)
-        return triggered
 
     def __repr__(self) -> str:
         return f"Event({self.name!r})"

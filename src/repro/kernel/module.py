@@ -3,13 +3,12 @@
 The paper implements its bus processes as ``SC_METHOD`` processes —
 functions executed to completion each time an event in their sensitivity
 list fires (for the bus: the falling edge of the system clock, §3.1).
-:class:`Process` models exactly that, including SystemC's *dynamic
-sensitivity* (``next_trigger``), which the paper cites (via Caldari et
-al.) as the trick that avoids calling processes when not necessary.
+:class:`Process` models exactly that, with static sensitivity to the
+clock's edges.
 
-A process may also opt in to the fast lane's steady-cycle protocol
-(see :mod:`repro.kernel.fastlane`): it registers a ``steady`` step,
-and while the lane has it *armed* every activation pushes a hint into
+A process may also opt in to the kernel's steady-cycle protocol (see
+:mod:`repro.kernel.simulator`): it registers a ``steady`` step, and
+while the kernel has it *armed* every activation pushes a hint into
 :attr:`Process.steady_until` — how many of its following activations
 would only repeat that step.
 """
@@ -29,7 +28,6 @@ class Process:
     """An SC_METHOD-style process: runs to completion on each trigger."""
 
     __slots__ = ("name", "func", "simulator", "dont_initialize",
-                 "_static_events", "_dynamic_event", "_runnable_flag",
                  "run_count", "steady", "steady_until", "steady_armed")
 
     def __init__(self, simulator: Simulator, func: typing.Callable[[], None],
@@ -46,46 +44,19 @@ class Process:
         #: are steady; at most ``run_count`` after real work another
         #: process can see)
         self.steady_until = 0
-        #: set by the fast lane while it may fast-forward this process:
+        #: set by the kernel while it may fast-forward this process:
         #: only then need ``func`` push hints
         self.steady_armed = False
         self.simulator = simulator
         self.dont_initialize = dont_initialize
-        self._static_events: list[Event] = []
-        self._dynamic_event: typing.Optional[Event] = None
-        self._runnable_flag = False
         self.run_count = 0
         simulator._register_process(self)
 
     def sensitive(self, *events: Event) -> "Process":
-        """Append *events* to the static sensitivity list."""
+        """Append clock-edge *events* to the static sensitivity list."""
         for event in events:
             event.add_static_sensitivity(self)
-            self._static_events.append(event)
         return self
-
-    def next_trigger(self, event: Event) -> None:
-        """Dynamic sensitivity: wait only on *event* for the next run.
-
-        Until that event fires, static sensitivity is suspended —
-        mirroring SystemC's ``next_trigger``.
-        """
-        if self._dynamic_event is not None:
-            self._dynamic_event.remove_dynamic_waiter(self)
-        for static in self._static_events:
-            static.remove_static_sensitivity(self)
-        self._dynamic_event = event
-        event.add_dynamic_waiter(self)
-
-    def _dynamic_trigger_fired(self, event: Event) -> None:
-        if self._dynamic_event is event:
-            self._dynamic_event = None
-            for static in self._static_events:
-                static.add_static_sensitivity(self)
-
-    def _execute(self) -> None:
-        self.run_count += 1
-        self.func()
 
     def __repr__(self) -> str:
         return f"Process({self.name!r}, runs={self.run_count})"
@@ -94,9 +65,9 @@ class Process:
 class Module:
     """Base class for hardware modules.
 
-    A module owns ports, signals and processes; subclasses register
-    method processes with :meth:`method` in their constructor, exactly
-    as an ``SC_MODULE`` does with ``SC_METHOD`` + ``sensitive``.
+    A module owns its processes; subclasses register method processes
+    with :meth:`method` in their constructor, exactly as an
+    ``SC_MODULE`` does with ``SC_METHOD`` + ``sensitive``.
     """
 
     def __init__(self, simulator: Simulator, name: str) -> None:

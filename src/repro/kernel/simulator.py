@@ -1,72 +1,130 @@
-"""Discrete-event scheduler implementing the SystemC 2.0 evaluate/update
-delta-cycle semantics.
+"""The simulation kernel: one clock, two compiled edge plans.
 
-The paper's models are written against SystemC 2.0 (``SC_METHOD``
-processes, static sensitivity to clock edges, non-blocking interface
-method calls).  This module provides the minimal kernel those models
-need, structured as the classic three-phase loop:
+Every model here has the shape of the paper's (§3.1): a single
+free-running :class:`~repro.kernel.Clock` whose rising edge triggers
+the masters and slaves and whose falling edge triggers the bus
+process, all static-sensitivity ``SC_METHOD`` processes.  So the
+kernel is a cycle loop, not a general discrete-event scheduler.  It
+compiles, per edge, the ordered list of processes that edge triggers
+— again only after a process, a sensitivity or an edge event is
+registered — and then advances time edge by edge, arithmetically,
+with no event queue.
 
-1. **evaluate** — run every runnable process once,
-2. **update**   — commit primitive-channel (signal) writes,
-3. **delta notification** — turn value changes into newly runnable
-   processes; if any, repeat from 1 without advancing time, otherwise
-   advance to the earliest timed notification.
+The loop keeps the observable bookkeeping of the SystemC 2.0
+evaluate/update/notify loop it replaced (kept as the test oracle,
+``tests/kernel/reference_kernel.py``): simulated time,
+``delta_count`` (a delta for the clock driver's toggle, then one for
+the edge's processes when it has any), every process's ``run_count``
+and the notification journal — per edge the ``"timed"`` tick, the
+``"delta"`` edge event, then the notification events
+(:meth:`~repro.kernel.Event.notify_delta`) its processes posted.
+
+Supervision: attached :class:`~repro.kernel.ProgressWatchdog`
+instances are polled at every edge, after its tick is journaled and
+before its first delta; after a trip, the next :meth:`Simulator.run`
+resumes that edge there.  :meth:`Simulator.stop` and
+:meth:`Simulator.power_off` end a run after the edge that asked.
+
+Steady cycles: when every process on both edge plans registered a
+``steady`` step (:class:`~repro.kernel.Process`) and no watchdog is
+attached, the kernel *arms* those processes, and each activation
+pushes a hint: how many of the process's following activations would
+only repeat its steady step (0 after real work another process can
+see).  Before a rising edge, once a full cycle has run in this call
+(and since the last notification event), the kernel reads the hints;
+when the smallest, *n*, is at least 1 it runs the next *n* cycles as
+a tight loop of steady steps in plan order — every float accumulator
+still sees the same additions in the same order — and applies the
+per-edge bookkeeping in one batch, exactly as if every edge had run.
+Because real work pushes 0, a fast-forward only starts after a cycle
+without it, so no hint can have been computed before another process
+changed the state it reads.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
-import itertools
 import typing
 
-from . import fastlane
 from .event import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .clock import Clock
     from .module import Process
-    from .signal import SignalBase
-    from .supervision import (BlockedWaiter, DeadlockError, JournalEntry,
+    from .supervision import (BlockedWaiter, DeadlockError,
                               ProgressWatchdog)
-    from .thread import ThreadProcess
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel misuse (e.g. running a finished simulator)."""
+    """Raised for kernel misuse (e.g. a second clock on one simulator)."""
 
 
-#: Watchdogs are also polled every this many delta cycles within one
-#: time instant, so a delta-cycle livelock (processes immediate-notifying
-#: each other forever) still hits the wall-clock budget.
-_DELTAS_PER_WATCHDOG_CHECK = 4096
+#: most cycles one fast-forward runs when no deadline bounds it
+STEADY_SPAN_CAP = 1 << 20
+
+
+def _no_step() -> None:
+    """Pads a steady cycle's unrolled step list."""
+
+
+class _SteadyPlan:
+    """What a fast-forward needs of the two edge plans, compiled once."""
+
+    __slots__ = ("procs", "groups", "journal", "deltas")
+
+    def __init__(self, rise: tuple, fall: tuple, tick_name: str,
+                 half: int) -> None:
+        #: every process of both plans, rising edge first
+        self.procs = rise[1] + fall[1]
+        # their steady steps in plan order, unrolled by eight (padded
+        # with no-ops) to spare a loop iteration per step
+        steps = [process.steady for process in self.procs]
+        steps += [_no_step] * (-len(steps) % 8)
+        self.groups = [steps[index:index + 8]
+                       for index in range(0, len(steps), 8)]
+        # one cycle's journal entries as (time, delta) offsets from the
+        # rising edge: each edge journals its tick, runs the driver's
+        # delta, journals its event, then runs its processes' delta
+        journal = []
+        delta = 0
+        for offset, (name, procs) in ((0, rise), (half, fall)):
+            journal.append((offset, delta, "timed", tick_name))
+            delta += 1
+            if name is not None:
+                journal.append((offset, delta, "delta", name))
+            if procs:
+                delta += 1
+        self.journal = tuple(journal)
+        #: delta cycles per clock cycle
+        self.deltas = delta
 
 
 class Simulator:
-    """The simulation kernel: owns time, events, signals and processes."""
+    """The simulation kernel: owns time, the clock and the processes."""
 
     def __init__(self, name: str = "sim",
-                 journal_capacity: int = 32,
-                 fast_lane: bool = True) -> None:
+                 journal_capacity: typing.Optional[int] = 32) -> None:
         self.name = name
         self.now: int = 0
         self.delta_count: int = 0
-        self._events: list[Event] = []
         self._processes: list["Process"] = []
-        self._signals: list["SignalBase"] = []
-        self._clocks: list = []
-        self._runnable: list["Process"] = []
-        self._update_requests: list["SignalBase"] = []
-        # ordered list (determinism) paired with a set (O(1) membership)
+        self._clock: typing.Optional["Clock"] = None
+        #: (rising, falling) edge plans, each (journaled event name or
+        #: None, processes in trigger order); None: recompile
+        self._plans: typing.Optional[tuple] = None
+        #: the fast-forward plan, when every process of both plans has
+        #: a steady step (None otherwise: the plans never fast-forward)
+        self._steady: typing.Optional[_SteadyPlan] = None
+        #: the plan whose processes are armed to push hints
+        self._armed: typing.Optional[_SteadyPlan] = None
+        #: time of the clock's next edge (None until the clock is armed)
+        self._next_edge: typing.Optional[int] = None
+        #: something the cycle loop must act on after the current edge:
+        #: a notification event, a stop request or a stale plan
+        self._attention = False
         self._delta_events: list[Event] = []
-        self._delta_events_set: set = set()
-        self._timed_queue: list[list] = []  # [when, seq, cancelled, event]
-        #: live (non-tombstone) entries in the timed queue, maintained at
-        #: every push/pop/cancel so pending_activity() never has to scan
-        self._timed_live = 0
-        self._seq = itertools.count()
-        self._fast_lane_enabled = fast_lane
-        self._fast_lane = None
-        self._fast_lane_time = 0
+        #: a watchdog tripped between an edge's tick and its deltas
+        self._resume_edge = False
         self._steady_cycles = 0
         self._stop_requested = False
         self._started = False
@@ -77,65 +135,57 @@ class Simulator:
         # ring buffer of the most recent event notifications — the
         # "flight recorder" DeadlockError diagnostics embed.  Raw
         # (time, delta, kind, event-name) tuples: this append sits on
-        # the kernel's notification hot path, so the pretty
-        # JournalEntry objects are only built in journal_entries()
+        # the cycle loop's hot path, so the pretty JournalEntry
+        # objects are only built in journal_entries()
         self._journal: typing.Deque[tuple] = collections.deque(
             maxlen=journal_capacity)
-        self._threads: list["ThreadProcess"] = []
         self._waiter_hooks: list[typing.Callable[
             [], typing.Iterable["BlockedWaiter"]]] = []
         self._watchdogs: list["ProgressWatchdog"] = []
-        self._deltas_since_check = 0
 
-    # -- registration (used by Event/Signal/Module constructors) ---------
-
-    def _register_event(self, event: Event) -> None:
-        self._events.append(event)
+    # -- registration (used by Event/Process/Clock constructors) ---------
 
     def _register_process(self, process: "Process") -> None:
         self._processes.append(process)
+        self._invalidate_plans()
 
-    def _register_signal(self, signal: "SignalBase") -> None:
-        self._signals.append(signal)
+    def _register_clock(self, clock: "Clock") -> None:
+        if self._clock is not None:
+            raise SimulationError(
+                f"simulator {self.name!r} already runs clock "
+                f"{self._clock.name!r}: the kernel runs one clock")
+        if self._started:
+            raise SimulationError(
+                f"clock {clock.name!r} created after simulator "
+                f"{self.name!r} started")
+        self._clock = clock
 
-    def _register_thread(self, thread: "ThreadProcess") -> None:
-        self._threads.append(thread)
-
-    def _register_clock(self, clock) -> None:
-        self._clocks.append(clock)
-
-    # -- notification plumbing ------------------------------------------
-
-    def _notify_immediate(self, event: Event) -> None:
-        self._journal.append((self.now, self.delta_count, "immediate",
-                              event.name))
-        for process in event._collect_triggered():
-            self._make_runnable(process)
+    def _invalidate_plans(self) -> None:
+        self._plans = None
+        self._attention = True
 
     def _notify_delta(self, event: Event) -> None:
-        if event not in self._delta_events_set:
-            self._delta_events_set.add(event)
+        if event._static_waiters:
+            raise SimulationError(
+                f"{event.name!r} is a clock edge: only the clock "
+                f"notifies it")
+        if event not in self._delta_events:
             self._delta_events.append(event)
+            self._attention = True
 
-    def _schedule_event(self, event: Event, when: int) -> list:
-        entry = [when, next(self._seq), False, event]
-        heapq.heappush(self._timed_queue, entry)
-        self._timed_live += 1
-        return entry
-
-    def _request_update(self, signal: "SignalBase") -> None:
-        self._update_requests.append(signal)
-
-    def _make_runnable(self, process: "Process") -> None:
-        if not process._runnable_flag:
-            process._runnable_flag = True
-            self._runnable.append(process)
+    def _drain_delta_events(self) -> None:
+        """Journal the notification events posted in this delta."""
+        events, self._delta_events = self._delta_events, []
+        now, delta = self.now, self.delta_count
+        self._journal.extend((now, delta, "delta", event.name)
+                             for event in events)
 
     # -- control ---------------------------------------------------------
 
     def stop(self) -> None:
-        """Request the simulation stop at the end of the current delta."""
+        """Request the simulation stop at the end of the current edge."""
         self._stop_requested = True
+        self._attention = True
 
     @property
     def powered_off(self) -> bool:
@@ -150,8 +200,7 @@ class Simulator:
         card still has: enough for combinational state to settle into
         non-volatile side effects (a bus bridge flushing its posted
         write buffer), not enough to clock anything.  A hook must not
-        schedule events or advance time — the kernel is already
-        latched off when it runs.
+        advance time — the kernel is already latched off when it runs.
         """
         self._power_off_hooks.append(hook)
 
@@ -160,170 +209,245 @@ class Simulator:
 
         Stops the simulation like :meth:`stop`, but latches: any later
         :meth:`run` returns immediately without consuming time.  Models
-        a contactless card leaving the reader field — in-flight signal
-        updates are abandoned exactly where the current delta left
-        them, and only state the testbench explicitly carries over
-        (e.g. the EEPROM image) survives into the next simulator.
-        Registered power-off hooks run exactly once, on the first
-        call (see :meth:`add_power_off_hook`).
+        a contactless card leaving the reader field — the run ends
+        after the current edge, and only state the testbench explicitly
+        carries over (e.g. the EEPROM image) survives into the next
+        simulator.  Registered power-off hooks run exactly once, on
+        the first call (see :meth:`add_power_off_hook`).
         """
         if self._powered_off:
             return
         self.power_off_reason = reason
         self._powered_off = True
-        self._stop_requested = True
+        self.stop()
         for hook in list(self._power_off_hooks):
             hook(reason)
-
-    def initialize(self) -> None:
-        """Make every process runnable once, as SystemC elaboration does
-        (processes created with ``dont_initialize`` are skipped)."""
-        if self._started:
-            return
-        self._started = True
-        for process in self._processes:
-            if not process.dont_initialize:
-                self._make_runnable(process)
-
-    def _drain_delta_events(self) -> None:
-        """Turn pending delta notifications into runnable processes."""
-        if self._delta_events:
-            events, self._delta_events = self._delta_events, []
-            self._delta_events_set.clear()
-            for event in events:
-                self._journal.append((self.now, self.delta_count,
-                                      "delta", event.name))
-                for process in event._collect_triggered():
-                    self._make_runnable(process)
-
-    def _run_delta(self) -> bool:
-        """Run one delta cycle.  Returns True if any process ran."""
-        if not self._runnable:
-            # delta notifications posted from outside a delta cycle
-            # (e.g. test benches priming an event) still need to fire
-            self._drain_delta_events()
-            if not self._runnable:
-                return False
-        self.delta_count += 1
-        # evaluate phase: immediate notifications extend the current
-        # phase, so keep draining until no process is runnable
-        while self._runnable:
-            runnable, self._runnable = self._runnable, []
-            for process in runnable:
-                process._runnable_flag = False
-            for process in runnable:
-                process._execute()
-        # update phase
-        if self._update_requests:
-            updates, self._update_requests = self._update_requests, []
-            for signal in updates:
-                signal._update()
-        # delta notification phase
-        self._drain_delta_events()
-        return True
-
-    def _advance_time(self) -> bool:
-        """Pop the earliest timed notification(s).  Returns False if none."""
-        queue = self._timed_queue
-        while queue and queue[0][2]:
-            heapq.heappop(queue)  # drop cancelled tombstones
-        if not queue:
-            return False
-        when = queue[0][0]
-        if when < self.now:
-            raise SimulationError(
-                f"timed queue went backwards: {when} < {self.now}")
-        self.now = when
-        while queue and queue[0][0] == when:
-            entry = heapq.heappop(queue)
-            if entry[2]:
-                continue
-            self._timed_live -= 1
-            event: Event = entry[3]
-            self._journal.append((self.now, self.delta_count, "timed",
-                                  event.name))
-            for process in event._collect_triggered():
-                self._make_runnable(process)
-        return True
 
     def run(self, duration: typing.Optional[int] = None) -> int:
         """Run the simulation.
 
         With *duration* (kernel time units) the kernel returns once
-        simulated time would exceed ``start + duration``; without it,
-        runs until no activity remains or :meth:`stop` is called.
-        Returns the simulated time consumed.
+        the clock's next edge would fall after ``start + duration``,
+        with ``now`` at that deadline; without it, runs until
+        :meth:`stop` is called.  Returns the simulated time consumed.
+        The first call runs the elaboration delta: every process not
+        created with ``dont_initialize`` runs once, and the clock arms
+        its first edge.
 
-        Raises :class:`~repro.kernel.DeadlockError` if all activity
-        drains while blocked waiters remain (unfinished thread
-        processes, or anything reported by a waiter hook) — a bounded
-        run that merely reaches its deadline does not deadlock-check.
+        Without a clock there is nothing to advance time: the run
+        returns at once, raising :class:`~repro.kernel.DeadlockError`
+        if blocked waiters (anything a waiter hook reports) remain.
         Attached :class:`~repro.kernel.ProgressWatchdog` instances are
-        polled at every time advance (and periodically inside delta
-        storms) and raise :class:`~repro.kernel.StallError` when their
-        budgets expire.
+        polled at every clock edge and raise
+        :class:`~repro.kernel.StallError` when their budgets expire.
         """
         start = self.now
         if self._powered_off:
             return 0
-        deadline = None if duration is None else start + duration
-        self.initialize()
         self._stop_requested = False
-        while True:
-            while self._run_delta():
-                if self._stop_requested:
-                    return self.now - start
-                if self._watchdogs:
-                    self._deltas_since_check += 1
-                    if (self._deltas_since_check
-                            >= _DELTAS_PER_WATCHDOG_CHECK):
-                        self._check_watchdogs()
-            if self._stop_requested:
-                return self.now - start
-            queue = self._timed_queue
-            while queue and queue[0][2]:
-                heapq.heappop(queue)
-            if not queue:
+        if not self._started:
+            self._initialize()
+        if self._delta_events:
+            self._drain_delta_events()
+        if not self._stop_requested:
+            if self._next_edge is None:
                 self._check_deadlock()
-                return self.now - start
-            if deadline is not None and queue[0][0] > deadline:
-                self.now = deadline
-                return self.now - start
-            if self._fast_lane_enabled:
-                status = self._run_fast_lane(deadline)
-                if status == fastlane.FINISHED:
-                    return self.now - start
-                if status == fastlane.FELL_BACK:
-                    continue
-            self._advance_time()
-            if self._watchdogs:
-                self._check_watchdogs()
+            else:
+                self._run_edges(None if duration is None
+                                else start + duration)
+        return self.now - start
 
-    def _run_fast_lane(self, deadline: typing.Optional[int]) -> int:
-        """Attempt the precompiled clocked cycle loop (see fastlane.py)."""
-        lane = self._fast_lane
-        if lane is None:
-            lane = self._fast_lane = fastlane.FastLane(self)
-        start = self.now
+    def _initialize(self) -> None:
+        """The elaboration delta: run every process once, as SystemC
+        does (processes created with ``dont_initialize`` are skipped)."""
+        self._started = True
+        initial = [process for process in self._processes
+                   if not process.dont_initialize]
+        if initial:
+            self.delta_count += 1
+            for process in initial:
+                process.run_count += 1
+                process.func()
+
+    def _prepare(self) -> tuple:
+        """(Re)compile stale edge plans and arm the steady processes;
+        returns the rising plan, the falling plan and the processes
+        whose hints a fast-forward reads (None: no fast-forward)."""
+        self._attention = False
+        clock = self._clock
+        if self._plans is None:
+            rise, fall = self._plans = tuple(
+                (None, ()) if event is None
+                else (event.name, tuple(event._static_waiters))
+                for event in (clock._posedge_event, clock._negedge_event))
+            self._steady = (
+                _SteadyPlan(rise, fall, clock._tick_name,
+                            clock.half_period)
+                if all(process.steady is not None
+                       for process in rise[1] + fall[1]) else None)
+        # hints cost their models work: ask for them only while a
+        # fast-forward could use them
+        armed = None if self._watchdogs else self._steady
+        if armed is not self._armed:
+            for plan, flag in ((self._armed, False), (armed, True)):
+                if plan is not None:
+                    for process in plan.procs:
+                        process.steady_armed = flag
+            self._armed = armed
+        rise, fall = self._plans
+        return rise, fall, None if armed is None else armed.procs
+
+    # -- the cycle loop --------------------------------------------------
+
+    def _run_edges(self, deadline: typing.Optional[int]) -> None:
+        clock = self._clock
+        half = clock.half_period
+        append = self._journal.append
+        tick_name = clock._tick_name
+        driver = clock._process
+        watchdogs = self._watchdogs
+        rise, fall, steady = self._prepare()
+        when = self._next_edge
+        level = clock.read()
+        delta = self.delta_count
+        # hints pushed before this call may predate outside changes
+        # (a bench poking a model between runs): only trust them after
+        # one full cycle has run here
+        primed = False
+        # the process whose 0 hint stopped the last attempt: while it
+        # still says 0, no other hint needs reading
+        blocker = None
+        resume = self._resume_edge
         try:
-            return lane.run(deadline)
+            while True:
+                if resume:
+                    # the tick is journaled and polled: go on with its
+                    # deltas
+                    resume = self._resume_edge = False
+                else:
+                    if deadline is not None and when > deadline:
+                        self.now = deadline
+                        return
+                    if steady is not None and not level:
+                        # a rising edge comes next: fast-forward the
+                        # cycles every process's hint says are steady
+                        if not primed:
+                            primed = True
+                        elif (blocker is None or blocker.steady_until
+                                > blocker.run_count):
+                            blocker = None
+                            cycles = STEADY_SPAN_CAP
+                            for process in steady:
+                                left = (process.steady_until
+                                        - process.run_count)
+                                if left < cycles:
+                                    if left < 1:
+                                        blocker = process
+                                        break
+                                    cycles = left
+                            if blocker is None:
+                                if deadline is not None:
+                                    cycles = min(cycles, ((deadline - when)
+                                                          // half + 1) // 2)
+                                if cycles > 0:
+                                    when = self._fast_forward(cycles, when)
+                                    delta = self.delta_count
+                                    continue
+                    self.now = when
+                    append((when, delta, "timed", tick_name))
+                    if watchdogs:
+                        try:
+                            for watchdog in watchdogs:
+                                watchdog.check(self)
+                        except BaseException:
+                            self._resume_edge = True
+                            raise
+                edge = when
+                when += half
+                # delta cycle 1: the clock driver toggles
+                delta += 1
+                driver.run_count += 1
+                level = not level
+                if level:
+                    clock._cycles += 1
+                    name, procs = rise
+                else:
+                    name, procs = fall
+                if name is not None:
+                    append((edge, delta, "delta", name))
+                if procs:
+                    # delta cycle 2: the edge-triggered processes
+                    delta += 1
+                    self.delta_count = delta
+                    for process in procs:
+                        process.run_count += 1
+                        process.func()
+                else:
+                    self.delta_count = delta
+                if self._attention:
+                    self._attention = False
+                    if self._delta_events:
+                        self._drain_delta_events()
+                        primed = False
+                        blocker = None
+                    if self._stop_requested:
+                        return
+                    if self._plans is None:
+                        rise, fall, steady = self._prepare()
+                        primed = False
+                        blocker = None
         finally:
-            self._fast_lane_time += self.now - start
+            # the edge to run next (the tripped one after a watchdog
+            # raise: its tick is journaled, its deltas are not)
+            self._next_edge = when
 
-    @property
-    def fast_lane_time(self) -> int:
-        """Simulated time (kernel units) advanced inside the fast lane.
-
-        The rest of ``now`` was advanced by the generic loop, so this
-        tells which path a run took.
-        """
-        return self._fast_lane_time
+    def _fast_forward(self, cycles: int, start: int) -> int:
+        """Run *cycles* steady cycles from the rising edge at *start*;
+        returns the time of the rising edge after them."""
+        plan = self._steady
+        clock = self._clock
+        groups = plan.groups
+        for _ in range(cycles):
+            for s0, s1, s2, s3, s4, s5, s6, s7 in groups:
+                s0()
+                s1()
+                s2()
+                s3()
+                s4()
+                s5()
+                s6()
+                s7()
+        # per-edge kernel bookkeeping, in one batch
+        period = clock.period
+        end = start + period * cycles  # the next rising edge
+        # only the journal ring's last entries survive: replay just the
+        # cycles that fill it
+        journal = self._journal
+        replay = cycles
+        if journal.maxlen is not None:
+            replay = min(cycles, -(-journal.maxlen // len(plan.journal)))
+        first = cycles - replay
+        delta = self.delta_count
+        journal.extend([
+            (when + time_offset, base + delta_offset, kind, name)
+            for when, base in zip(
+                range(start + first * period, end, period),
+                range(delta + first * plan.deltas,
+                      delta + cycles * plan.deltas, plan.deltas))
+            for time_offset, delta_offset, kind, name in plan.journal])
+        self.delta_count = delta + cycles * plan.deltas
+        self.now = end - clock.half_period
+        for process in plan.procs:
+            process.run_count += cycles
+        clock._process.run_count += 2 * cycles
+        clock._cycles += cycles
+        self._steady_cycles += cycles
+        return end
 
     @property
     def steady_cycles(self) -> int:
-        """Clock cycles the fast lane advanced through steady steps
-        (see :mod:`repro.kernel.fastlane`) instead of full activations.
-        """
+        """Clock cycles advanced through steady steps (see the module
+        docstring) instead of full activations."""
         return self._steady_cycles
 
     # -- supervision -------------------------------------------------------
@@ -349,15 +473,8 @@ class Simulator:
             self._watchdogs.remove(watchdog)
 
     def blocked_waiters(self) -> list:
-        """Everything currently waiting: unfinished threads + hooks."""
-        from .supervision import BlockedWaiter
+        """Everything the waiter hooks report as currently waiting."""
         blocked = []
-        for thread in self._threads:
-            if not thread.finished:
-                blocked.append(BlockedWaiter(
-                    f"thread {thread.name!r}",
-                    thread.waiting_on or "first resume",
-                    f"resumed {thread.resume_count} times"))
         for hook in self._waiter_hooks:
             blocked.extend(hook())
         return blocked
@@ -387,24 +504,11 @@ class Simulator:
                 f"pending event, but {len(blocked)} waiter(s) remain",
                 kind="deadlock")
 
-    def _check_watchdogs(self) -> None:
-        self._deltas_since_check = 0
-        for watchdog in self._watchdogs:
-            watchdog.check(self)
-
     # -- conveniences -----------------------------------------------------
 
     def event(self, name: str = "event") -> Event:
-        """Create a fresh :class:`Event` bound to this kernel."""
+        """Create a notification :class:`Event` bound to this kernel."""
         return Event(self, name)
-
-    def pending_activity(self) -> bool:
-        """True if any runnable process, delta event or timed event exists."""
-        if self._update_requests:
-            return True
-        if self._runnable or self._delta_events:
-            return True
-        return self._timed_live > 0
 
     def __repr__(self) -> str:
         return (f"Simulator({self.name!r}, now={self.now}, "

@@ -1,13 +1,12 @@
 """Kernel-level simulation supervision: deadlock and livelock diagnosis.
 
-A simulation that stops making progress used to fail opaquely: the
-kernel either drained its queues and returned (silently abandoning
-blocked threads) or a caller's wall-clock guard fired a bare
-:class:`TimeoutError` with no hint of *what* was stuck.  This module
-provides the structured alternative:
+A simulation that stops making progress used to fail opaquely: a
+caller's wall-clock guard fired a bare :class:`TimeoutError` with no
+hint of *what* was stuck.  This module provides the structured
+alternative:
 
-* :class:`DeadlockError` — raised when no process is runnable but
-  waiters remain; it names every blocked waiter, its wait condition,
+* :class:`DeadlockError` — raised when nothing can advance time (no
+  clock) but waiters remain; it names every blocked waiter, its wait condition,
   and carries the tail of the kernel's event journal (a ring buffer of
   the most recent notifications) so the last activity before the hang
   is visible in the exception itself.
@@ -21,9 +20,7 @@ provides the structured alternative:
   progress fingerprint stops changing for a simulated-time budget or a
   wall-clock budget, whichever expires first.
 
-Blocked waiters come from two sources: unfinished
-:class:`~repro.kernel.ThreadProcess` coroutines (registered
-automatically) and *waiter hooks* higher layers install on the
+Blocked waiters come from *waiter hooks* higher layers install on the
 simulator — e.g. every scripted bus master reports itself, with its
 script position and in-flight transactions, while it is not done.
 """
@@ -74,7 +71,7 @@ class DeadlockError(SimulationError):
     Attributes
     ----------
     kind:
-        ``"deadlock"`` (queues drained) or ``"stall"`` (watchdog trip).
+        ``"deadlock"`` (nothing to run) or ``"stall"`` (watchdog trip).
     now / delta_count:
         Kernel time and delta count at detection.
     blocked:

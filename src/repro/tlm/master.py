@@ -473,9 +473,8 @@ def run_script(simulator: Simulator, master: ScriptedMaster,
     completion counters: a master making *no* progress for that many
     bus cycles (or seconds of wall clock) trips early with the same
     diagnostic, instead of burning the whole *max_cycles* budget.  The
-    kernel polls it at every time advance, inside the clocked fast lane
-    too, so a guarded run stays on the fast lane and trips at the same
-    cycle on either kernel path.
+    kernel polls it at every clock edge, so a trip lands on the first
+    edge past the budget, wherever it falls in the 64-cycle slices.
     """
     start_cycle = clock.cycles
     slice_cycles = 64

@@ -201,7 +201,7 @@ class TestAttachPower:
         stack.supply.step = lambda cycle: (order.append("domain"),
                                            step(cycle))
         stack.governor.tick = lambda: (order.append("governor"), tick())
-        # steady cycles (the fast lane's fast-forward) tick the governor
+        # steady cycles (the kernel's fast-forward) tick the governor
         # through its steady step
         stack.governor.steady_tick = lambda: (order.append("governor"),
                                               steady_tick())

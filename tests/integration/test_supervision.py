@@ -26,10 +26,13 @@ RAM_BASE = 0x1000
 FOREVER = 10**6
 
 
-def build_stuck_platform(layer, fast_lane=True):
-    """A bus over a RAM whose FaultySlave wrapper hangs every access."""
-    simulator = Simulator(f"stuck-{layer}", fast_lane=fast_lane)
-    clock = Clock(simulator, "clk", period=100)
+def build_stuck_platform(layer, kernel=None):
+    """A bus over a RAM whose FaultySlave wrapper hangs every access,
+    on *kernel*'s ``Simulator`` and ``Clock`` (default: repro.kernel)."""
+    simulator_class, clock_class = ((Simulator, Clock) if kernel is None
+                                    else (kernel.Simulator, kernel.Clock))
+    simulator = simulator_class(f"stuck-{layer}")
+    clock = clock_class(simulator, "clk", period=100)
     memory_map = MemoryMap()
     ram = MemorySlave(RAM_BASE, 0x1000, WaitStates(), name="ram")
     stuck = FaultySlave(ram, [StuckWaitInjector(

@@ -1,29 +1,35 @@
-"""Steady-cycle fast-forward vs the generic kernel loop.
+"""Steady-cycle fast-forward vs the generic three-phase oracle.
 
-On a DPM-managed card running a T=1 session, the fast lane runs the
+On a DPM-managed card running a T=1 session, the kernel runs the
 cycles in which every process only repeats its steady bookkeeping as a
-tight loop of ``steady`` steps (:mod:`repro.kernel.fastlane`).  That
+tight loop of ``steady`` steps (:mod:`repro.kernel.simulator`).  That
 must be an observably identical execution: the same session report
 and energies bit for bit, the same supply and PSM books, the same
 kernel state (time, delta count, journal ring, every process's run
-count) as ``fast_lane=False``.  Wherever steadiness cannot be shown
-cheaply the lane must not fast-forward at all.
+count) as the oracle (``tests/kernel/reference_kernel.py``), which
+never fast-forwards.  Wherever steadiness cannot be shown cheaply the
+kernel must not fast-forward at all.
 """
 
+import contextlib
 import dataclasses
 import random
 
 import pytest
 
+import repro.kernel
+import repro.soc.smartcard
+
 from repro.experiments.link_campaign import (DPM_POLICY, DPM_SUPPLY,
                                              DPM_THINK)
-from repro.kernel import (STEADY_FOREVER, Clock, Module, ProgressWatchdog,
-                          Simulator)
+from repro.kernel import STEADY_FOREVER, Module, ProgressWatchdog
 from repro.link import LinkParams, NoisyChannel, run_link_session
 from repro.power import (FixedTimeoutPolicy, Layer1PowerModel,
                          SignalStateRecorder, default_table)
 from repro.soc import SmartCardPlatform
 from repro.workloads.apdu import COMMANDS
+
+from tests.kernel import reference_kernel
 
 TABLE = default_table()
 
@@ -41,7 +47,6 @@ def _floats(value):
 
 def _kernel_state(platform):
     simulator = platform.simulator
-    signal = platform.clock.signal
     return {
         "now": simulator.now,
         "delta_count": simulator.delta_count,
@@ -49,10 +54,19 @@ def _kernel_state(platform):
         "journal": tuple(simulator._journal),
         "run_counts": [(process.name, process.run_count)
                        for process in simulator._processes],
-        "clock_signal": (signal.transition_count, signal.last_change_time),
-        "timed_queue": [entry[:3] for entry in simulator._timed_queue],
-        "next_seq": next(simulator._seq),
     }
+
+
+def _platform(oracle, **options):
+    """A card on the kernel, or on the oracle when *oracle*."""
+    with (reference_kernel.building_with(repro.soc.smartcard) if oracle
+          else contextlib.nullcontext()):
+        platform = SmartCardPlatform(bus_layer="layer1", table=TABLE,
+                                     **options)
+    assert isinstance(platform.simulator, (reference_kernel.Simulator
+                                           if oracle else
+                                           repro.kernel.Simulator))
+    return platform
 
 
 def _books(platform, stack):
@@ -81,9 +95,8 @@ def _books(platform, stack):
     return books
 
 
-def _session(fast_lane, noise, seed, dpm, params=None):
-    platform = SmartCardPlatform(bus_layer="layer1", table=TABLE)
-    platform.simulator._fast_lane_enabled = fast_lane
+def _session(oracle, noise, seed, dpm, params=None):
+    platform = _platform(oracle)
     if dpm:
         stack = platform.attach_power(FixedTimeoutPolicy(**DPM_POLICY),
                                       supply=DPM_SUPPLY)
@@ -103,7 +116,6 @@ def _session(fast_lane, noise, seed, dpm, params=None):
         "books": _books(platform, stack),
         "kernel": _kernel_state(platform),
         "steady_cycles": platform.simulator.steady_cycles,
-        "fast_lane_time": platform.simulator.fast_lane_time,
     }
 
 
@@ -112,25 +124,24 @@ def _session(fast_lane, noise, seed, dpm, params=None):
 @pytest.mark.parametrize("noise", [0.0, 0.01, 0.05, 0.2])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_session_is_bit_identical(dpm, noise, seed):
-    fast = _session(True, noise, seed, dpm)
-    generic = _session(False, noise, seed, dpm)
-    assert fast["report"] == generic["report"]
-    assert fast["books"] == generic["books"]
-    assert fast["kernel"] == generic["kernel"]
+    fast = _session(False, noise, seed, dpm)
+    oracle = _session(True, noise, seed, dpm)
+    assert fast["report"] == oracle["report"]
+    assert fast["books"] == oracle["books"]
+    assert fast["kernel"] == oracle["kernel"]
     assert fast["report"]["outcome"] in ("complete", "degraded")
     assert fast["steady_cycles"] > 0
-    assert generic["steady_cycles"] == 0
-    assert fast["fast_lane_time"] == fast["kernel"]["now"]
+    assert oracle["steady_cycles"] == 0
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5])
 def test_session_with_wtx_is_bit_identical(seed):
     # an early WTX threshold: the card asks for extensions mid-script
     params = LinkParams(wtx_threshold=50)
-    fast = _session(True, 0.01, seed, True, params)
-    generic = _session(False, 0.01, seed, True, params)
+    fast = _session(False, 0.01, seed, True, params)
+    oracle = _session(True, 0.01, seed, True, params)
     for part in ("report", "books", "kernel"):
-        assert fast[part] == generic[part]
+        assert fast[part] == oracle[part]
     assert fast["report"]["wtx_grants"] > 0
     assert fast["steady_cycles"] > 0
 
@@ -162,15 +173,13 @@ STARVED_SUPPLY = dict(capacity_nj=5.0, harvest_pj_per_cycle=0.0,
                       brownout_nj=4.0, power_loss_nj=3.0)
 
 
-def _idle_card(fast_lane=True, with_cpu=False, with_dma=False,
+def _idle_card(oracle=False, with_cpu=False, with_dma=False,
                recorder=False, watchdog=False, halt_on_power_loss=False,
                supply=DPM_SUPPLY, **governor):
     power_model = (Layer1PowerModel(TABLE, recorder=SignalStateRecorder())
                    if recorder else None)
-    platform = SmartCardPlatform(bus_layer="layer1", table=TABLE,
-                                 with_cpu=with_cpu, with_dma=with_dma,
-                                 power_model=power_model)
-    platform.simulator._fast_lane_enabled = fast_lane
+    platform = _platform(oracle, with_cpu=with_cpu, with_dma=with_dma,
+                         power_model=power_model)
     stack = platform.attach_power(FixedTimeoutPolicy(**DPM_POLICY),
                                   supply=supply,
                                   halt_on_power_loss=halt_on_power_loss,
@@ -187,13 +196,13 @@ def _idle_card(fast_lane=True, with_cpu=False, with_dma=False,
                          ids=["harvesting", "starved"])
 def test_idle_card_is_bit_identical(supply):
     platform, stack = _idle_card(supply=supply)
-    generic, generic_stack = _idle_card(fast_lane=False, supply=supply)
-    assert platform.uart.transmitted == generic.uart.transmitted == [
+    oracle, oracle_stack = _idle_card(oracle=True, supply=supply)
+    assert platform.uart.transmitted == oracle.uart.transmitted == [
         0x41, 0x42]
-    assert platform.timers.overflows == generic.timers.overflows == [3, 0]
+    assert platform.timers.overflows == oracle.timers.overflows == [3, 0]
     assert platform.simulator.steady_cycles > IDLE_CYCLES // 2
-    assert _books(platform, stack) == _books(generic, generic_stack)
-    assert _kernel_state(platform) == _kernel_state(generic)
+    assert _books(platform, stack) == _books(oracle, oracle_stack)
+    assert _kernel_state(platform) == _kernel_state(oracle)
     if supply is STARVED_SUPPLY:
         # the threshold events fell inside steady runs, on their cycle
         assert stack.supply.brownouts and stack.supply.power_losses
@@ -210,9 +219,11 @@ def test_idle_card_is_bit_identical(supply):
     dict(halt_on_power_loss=True),
 ], ids=["watchdog", "signal_sink", "cpu", "dma", "watermarks", "halt"])
 def test_no_steady_cycles_where_unproven(options):
-    platform, _stack = _idle_card(**options)
+    platform, stack = _idle_card(**options)
+    oracle, oracle_stack = _idle_card(oracle=True, **options)
     assert platform.simulator.steady_cycles == 0
-    assert platform.simulator.fast_lane_time == platform.simulator.now
+    assert _books(platform, stack) == _books(oracle, oracle_stack)
+    assert _kernel_state(platform) == _kernel_state(oracle)
 
 
 # -- the kernel's batched bookkeeping, on a bare clock --------------------
@@ -256,28 +267,24 @@ class _Counter:
         self.total *= 1.0000001
 
 
-def _bare(fast_lane, capacity, durations):
-    simulator = Simulator("bare", journal_capacity=capacity,
-                          fast_lane=fast_lane)
-    clock = Clock(simulator, "clk", period=10)
+def _bare(kernel, capacity, durations):
+    simulator = kernel.Simulator("bare", journal_capacity=capacity)
+    clock = kernel.Clock(simulator, "clk", period=10)
     counter = _Counter(simulator, clock, period=37)
     for duration in durations:
         simulator.run(duration)
-    signal = clock.signal
     return (simulator.now, simulator.delta_count, clock.cycles,
-            tuple(simulator._journal), counter.ticks, counter.real,
-            repr(counter.total),
-            [process.run_count for process in simulator._processes],
-            signal.transition_count, signal.last_change_time,
-            [entry[:3] for entry in simulator._timed_queue],
-            next(simulator._seq)), simulator.steady_cycles
+            clock.read(), tuple(simulator._journal), counter.ticks,
+            counter.real, repr(counter.total),
+            [process.run_count for process in simulator._processes]
+            ), simulator.steady_cycles
 
 
 @pytest.mark.parametrize("capacity", [32, 7, 1, 0, None])
 def test_bare_clock_bookkeeping(capacity):
     # uneven run lengths end runs on either edge
     durations = [5_003, 2, 15, 4_000, 7, 10_000]
-    fast, steady = _bare(True, capacity, durations)
-    generic, none = _bare(False, capacity, durations)
-    assert fast == generic
+    fast, steady = _bare(repro.kernel, capacity, durations)
+    oracle, none = _bare(reference_kernel, capacity, durations)
+    assert fast == oracle
     assert steady > 0 and none == 0

@@ -1,4 +1,5 @@
-"""One owner each for the model hierarchy's rungs and the DPM stack.
+"""One owner each for the model hierarchy's rungs and the DPM stack,
+and one narrow surface for the kernel.
 
 Which bus class and energy model a layer name means, and how its final
 energy is read, is decided in :mod:`repro.soc.layers` (and, for the
@@ -7,7 +8,9 @@ DPM power stack is assembled is decided in :mod:`repro.soc.smartcard`
 (:meth:`~repro.soc.SmartCardPlatform.attach_power`).  Everything else
 asks them.  This walks ``src/repro`` with :mod:`ast` and fails when a
 module outside the owners and the defining packages names one of
-their classes itself.
+their classes itself.  It also fails when a module outside
+:mod:`repro.kernel` imports a kernel name beyond the models' surface,
+or when the generic scheduler's API reappears anywhere.
 """
 
 import ast
@@ -88,3 +91,123 @@ def test_the_walk_sees_the_package():
     assert "cli.py" in checked
     assert os.path.join("experiments", "common.py") in checked
     assert os.path.join("tlm", "layer1.py") not in checked
+
+
+# -- the kernel's surface ------------------------------------------------
+
+#: the kernel names a model may import (anything else is kernel-internal)
+KERNEL_NAMES = frozenset({"Clock", "Simulator", "Module", "Process",
+                          "STEADY_FOREVER", "ProgressWatchdog",
+                          "StallError", "DeadlockError", "BlockedWaiter",
+                          "JournalEntry", "SimulationError", "time"})
+
+#: the generic scheduler's API, gone with it: no module may bring it back
+DELETED_KERNEL_NAMES = frozenset({
+    "ThreadProcess", "Signal", "SignalBase", "BitSignal", "next_trigger",
+    "notify_delayed", "fast_lane", "fast_lane_time", "FELL_BACK",
+    "INELIGIBLE"})
+
+#: ... nor may the kernel grow its timed queue, delta loop or thread
+#: helpers again (other packages use some of these words for their own)
+DELETED_KERNEL_INTERNALS = frozenset({
+    "wait_cycles", "cancel", "heapq", "_timed_queue", "_run_delta",
+    "_advance_time", "_update_requests", "_runnable", "_dynamic_waiters",
+    "_deltas_since_check", "_DELTAS_PER_WATCHDOG_CHECK"})
+
+#: kernel modules deleted with the generic scheduler
+DELETED_KERNEL_MODULES = ("thread.py", "fastlane.py", "signal.py")
+
+
+def _identifiers(path):
+    """Every name a module defines, binds, imports or reads."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.keyword, ast.arg)) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+def _absolute(module, level, relative_dir):
+    """The absolute name of a (possibly relative) import in a module of
+    the package at *relative_dir* (relative to ``src/repro``)."""
+    if not level:
+        return module
+    package = ["repro"] + ([] if relative_dir == "."
+                           else relative_dir.split(os.sep))
+    base = package[:len(package) - (level - 1)]
+    return ".".join(base + ([module] if module else []))
+
+
+def _kernel_imports(path, relative_dir):
+    """The names *path* imports from repro.kernel or its submodules."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _absolute(node.module or "", node.level, relative_dir)
+            if module.split(".")[:2] == ["repro", "kernel"]:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("repro.kernel."):
+                    yield alias.name.rsplit(".", 1)[-1]
+
+
+def _package_modules():
+    for directory, _, files in os.walk(ROOT):
+        relative_dir = os.path.relpath(directory, ROOT)
+        for name in files:
+            if name.endswith(".py"):
+                yield relative_dir, name, os.path.join(directory, name)
+
+
+def test_models_import_only_the_kernel_surface():
+    offenders = {}
+    for relative_dir, name, path in _package_modules():
+        if relative_dir.split(os.sep)[0] == "kernel":
+            continue
+        found = sorted(set(_kernel_imports(path, relative_dir))
+                       - KERNEL_NAMES)
+        if found:
+            offenders[os.path.join(relative_dir, name)] = found
+    assert offenders == {}, (
+        "models drive the kernel through its public surface only: "
+        f"{offenders}")
+
+
+def test_the_generic_scheduler_stays_deleted():
+    kernel = os.path.join(ROOT, "kernel")
+    assert [name for name in DELETED_KERNEL_MODULES
+            if os.path.exists(os.path.join(kernel, name))] == []
+    offenders = {}
+    for relative_dir, name, path in _package_modules():
+        banned = DELETED_KERNEL_NAMES
+        if relative_dir.split(os.sep)[0] == "kernel":
+            banned = banned | DELETED_KERNEL_INTERNALS
+        found = sorted(set(_identifiers(path)) & banned)
+        if found:
+            offenders[os.path.join(relative_dir, name)] = found
+    assert offenders == {}, (
+        "the kernel is one clocked cycle loop; its generic-scheduler "
+        f"API must not come back: {offenders}")
+
+
+def test_the_kernel_import_walk_sees_models():
+    imported = {os.path.join(relative_dir, name):
+                set(_kernel_imports(path, relative_dir))
+                for relative_dir, name, path in _package_modules()}
+    assert {"Clock", "Module", "Simulator"} <= imported[
+        os.path.join("soc", "smartcard.py")]
+    assert "STEADY_FOREVER" in imported[os.path.join("soc", "uart.py")]
+    # relative imports resolve against their package
+    assert _absolute("kernel", 2, "tlm") == "repro.kernel"
+    assert _absolute("", 1, "tlm") == "repro.tlm"
