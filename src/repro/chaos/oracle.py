@@ -39,14 +39,15 @@ import random
 import struct
 import typing
 
-from repro.ec import RetryPolicy, data_write
+from repro.ec import RetryPolicy
 from repro.faults.fabric import build_fault_processes
-from repro.fabric import Topology, build_fabric
+from repro.fabric import Topology
 from repro.kernel import StallError
 from repro.power import FixedTimeoutPolicy
-from repro.soc import DMA_BASE, RAM_BASE, SmartCardPlatform
-from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
-from repro.tlm.master import BlockingMaster, normalise_script, run_script
+from repro.soc import SmartCardPlatform
+from repro.soc.dma import ram_move_script
+from repro.tlm.layer3 import MessageRun
+from repro.tlm.master import BlockingMaster, run_script
 
 from .scenario import ChaosScenario, scenario_script
 
@@ -62,10 +63,6 @@ ENERGY_ENVELOPE = (0.3, 3.0)
 #: the untimed layer runs no DMA engine)
 _DIGEST_RAM_BYTES = 0x400
 _DIGEST_EEPROM_BYTES = 0x1000
-
-_DMA_SRC = RAM_BASE + 0x600
-_DMA_DST = RAM_BASE + 0x700
-_DMA_WORDS = 8
 
 #: recovery policy of scenarios with ``retry=True``; no per-attempt
 #: watchdog — injected stall windows must trip the *progress* watchdog
@@ -145,21 +142,6 @@ class ScenarioResult:
                 "signature": self.failure_signature}
 
 
-def _dma_descriptor(seed: str) -> typing.List:
-    """Root-segment DMA program: RAM-to-RAM burst move (never crosses
-    the bridge, so it perturbs arbitration without consuming fault
-    crossing indices)."""
-    rng = random.Random(f"{seed}/dma")
-    payload = [rng.getrandbits(32) for _ in range(_DMA_WORDS)]
-    script = [data_write(_DMA_SRC, payload[:4]),
-              data_write(_DMA_SRC + 16, payload[4:])]
-    for offset, value in ((SRC, _DMA_SRC), (DST, _DMA_DST),
-                          (LEN, _DMA_WORDS),
-                          (CTRL, CTRL_START | CTRL_BURST)):
-        script.append(data_write(DMA_BASE + 4 * offset, [value]))
-    return script
-
-
 def _topology(scenario: ChaosScenario, layer: str) -> Topology:
     arbiter = None if layer == "layer3" else scenario.arbiter
     return Topology.two_segment(
@@ -180,11 +162,10 @@ def _memory_digest(platform: SmartCardPlatform) -> str:
     return hasher.hexdigest()
 
 
-def _item_outcomes(script: typing.List,
-                   completed: typing.List) -> typing.List[typing.List]:
-    """Final per-item verdicts in script order.  The blocking master
-    finishes items strictly in order, so ``completed`` (retries
-    collapsed by the recovery machinery) aligns with the script."""
+def _item_outcomes(completed: typing.List) -> typing.List[typing.List]:
+    """Final per-item verdicts in script order: each master finishes
+    items strictly in order, and ``completed`` holds one final attempt
+    per item."""
     outcomes = []
     for transaction in completed:
         verdict = ("ok" if not transaction.error
@@ -192,7 +173,6 @@ def _item_outcomes(script: typing.List,
                          if transaction.error_cause else "uncaused"))
         outcomes.append([transaction.kind.value, transaction.address,
                          verdict])
-    del script  # alignment is by order; the script fixes the length
     return outcomes
 
 
@@ -208,11 +188,16 @@ def _bridge_counter_dict(bridge) -> typing.Dict[str, int]:
     }
 
 
-def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
-    table = _characterization_table()
+def _run_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
+    """One arm.  A timed layer runs the scenario's DMA and DPM under a
+    blocking master and the progress watchdog; layer 3 completes the
+    same script synchronously, with the same retry decisions."""
+    from repro.experiments.common import characterization
+    timed = layer != "layer3"
     platform = SmartCardPlatform(
-        bus_layer=layer, table=table, topology=_topology(scenario, layer),
-        with_dma=scenario.with_dma)
+        bus_layer=layer, table=characterization().table,
+        topology=_topology(scenario, layer),
+        with_dma=timed and scenario.with_dma)
     fault_process, glitch_process = build_fault_processes(scenario.faults)
     bridge = platform.fabric.bridge("bridge")
     bridge.fault_process = fault_process
@@ -221,48 +206,52 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
         arbiter.glitch_process = glitch_process
 
     psm_ledgers: typing.List = []
-    if scenario.dpm:
+    if timed and scenario.dpm:
         # default supply, well-fed: chaos, not brownout
         stack = platform.attach_power(FixedTimeoutPolicy())
         psm_ledgers = list(stack.psms.values())
 
     script = scenario_script(scenario)
     dma_items = 0
-    if scenario.with_dma:
-        dma_script = _dma_descriptor(scenario.seed)
+    if platform.dma is not None:
+        # a root-segment RAM-to-RAM move: it never crosses the bridge,
+        # so it perturbs arbitration without using fault crossings
+        dma_script = ram_move_script(random.Random(f"{scenario.seed}/dma"))
         dma_items = len(dma_script)
         script = dma_script + script
-    master = BlockingMaster(
-        platform.simulator, platform.clock, platform.cpu_interface,
-        script, name="cpu",
-        retry_policy=_RETRY_POLICY if scenario.retry else None)
+    policy = _RETRY_POLICY if scenario.retry else None
 
     hang = False
     diagnostic = None
     cycles = 0
-    try:
-        cycles = run_script(platform.simulator, master,
-                            scenario.max_cycles, platform.clock,
-                            stall_cycles=scenario.stall_cycles)
-        if not platform.drain(DRAIN_CYCLES):
+    if timed:
+        master = BlockingMaster(
+            platform.simulator, platform.clock, platform.cpu_interface,
+            script, name="cpu", retry_policy=policy)
+        try:
+            cycles = run_script(platform.simulator, master,
+                                scenario.max_cycles, platform.clock,
+                                stall_cycles=scenario.stall_cycles)
+            if not platform.drain(DRAIN_CYCLES):
+                hang = True
+                diagnostic = "fabric did not drain after script completion"
+        except StallError as exc:
             hang = True
-            diagnostic = "fabric did not drain after script completion"
-    except StallError as exc:
-        hang = True
-        diagnostic = str(exc).splitlines()[0]
+            diagnostic = str(exc).splitlines()[0]
+    else:
+        master = MessageRun(platform.cpu_interface, script,
+                            retry_policy=policy)
 
     report = platform.fabric.energy_report(
         platform.energy_ledgers() + psm_ledgers)
-    digest = _memory_digest(platform)
-    uncaused = sum(1 for txn in master.errors
-                   if txn.error_cause is None)
     return LayerRun(
         layer=layer, hang=hang, hang_diagnostic=diagnostic,
-        outcomes=_item_outcomes(script, master.completed)[dma_items:],
-        digest=digest, cycles=cycles,
+        outcomes=_item_outcomes(master.completed)[dma_items:],
+        digest=_memory_digest(platform), cycles=cycles,
         transactions=len(master.completed) - dma_items,
         errors=len(master.errors), retries=master.retries,
-        uncaused_errors=uncaused,
+        uncaused_errors=sum(1 for txn in master.errors
+                            if txn.error_cause is None),
         fault_reports=len(master.fault_reports),
         recovered=sum(1 for rep in master.fault_reports
                       if rep.recovered),
@@ -278,81 +267,6 @@ def _run_timed_layer(scenario: ChaosScenario, layer: str) -> LayerRun:
         probe_total_pj=report.probe_total_pj,
         balanced=report.balanced,
         imbalance_pj=report.imbalance_pj)
-
-
-def _run_layer3(scenario: ChaosScenario) -> LayerRun:
-    """The untimed arm: synchronous routing, emulated retry loop (the
-    same attempts/cause decisions the blocking master makes)."""
-    platform = SmartCardPlatform()  # slave farm only
-    fabric = build_fabric(_topology(scenario, "layer3"), platform.slaves,
-                          bus_layer="layer3")
-    fault_process, glitch_process = build_fault_processes(scenario.faults)
-    bridge = fabric.bridge("bridge")
-    bridge.fault_process = fault_process
-
-    policy = _RETRY_POLICY if scenario.retry else None
-    outcomes: typing.List[typing.List] = []
-    errors = retries = uncaused = reports = recovered = 0
-    for _, transaction in normalise_script(scenario_script(scenario)):
-        current = transaction
-        attempts = 0
-        while True:
-            state = fabric.root_bus.issue(current)
-            if not state.finished:
-                raise RuntimeError(
-                    "layer-3 transaction did not complete "
-                    f"synchronously: {current}")
-            if not current.error:
-                break
-            attempts += 1
-            if policy is None or not policy.should_retry(
-                    current.error_cause, attempts):
-                break
-            retries += 1
-            current = current.clone()
-        if current.error:
-            errors += 1
-            if current.error_cause is None:
-                uncaused += 1
-            verdict = (current.error_cause.value
-                       if current.error_cause else "uncaused")
-        else:
-            verdict = "ok"
-        if attempts > 0:
-            reports += 1
-            if not current.error:
-                recovered += 1
-        outcomes.append([current.kind.value, current.address, verdict])
-
-    report = fabric.energy_report(platform.energy_ledgers())
-    digest = _memory_digest(platform)
-    return LayerRun(
-        layer="layer3", hang=False, hang_diagnostic=None,
-        outcomes=outcomes, digest=digest, cycles=0,
-        transactions=len(outcomes), errors=errors, retries=retries,
-        uncaused_errors=uncaused, fault_reports=reports,
-        recovered=recovered,
-        crossings_read=bridge._read_crossings,
-        crossings_write=bridge._write_crossings,
-        fired=dict(fault_process.fired),
-        glitches_fired=glitch_process.fired,
-        bridge_counters=_bridge_counter_dict(bridge),
-        posted_pending=fabric.posted_writes_pending,
-        posted_lost=bridge.posted_lost_on_power_off,
-        dma_words=0,
-        probe_total_pj=report.probe_total_pj,
-        balanced=report.balanced,
-        imbalance_pj=report.imbalance_pj)
-
-
-_TABLE_CACHE: typing.List = []
-
-
-def _characterization_table():
-    if not _TABLE_CACHE:
-        from repro.experiments.common import characterization
-        _TABLE_CACHE.append(characterization().table)
-    return _TABLE_CACHE[0]
 
 
 def _classify(scenario: ChaosScenario,
@@ -449,11 +363,6 @@ def run_scenario(scenario: ChaosScenario,
                  ) -> ScenarioResult:
     """Run *scenario* on every requested layer and classify the
     cross-layer divergences (empty list = the scenario passed)."""
-    runs: typing.List[LayerRun] = []
-    for layer in layers:
-        if layer == "layer3":
-            runs.append(_run_layer3(scenario))
-        else:
-            runs.append(_run_timed_layer(scenario, layer))
+    runs = [_run_layer(scenario, layer) for layer in layers]
     return ScenarioResult(scenario=scenario, layers=runs,
                           divergences=_classify(scenario, runs))

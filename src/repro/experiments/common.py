@@ -24,7 +24,7 @@ from repro.power.characterize import (CharacterizationResult,
 from repro.power.table import CharacterizationTable
 from repro.soc.layers import build_bus, layer_name
 from repro.soc.smartcard import SmartCardPlatform
-from repro.tlm import PipelinedMaster, run_script
+from repro.tlm import MessageRun, PipelinedMaster, run_script
 from repro.workloads import BusTrace
 
 CLOCK_PERIOD = 100
@@ -63,24 +63,33 @@ def fresh_memory_map() -> MemoryMap:
 
 def run_on_layer(layer: str, script, table: typing.Optional[
         CharacterizationTable] = None) -> RunResult:
-    """Replay *script* on one rung (``"layer1"``, ``"layer2"`` or
-    ``"gate-level"``) over a fresh Figure-1 memory map.
+    """Replay *script* on one rung (``"layer1"``, ``"layer2"``,
+    ``"gate-level"`` or ``"layer3"``) over a fresh Figure-1 memory map.
 
     With *table* the run is priced: the TLM layers through their energy
-    models, gate level through Diesel.  An unknown *layer* raises
-    :class:`ValueError`.
+    models, gate level through Diesel.  Layer 3 is untimed and
+    unpriced: the script completes through
+    :class:`~repro.tlm.MessageRun`, in 0 cycles and with energy
+    ``None``.  An unknown *layer* raises :class:`ValueError`.
     """
     layer = layer_name(layer)
-    simulator = Simulator("rtl" if layer == "gate-level" else layer)
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
-    layer_bus = build_bus(layer, simulator, clock, memory_map, table=table)
-    master = PipelinedMaster(simulator, clock, layer_bus.bus, script)
-    started = time.perf_counter()
-    run_script(simulator, master, MAX_REPLAY_CYCLES, clock)
+    simulator = clock = None
+    if layer != "layer3":
+        simulator = Simulator("rtl" if layer == "gate-level" else layer)
+        clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
+    layer_bus = build_bus(layer, simulator, clock, fresh_memory_map(),
+                          table=table)
+    if clock is None:
+        started = time.perf_counter()
+        run = MessageRun(layer_bus.bus, script)
+    else:
+        run = PipelinedMaster(simulator, clock, layer_bus.bus, script)
+        started = time.perf_counter()
+        run_script(simulator, run, MAX_REPLAY_CYCLES, clock)
     wall = time.perf_counter() - started
-    return RunResult(layer, _busy_cycles(master), len(master.completed),
-                     wall, layer_bus.energy_pj())
+    cycles = 0 if clock is None else _busy_cycles(run)
+    return RunResult(layer, cycles, len(run.completed), wall,
+                     layer_bus.energy_pj())
 
 
 def _busy_cycles(master) -> int:

@@ -32,10 +32,11 @@ import random
 import typing
 
 from repro.ec import data_read, data_write
-from repro.fabric import Topology, build_fabric
-from repro.soc import DMA_BASE, RAM_BASE, UART_BASE, SmartCardPlatform
-from repro.soc.dma import CTRL, CTRL_BURST, CTRL_START, DST, LEN, SRC
-from repro.tlm.master import PipelinedMaster, normalise_script, run_script
+from repro.fabric import Topology
+from repro.soc import DMA_BASE, UART_BASE, SmartCardPlatform
+from repro.soc.dma import ram_move_script
+from repro.tlm.layer3 import MessageRun
+from repro.tlm.master import PipelinedMaster, run_script
 from repro.workloads.apdu import apdu_session
 
 from .common import characterization
@@ -44,12 +45,6 @@ from .supervisor import CampaignSupervisor, check_choices, check_counts
 
 TOPOLOGIES = ("flat", "bridged")
 FABRIC_LAYERS = ("layer1", "layer2", "layer3")
-
-#: RAM staging windows of the campaign's DMA descriptor (outside the
-#: address ranges the APDU expanders touch)
-_DMA_SRC = RAM_BASE + 0x600
-_DMA_DST = RAM_BASE + 0x700
-_DMA_WORDS = 8
 
 #: Cycle budget of every run_script call in a cell.
 MAX_CYCLES = 300_000
@@ -225,24 +220,6 @@ def _periph_probe() -> typing.List:
             data_read(UART_BASE)]       # UART data (loopback drain)
 
 
-def _dma_descriptor(rng: random.Random) -> typing.List:
-    """Bus script programming one burst RAM-to-RAM DMA move."""
-    payload = [rng.getrandbits(32) for _ in range(_DMA_WORDS)]
-    script = [data_write(_DMA_SRC, payload[:4]),
-              data_write(_DMA_SRC + 16, payload[4:])]
-    for offset, value in ((SRC, _DMA_SRC), (DST, _DMA_DST),
-                          (LEN, _DMA_WORDS),
-                          (CTRL, CTRL_START | CTRL_BURST)):
-        script.append(data_write(DMA_BASE + 4 * offset, [value]))
-    return script
-
-
-def _timed_platform(topology: str, layer: str, table):
-    return SmartCardPlatform(
-        bus_layer=layer, table=table,
-        topology=_campaign_topology(topology, layer), with_dma=True)
-
-
 def _bridge_crossings(fabric) -> typing.Tuple[int, int]:
     crossings = sum(bridge.forwarded_reads + bridge.forwarded_writes
                     + bridge.messages_forwarded
@@ -275,14 +252,16 @@ def _flat_identity(layer: str, seed, commands: int, table,
 
 def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
                      table, wall_seconds: typing.Optional[float]) -> dict:
+    if layer == "layer3":
+        return _run_layer3_cell(topology, seed, commands)
     # the workload seed deliberately excludes the topology: the flat
     # and bridged arms of one layer replay the *same* traffic, so
     # their cycle counts isolate the cost of the bridge crossing
     rng = random.Random(f"{seed}/dma/{layer}")
-    if layer == "layer3":
-        return _run_layer3_cell(topology, rng, seed, commands)
-    platform = _timed_platform(topology, layer, table)
-    script = (_dma_descriptor(rng)
+    platform = SmartCardPlatform(
+        bus_layer=layer, table=table,
+        topology=_campaign_topology(topology, layer), with_dma=True)
+    script = (ram_move_script(rng)
               + _session_script(f"{seed}/session/{layer}", commands)
               + _periph_probe())
     master = PipelinedMaster(platform.simulator, platform.clock,
@@ -326,30 +305,20 @@ def _run_fabric_cell(topology: str, layer: str, seed, commands: int,
     }
 
 
-def _run_layer3_cell(topology: str, rng: random.Random, seed,
-                     commands: int) -> dict:
+def _run_layer3_cell(topology: str, seed, commands: int) -> dict:
     """The untimed arm: same traffic, synchronous routing, energy from
     the peripheral + bridge ledgers only (layer 3 prices no wires)."""
-    platform = SmartCardPlatform()  # slave farm only
-    fabric = build_fabric(_campaign_topology(topology, "layer3"),
-                          platform.slaves, bus_layer="layer3")
-    script = (_session_script(f"{seed}/session/layer3", commands)
-              + _periph_probe())
-    errors = completed = 0
-    for _, transaction in normalise_script(script):
-        state = fabric.root_bus.issue(transaction)
-        if not state.finished:
-            raise RuntimeError(
-                f"layer-3 transaction did not complete synchronously: "
-                f"{transaction}")
-        completed += 1
-        if transaction.error:
-            errors += 1
-    report = fabric.energy_report(platform.energy_ledgers())
-    crossings, posted_errors = _bridge_crossings(fabric)
+    platform = SmartCardPlatform(
+        bus_layer="layer3", topology=_campaign_topology(topology, "layer3"))
+    run = MessageRun(platform.cpu_interface,
+                     _session_script(f"{seed}/session/layer3", commands)
+                     + _periph_probe())
+    report = platform.energy_report()
+    crossings, posted_errors = _bridge_crossings(platform.fabric)
     return {
         "topology": topology, "layer": "layer3",
-        "cycles": 0, "transactions": completed, "errors": errors,
+        "cycles": 0, "transactions": len(run.completed),
+        "errors": len(run.errors),
         "dma_words": 0, "cpu_grants": 0, "dma_grants": 0,
         "bridge_crossings": crossings, "posted_errors": posted_errors,
         "probe_total_pj": report.probe_total_pj,

@@ -1,9 +1,9 @@
 """Build a live bus fabric from a declarative :class:`Topology`.
 
 One :func:`build_fabric` call turns segment/bridge specs into memory
-maps, bus models (any of the three TLM layers), bridges and arbiters,
-wired bottom-up so every bridge is a slave on its upstream map and a
-master on its downstream bus.  The resulting :class:`BusFabric` owns
+maps, bus models (any rung :func:`repro.soc.layers.build_bus` builds),
+bridges and arbiters, wired bottom-up so every bridge is a slave on its
+upstream map and a master on its downstream bus.  The resulting :class:`BusFabric` owns
 the per-link energy buckets — one per segment bus model, bridge and
 arbiter — and can telescope them into a single probe total
 (:meth:`BusFabric.energy_report`), the invariant the fabric campaign
@@ -49,7 +49,7 @@ class FabricSegment:
     bus: typing.Any
     power_model: typing.Any = None  # transaction-level; None at gate level
     arbiter: typing.Any = None
-    layer_bus: typing.Any = None  # the clocked rung; None at layer 3
+    layer_bus: typing.Any = None  # the rung (repro.soc.layers.LayerBus)
 
     @property
     def master_interface(self) -> typing.Any:
@@ -224,13 +224,13 @@ def build_fabric(topology: Topology,
                  ) -> BusFabric:
     """Instantiate *topology* over the named *slaves*.
 
-    * ``bus_layer`` ``"layer1"``/``"layer2"`` (or ``1``/``2``) build
-      clocked segment buses through :func:`repro.soc.layers.build_bus`
-      (*simulator* and *clock* required); ``"gate-level"`` does too,
-      but only for a single-segment topology — gate level models the
-      flat card; ``"layer3"`` (or ``3``) builds untimed
-      :class:`~repro.tlm.EcBusLayer3` segments whose routing is
-      synchronous.
+    * ``bus_layer`` names the rung of every segment bus (see
+      :func:`repro.soc.layers.layer_name`), each built through
+      :func:`repro.soc.layers.build_bus`.  The clocked rungs need
+      *simulator* and *clock*, and gate level only builds a
+      single-segment topology — it models the flat card;
+      ``"layer3"`` (or ``3``) builds untimed segments whose routing is
+      synchronous, and no arbiter.
     * ``power_model`` is the root segment's bus power model; with a
       characterisation *table* every other segment gets a fresh model
       of its own, and without one it runs unpriced.
@@ -240,19 +240,16 @@ def build_fabric(topology: Topology,
       an arbiter, directly on the bus otherwise.
     """
     from repro.soc.layers import build_bus, layer_name
-    from repro.tlm import EcBusLayer3
     from repro.tlm.arbiter import BusArbiter
 
-    layer3 = bus_layer in (3, "layer3")
-    if not layer3:
-        bus_layer = layer_name(bus_layer)
-        if bus_layer == "gate-level" and not topology.is_flat:
-            raise ValueError("a routed topology needs transaction-level "
-                             "segment buses; gate level models the flat "
-                             "card")
-        if simulator is None or clock is None:
-            raise ValueError("timed bus layers need a simulator and "
-                             "clock")
+    bus_layer = layer_name(bus_layer)
+    timed = bus_layer != "layer3"
+    if bus_layer == "gate-level" and not topology.is_flat:
+        raise ValueError("a routed topology needs transaction-level "
+                         "segment buses; gate level models the flat "
+                         "card")
+    if timed and (simulator is None or clock is None):
+        raise ValueError("timed bus layers need a simulator and clock")
 
     missing = [name for name in topology.slave_names()
                if name not in slaves]
@@ -265,6 +262,10 @@ def build_fabric(topology: Topology,
 
     def build_segment(spec_name: str) -> FabricSegment:
         spec = topology.segment(spec_name)
+        if spec.arbiter is not None and not timed:
+            raise ValueError(
+                f"segment {spec_name!r}: arbitration is a timed "
+                f"concept; layer 3 is untimed")
         memory_map = MemoryMap()
         for slave_name in spec.slaves:
             memory_map.add_slave(slaves[slave_name], slave_name)
@@ -278,34 +279,24 @@ def build_fabric(topology: Topology,
             memory_map.add_slave(bridge, bridge_spec.name)
             bridges[bridge_spec.name] = bridge
             pending.append((bridge, child))
-        model = power_model if spec_name == topology.root else None
-        layer_bus = None
-        if layer3:
-            if spec.arbiter is not None:
-                raise ValueError(
-                    f"segment {spec_name!r}: arbitration is a timed "
-                    f"concept; layer 3 is untimed")
-            bus = EcBusLayer3(memory_map, name=f"ec_bus_{spec_name}")
-            arbiter = None
-        else:
-            layer_bus = build_bus(bus_layer, simulator, clock, memory_map,
-                                  table=table, power_model=model,
-                                  name=f"ec_bus_{spec_name}")
-            bus, model = layer_bus.bus, layer_bus.tlm_model
-            arbiter = (BusArbiter(simulator, clock, bus,
-                                  policy=spec.arbiter,
-                                  name=f"{spec_name}_arbiter")
-                       if spec.arbiter is not None else None)
+        layer_bus = build_bus(
+            bus_layer, simulator, clock, memory_map, table=table,
+            power_model=power_model if spec_name == topology.root else None,
+            name=f"ec_bus_{spec_name}")
+        bus = layer_bus.bus
+        arbiter = (BusArbiter(simulator, clock, bus, policy=spec.arbiter,
+                              name=f"{spec_name}_arbiter")
+                   if spec.arbiter is not None else None)
         segment = FabricSegment(spec_name, memory_map, bus,
-                                power_model=model, arbiter=arbiter,
-                                layer_bus=layer_bus)
+                                power_model=layer_bus.tlm_model,
+                                arbiter=arbiter, layer_bus=layer_bus)
         for bridge, child in pending:
             downstream = (child.arbiter.port(bridge.name, priority=0)
                           if child.arbiter is not None else child.bus)
-            if layer3:
-                bridge.connect(downstream)
-            else:
+            if timed:
                 bridge.connect(downstream, simulator, clock)
+            else:
+                bridge.connect(downstream)
         segments[spec_name] = segment
         return segment
 

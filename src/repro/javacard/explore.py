@@ -20,7 +20,7 @@ import typing
 from repro.ec import MemoryMap, MergePattern
 from repro.kernel import Clock, Simulator
 from repro.power.table import CharacterizationTable
-from repro.soc.layers import build_bus
+from repro.soc.layers import build_bus, clocked_layer_name
 from repro.soc.memory import Rom, ScratchpadRam
 from repro.soc.smartcard import RAM_BASE, ROM_BASE
 
@@ -121,8 +121,8 @@ def _build_refined_model(config: InterfaceConfig,
     memory_map.add_slave(ScratchpadRam(RAM_BASE), "ram")
     hw_stack = HardwareStack(config.stack_base, layout=config.layout)
     memory_map.add_slave(hw_stack, "hw_stack")
-    layer_bus = build_bus(bus_layer, simulator, clock, memory_map,
-                          table=table)
+    layer_bus = build_bus(clocked_layer_name(bus_layer), simulator, clock,
+                          memory_map, table=table)
     adapter = StackMasterAdapter(simulator, clock, layer_bus.bus,
                                  config.stack_base,
                                  layout=config.layout,

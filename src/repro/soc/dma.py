@@ -20,6 +20,7 @@ Register map (word offsets):
 
 from __future__ import annotations
 
+import random
 import typing
 
 from repro.ec import BusState, data_read, data_write
@@ -35,6 +36,27 @@ CTRL_BURST = 1 << 1
 STATUS_BUSY = 1 << 0
 STATUS_DONE = 1 << 1
 STATUS_ERROR = 1 << 2
+
+#: RAM staging windows of :func:`ram_move_script`, as offsets from the
+#: card's RAM base (above the spans the seeded workloads touch)
+_MOVE_SRC = 0x600
+_MOVE_DST = 0x700
+_MOVE_WORDS = 8
+
+
+def ram_move_script(rng: random.Random) -> typing.List:
+    """Bus script programming the card's DMA for one burst RAM-to-RAM
+    move: stage *rng*'s words, then write SRC, DST, LEN and CTRL."""
+    from .smartcard import DMA_BASE, RAM_BASE
+    source = RAM_BASE + _MOVE_SRC
+    payload = [rng.getrandbits(32) for _ in range(_MOVE_WORDS)]
+    script = [data_write(source, payload[:4]),
+              data_write(source + 16, payload[4:])]
+    for offset, value in ((SRC, source), (DST, RAM_BASE + _MOVE_DST),
+                          (LEN, _MOVE_WORDS),
+                          (CTRL, CTRL_START | CTRL_BURST)):
+        script.append(data_write(DMA_BASE + 4 * offset, [value]))
+    return script
 
 
 class DmaController(Peripheral):

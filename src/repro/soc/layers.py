@@ -18,10 +18,18 @@ and a rule for reading the final energy:
     :class:`~repro.power.Layer2PowerModel` (per-phase energy); the
     model accrues the clock baseline lazily, so the final read first
     brings it up to the bus's last cycle.
+``"layer3"``
+    :class:`~repro.tlm.EcBusLayer3`, the untimed message layer: no
+    clock, no energy model yet (:meth:`LayerBus.energy_pj` is
+    ``None``).  Scripts complete on it through
+    :class:`~repro.tlm.MessageRun`.
 
-:func:`layer_name` is the one layer vocabulary: the three names above,
-plus the integers ``1`` and ``2`` that ``SmartCardPlatform(bus_layer=)``
-has always accepted.  Anything else is a :class:`ValueError`.
+:func:`layer_name` is the one layer vocabulary: the four names above,
+plus the integers ``1``, ``2`` and ``3`` that
+``SmartCardPlatform(bus_layer=)`` accepts.  Anything else is a
+:class:`ValueError`.  :data:`LAYERS` holds the clocked rungs, the ones
+a campaign sweeps by default; :func:`clocked_layer_name` is the check
+for callers that need a clock.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import dataclasses
 import typing
 
 from repro.power import Layer1PowerModel, Layer2PowerModel
-from repro.tlm import EcBusLayer1, EcBusLayer2
+from repro.tlm import EcBusLayer1, EcBusLayer2, EcBusLayer3
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ec import MemoryMap
@@ -39,19 +47,32 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.power.diesel import DieselReport, WireLoadModel
     from repro.power.table import CharacterizationTable
 
-#: the rungs, from the most abstract to the reference
+#: the clocked rungs, from the most abstract to the reference
 LAYERS = ("layer1", "layer2", "gate-level")
 
-_ALIASES = {1: "layer1", 2: "layer2"}
+#: every rung: the clocked ones and the untimed message layer
+_NAMES = LAYERS + ("layer3",)
+
+_ALIASES = {1: "layer1", 2: "layer2", 3: "layer3"}
 
 
 def layer_name(layer: typing.Union[str, int]) -> str:
     """The canonical name of *layer*; :class:`ValueError` when it names
     no rung."""
     name = _ALIASES.get(layer, layer) if isinstance(layer, int) else layer
-    if name not in LAYERS:
+    if name not in _NAMES:
         raise ValueError(f"unknown layer {layer!r}; choose from "
-                         f"{', '.join(LAYERS)}")
+                         f"{', '.join(_NAMES)}")
+    return name
+
+
+def clocked_layer_name(layer: typing.Union[str, int]) -> str:
+    """:func:`layer_name` for a caller that runs a clock:
+    :class:`ValueError` on the untimed layer 3 too."""
+    name = layer_name(layer)
+    if name not in LAYERS:
+        raise ValueError(f"layer {layer!r} is untimed; choose a clocked "
+                         f"layer from {', '.join(LAYERS)}")
     return name
 
 
@@ -70,7 +91,8 @@ def _new_model(layer: str, table: "CharacterizationTable",
 
 @dataclasses.dataclass
 class LayerBus:
-    """One built rung: its bus and energy model (``None`` = unpriced)."""
+    """One built rung: its bus and energy model (``None`` = unpriced,
+    always so at layer 3)."""
 
     layer: str
     bus: typing.Any
@@ -105,8 +127,9 @@ class LayerBus:
         return self.power_model.total_energy_pj
 
 
-def build_bus(layer: typing.Union[str, int], simulator: "Simulator",
-              clock: "Clock", memory_map: "MemoryMap",
+def build_bus(layer: typing.Union[str, int],
+              simulator: typing.Optional["Simulator"],
+              clock: typing.Optional["Clock"], memory_map: "MemoryMap",
               table: typing.Optional["CharacterizationTable"] = None,
               power_model: typing.Any = None,
               recorder: typing.Optional["SignalStateRecorder"] = None,
@@ -122,10 +145,18 @@ def build_bus(layer: typing.Union[str, int], simulator: "Simulator",
     *recorder* captures the per-cycle waveform (layer 1 through its
     power model, gate level through the bus); *bus_options* (``name``,
     layer 2's ``requery_wait_states``) go to the bus class.
+
+    Layer 3 is untimed: it needs no *simulator* or *clock*, runs
+    unpriced whatever the *table*, and leaves the slaves unbound (a
+    dynamic slave then reads cycle 0).
     """
     layer = layer_name(layer)
-    if recorder is not None and layer == "layer2":
-        raise ValueError("layer 2 records no per-cycle waveform")
+    if recorder is not None and layer in ("layer2", "layer3"):
+        raise ValueError(f"{layer} records no per-cycle waveform")
+    if layer == "layer3":
+        if power_model is not None:
+            raise ValueError("layer 3 is unpriced")
+        return LayerBus(layer, EcBusLayer3(memory_map, **bus_options))
     if power_model is None and table is not None:
         power_model = _new_model(layer, table, recorder)
     if layer == "gate-level":

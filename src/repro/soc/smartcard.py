@@ -1,16 +1,20 @@
 """The Figure-1 smart card platform, assembled.
 
-One call builds the whole target architecture around any of the three
-bus models: ROM, FLASH, EEPROM and scratchpad RAM behind the EC bus,
-plus the memory-mapped UART, the two 16-bit timers, the TRNG and the
+One call builds the whole target architecture around any of the bus
+models: ROM, FLASH, EEPROM and scratchpad RAM behind the EC bus, plus
+the memory-mapped UART, the two 16-bit timers, the TRNG and the
 interrupt controller.  A platform tick process advances the
 peripherals once per clock cycle.
 
 *bus_layer* names the rung of the model hierarchy the bus models
-(``"layer1"``, ``"layer2"`` or ``"gate-level"``; see
+(``"layer1"``, ``"layer2"``, ``"gate-level"`` or ``"layer3"``; see
 :mod:`repro.soc.layers`).  Pass ``table=`` to price the card: every
 segment bus then gets a fresh energy model, rebuilt on each
-:meth:`SmartCardPlatform.cold_boot`.
+:meth:`SmartCardPlatform.cold_boot`.  A ``"layer3"`` card is untimed
+and unpriced: scripts complete on its bus through
+:class:`~repro.tlm.MessageRun`, its clock never runs, and only the
+bridge and peripheral ledgers book energy.  It has no arbiter, so no
+DMA.
 
 Every card is a :class:`~repro.fabric.Topology` built by
 :func:`~repro.fabric.build_fabric`.  The default is the flat

@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "bus_base": ("EcBusBase",),
     "layer1": ("EcBusLayer1",),
     "layer2": ("EcBusLayer2",),
-    "layer3": ("EcBusLayer3",),
+    "layer3": ("EcBusLayer3", "MessageRun"),
     "master": ("BlockingMaster", "PipelinedMaster", "ScriptedMaster",
                "normalise_script", "run_script"),
     "queues": ("FinishPool", "TransactionQueue"),

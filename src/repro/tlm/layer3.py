@@ -23,6 +23,10 @@ Two interfaces are offered:
 * the standard non-blocking :class:`BusMasterInterface`, completing
   every transaction on its first invocation, so every existing master
   and adapter runs unchanged (just infinitely fast).
+
+:class:`MessageRun` completes a bus script on the layer without a
+clock: the untimed counterpart of
+:class:`~repro.tlm.master.BlockingMaster`.
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ from __future__ import annotations
 import typing
 
 from repro.ec import (BYTES_PER_WORD, BusState, DecodeError, ErrorCause,
-                      MemoryMap, Transaction, TransactionKind)
+                      FaultReport, MemoryMap, RetryPolicy, Transaction,
+                      TransactionKind)
 from repro.ec.interfaces import BusMasterInterface
+
+from .master import ScriptItem, normalise_script
 
 
 class EcBusLayer3(BusMasterInterface):
@@ -117,11 +124,7 @@ class EcBusLayer3(BusMasterInterface):
         # ("drop"/"dup") — the same schedule the timed layers apply
         drop = dup = False
         for hop in route.bridges:
-            forward = getattr(hop.slave, "forward_message", None)
-            if forward is None:
-                hop.slave.note_message()
-                continue
-            verdict = forward(transaction)
+            verdict = hop.slave.forward_message(transaction)
             if isinstance(verdict, ErrorCause):
                 transaction.issue_cycle = 0
                 transaction.fail(0, verdict)
@@ -171,3 +174,52 @@ class EcBusLayer3(BusMasterInterface):
     def __repr__(self) -> str:
         return (f"EcBusLayer3({self.name!r}, messages={self.messages}, "
                 f"transactions={self.transactions_completed})")
+
+
+class MessageRun:
+    """Complete *script* on the untimed *bus*, one item at a time.
+
+    A failed attempt is re-issued as a fresh clone while
+    *retry_policy* says so: the same
+    :meth:`~repro.ec.RetryPolicy.should_retry` decisions
+    :class:`~repro.tlm.master.BlockingMaster` makes (its backoff and
+    watchdog count cycles, so they do not apply).  The result has the
+    masters' surface: ``completed`` holds each item's final attempt in
+    script order, ``errors`` the failed ones, ``retries`` the
+    re-issues and, with a policy, ``fault_reports`` one report per
+    item that ever failed.
+    """
+
+    def __init__(self, bus: BusMasterInterface,
+                 script: typing.Iterable[ScriptItem],
+                 retry_policy: typing.Optional[RetryPolicy] = None) -> None:
+        self.completed: typing.List[Transaction] = []
+        self.errors: typing.List[Transaction] = []
+        self.fault_reports: typing.List[FaultReport] = []
+        self.retries = 0
+        for _, transaction in normalise_script(script):
+            failures, cause = 0, None
+            while True:
+                if not bus.issue(transaction).finished:
+                    raise RuntimeError(f"layer-3 transaction did not "
+                                       f"complete synchronously: "
+                                       f"{transaction}")
+                if not transaction.error:
+                    break
+                failures, cause = failures + 1, transaction.error_cause
+                if retry_policy is None or not retry_policy.should_retry(
+                        cause, failures):
+                    break
+                self.retries += 1
+                transaction = transaction.clone()
+            if retry_policy is not None and failures:
+                # every cycle is 0 on this bus: nothing is lost to them
+                self.fault_reports.append(FaultReport(
+                    address=transaction.address,
+                    kind=transaction.kind.value, cause=cause,
+                    attempts=failures + (0 if transaction.error else 1),
+                    recovered=not transaction.error, first_issue_cycle=0,
+                    resolved_cycle=0, cycles_lost=0))
+            self.completed.append(transaction)
+            if transaction.error:
+                self.errors.append(transaction)

@@ -142,10 +142,32 @@ class TestLayerChoice:
         with pytest.raises(ValueError, match="gate level"):
             SmartCardPlatform(bus_layer="gate-level", topology="two_segment")
 
-    @pytest.mark.parametrize("layer", [0, 3, "l1", "layer3", "rtl"])
+    @pytest.mark.parametrize("layer", [0, "l1", "rtl"])
     def test_unknown_layer_rejected(self, layer):
         with pytest.raises(ValueError, match="layer1, layer2, gate-level"):
             SmartCardPlatform(bus_layer=layer)
+
+    @pytest.mark.parametrize("layer", [3, "layer3"])
+    def test_layer3_card_is_untimed_and_unpriced(self, layer):
+        from repro.tlm import EcBusLayer3, MessageRun
+        platform = SmartCardPlatform(bus_layer=layer,
+                                     table=default_table(),
+                                     topology="two_segment")
+        assert isinstance(platform.bus, EcBusLayer3)
+        assert platform.layer_bus.layer == "layer3"
+        run = MessageRun(platform.cpu_interface,
+                         [data_write(RAM_BASE, [0x1234]),
+                          data_read(RAM_BASE), data_read(UART_BASE + 4)])
+        assert [t.error for t in run.completed] == [False] * 3
+        assert run.completed[1].data == [0x1234]
+        assert platform.layer_bus.energy_pj() is None
+        assert platform.fabric.bridge("bridge").messages_forwarded == 1
+        report = platform.energy_report()
+        assert report.balanced and report.buckets["bus:cpu"] == 0.0
+
+    def test_layer3_card_has_no_arbiter_for_a_dma(self):
+        with pytest.raises(ValueError, match="untimed"):
+            SmartCardPlatform(bus_layer="layer3", with_dma=True)
 
     @pytest.mark.parametrize("layer", ["layer1", "layer2", "gate-level"])
     def test_cold_boot_prices_each_boot_separately(self, layer):

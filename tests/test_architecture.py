@@ -2,8 +2,9 @@
 and one narrow surface for the kernel.
 
 Which bus class and energy model a layer name means, and how its final
-energy is read, is decided in :mod:`repro.soc.layers` (and, for the
-fabric's segment buses, :mod:`repro.fabric.builder`).  How a card's
+energy is read, is decided in :mod:`repro.soc.layers` — for every rung,
+the untimed layer 3 included, and for the fabric's segment buses too,
+which :mod:`repro.fabric.builder` builds through it.  How a card's
 DPM power stack is assembled is decided in :mod:`repro.soc.smartcard`
 (:meth:`~repro.soc.SmartCardPlatform.attach_power`).  Everything else
 asks them.  This walks ``src/repro`` with :mod:`ast` and fails when a
@@ -20,15 +21,14 @@ import repro
 
 #: the classes that make up a rung
 RUNG_NAMES = frozenset({"Layer1PowerModel", "Layer2PowerModel",
-                        "EcBusLayer1", "EcBusLayer2", "RtlBus",
-                        "DieselEstimator"})
+                        "EcBusLayer1", "EcBusLayer2", "EcBusLayer3",
+                        "RtlBus", "DieselEstimator"})
 
 #: packages that define the rungs, relative to ``src/repro``
 DEFINING_PACKAGES = ("tlm", "rtl", "power")
 
-#: the owners, relative to ``src/repro``
-OWNERS = frozenset({os.path.join("soc", "layers.py"),
-                    os.path.join("fabric", "builder.py")})
+#: the owner, relative to ``src/repro``
+OWNERS = frozenset({os.path.join("soc", "layers.py")})
 
 #: the DPM stack's governor and controller, defined in ``power``
 DPM_STACK_NAMES = frozenset({"DpmGovernor", "DpmController"})

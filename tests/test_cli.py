@@ -126,6 +126,15 @@ class TestCommands:
         assert main(["fabric", "--commands", "0"]) == 2
         assert main(["fabric", "--resume"]) == 2
 
+    @pytest.mark.parametrize("axis", [["--layers", "gate-level"],
+                                      ["--topologies", "ring"]])
+    def test_fabric_axes_come_from_the_campaign(self, axis, capsys):
+        assert main(["fabric", *axis]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro fabric: error: unknown")
+        assert ("layer1, layer2, layer3" in error
+                or "flat, bridged" in error)
+
     def test_chaos_small_campaign(self, tmp_path, capsys):
         repro = tmp_path / "repro.json"
         journal = str(tmp_path / "chaos.jsonl")

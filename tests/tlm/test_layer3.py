@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.ec import (BusState, DecodeError, MemoryMap, MergePattern,
-                      data_read, data_write, instruction_fetch)
+from repro.ec import (BusState, DecodeError, ErrorCause, MemoryMap,
+                      MergePattern, RetryPolicy, SlaveResponse, data_read,
+                      data_write, instruction_fetch)
 from repro.faults import ErrorSlave
-from repro.tlm import EcBusLayer3, MemorySlave
+from repro.tlm import EcBusLayer3, MemorySlave, MessageRun
 from repro.tlm.slave import RegisterSlave
 
 RAM_BASE = 0x1000
@@ -148,3 +149,99 @@ class TestCrossLayerFunctionalEquivalence:
         interpreter = BytecodeInterpreter(benchmark_package(), adapter)
         for name, args, reference in BENCHMARKS:
             assert interpreter.run(name, args) == reference(*args)
+
+
+class _FailsFirstAccess(MemorySlave):
+    """A memory whose very first beat access answers with a bus error."""
+
+    def __init__(self, base_address: int) -> None:
+        super().__init__(base_address, 0x100, name="flaky")
+        self.failed = False
+
+    def _first(self) -> bool:
+        first, self.failed = not self.failed, True
+        return first
+
+    def do_read(self, offset, byte_enables):
+        if self._first():
+            return SlaveResponse.error()
+        return super().do_read(offset, byte_enables)
+
+    def do_write(self, offset, byte_enables, data):
+        if self._first():
+            return SlaveResponse.error()
+        return super().do_write(offset, byte_enables, data)
+
+
+class TestMessageRun:
+    """The untimed runner reports what the blocking master reports."""
+
+    TARGETS = {"error_slave": 0x8000, "fails_first": 0x9000}
+    POLICIES = {"no_policy": None,
+                "retry": RetryPolicy(max_attempts=3, backoff_cycles=2),
+                "retry_no_backoff": RetryPolicy(max_attempts=2,
+                                                backoff_cycles=0)}
+
+    @staticmethod
+    def _map():
+        memory_map = MemoryMap()
+        memory_map.add_slave(MemorySlave(RAM_BASE, 0x1000, name="ram"),
+                             "ram")
+        memory_map.add_slave(ErrorSlave(0x8000), "err")
+        memory_map.add_slave(_FailsFirstAccess(0x9000), "flaky")
+        return memory_map
+
+    @staticmethod
+    def _script(target):
+        return [data_write(RAM_BASE, [7]), (3, data_read(target)),
+                data_write(target + 4, [5]), data_read(RAM_BASE),
+                data_read(0x0900_0000)]
+
+    @staticmethod
+    def _surface(run):
+        return (
+            [(t.kind, t.address, t.error, t.error_cause, tuple(t.data))
+             for t in run.completed],
+            [t.txn_id for t in run.errors],
+            run.retries,
+            [(r.address, r.kind, r.cause, r.attempts, r.recovered)
+             for r in run.fault_reports])
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_matches_blocking_master_on_layer1(self, target, policy):
+        from repro.kernel import Clock, Simulator
+        from repro.tlm import BlockingMaster, EcBusLayer1, run_script
+
+        address, retry_policy = self.TARGETS[target], self.POLICIES[policy]
+        untimed = MessageRun(EcBusLayer3(self._map()),
+                             self._script(address), retry_policy)
+        simulator = Simulator("l1")
+        clock = Clock(simulator, "clk", period=100)
+        master = BlockingMaster(simulator, clock,
+                                EcBusLayer1(simulator, clock, self._map()),
+                                self._script(address),
+                                retry_policy=retry_policy)
+        run_script(simulator, master, 1_000, clock)
+
+        mine, theirs = self._surface(untimed), self._surface(master)
+        assert mine[0] == theirs[0]
+        assert len(mine[1]) == len(theirs[1])
+        assert mine[2:] == theirs[2:]
+        # the read and the write fail at the error slave; only the
+        # first access fails at the other; the unmapped read always
+        recovered = {"error_slave": [False, False, False],
+                     "fails_first": [True, False]}[target]
+        assert len(untimed.completed) == 5
+        assert len(untimed.errors) == (
+            len(recovered) if retry_policy is None
+            else recovered.count(False))
+        assert [r.recovered for r in untimed.fault_reports] == (
+            recovered if retry_policy is not None else [])
+
+    def test_decode_errors_are_not_retried(self):
+        run = MessageRun(EcBusLayer3(self._map()),
+                         [data_read(0x0900_0000)], RetryPolicy())
+        assert run.retries == 0
+        assert run.errors[0].error_cause is ErrorCause.DECODE
+        assert [r.attempts for r in run.fault_reports] == [1]
