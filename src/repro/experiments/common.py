@@ -17,17 +17,14 @@ import functools
 import time
 import typing
 
-from repro.ec import MemoryMap
-from repro.kernel import Clock, Simulator
 from repro.power.characterize import (CharacterizationResult,
                                       default_characterization)
 from repro.power.table import CharacterizationTable
-from repro.soc.layers import build_bus, layer_name
-from repro.soc.smartcard import SmartCardPlatform
+# CLOCK_PERIOD is re-exported: scripts outside the package import it here
+from repro.soc.layers import CLOCK_PERIOD, build_bus
+from repro.soc.smartcard import SmartCardPlatform, fresh_memory_map
 from repro.tlm import MessageRun, PipelinedMaster, run_script
 from repro.workloads import BusTrace
-
-CLOCK_PERIOD = 100
 
 #: cycle budget of one replay; every script here ends long before it
 MAX_REPLAY_CYCLES = 2_000_000
@@ -56,11 +53,6 @@ def characterization() -> CharacterizationResult:
     return default_characterization()
 
 
-def fresh_memory_map() -> MemoryMap:
-    """A fresh Figure-1 memory map with fresh slave state."""
-    return SmartCardPlatform(bus_layer=1).memory_map
-
-
 def run_on_layer(layer: str, script, table: typing.Optional[
         CharacterizationTable] = None) -> RunResult:
     """Replay *script* on one rung (``"layer1"``, ``"layer2"``,
@@ -72,13 +64,9 @@ def run_on_layer(layer: str, script, table: typing.Optional[
     :class:`~repro.tlm.MessageRun`, in 0 cycles and with energy
     ``None``.  An unknown *layer* raises :class:`ValueError`.
     """
-    layer = layer_name(layer)
-    simulator = clock = None
-    if layer != "layer3":
-        simulator = Simulator("rtl" if layer == "gate-level" else layer)
-        clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    layer_bus = build_bus(layer, simulator, clock, fresh_memory_map(),
+    layer_bus = build_bus(layer, None, None, fresh_memory_map(),
                           table=table)
+    simulator, clock = layer_bus.simulator, layer_bus.clock
     if clock is None:
         started = time.perf_counter()
         run = MessageRun(layer_bus.bus, script)
@@ -88,7 +76,7 @@ def run_on_layer(layer: str, script, table: typing.Optional[
         run_script(simulator, run, MAX_REPLAY_CYCLES, clock)
     wall = time.perf_counter() - started
     cycles = 0 if clock is None else _busy_cycles(run)
-    return RunResult(layer, cycles, len(run.completed), wall,
+    return RunResult(layer_bus.layer, cycles, len(run.completed), wall,
                      layer_bus.energy_pj())
 
 

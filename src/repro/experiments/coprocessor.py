@@ -28,7 +28,6 @@ import dataclasses
 import typing
 
 from repro.ec import MemoryMap
-from repro.kernel import Clock, Simulator
 from repro.soc.crypto import (CryptoCoprocessor, DmaDriver,
                               xtea_encrypt)
 from repro.soc.cpu import MipsCore
@@ -36,7 +35,7 @@ from repro.soc.memory import Rom, ScratchpadRam
 from repro.soc.layers import build_bus
 from repro.tlm import BusArbiter
 
-from .common import CLOCK_PERIOD, characterization
+from .common import characterization
 
 ROM_BASE = 0x0000_0000
 RAM_BASE = 0x0004_0000
@@ -225,8 +224,6 @@ class CoprocessorStudyResult:
 
 def _run_implementation(name: str, program: str, blocks: int,
                         table) -> ImplementationResult:
-    simulator = Simulator(f"crypto_{name}")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = MemoryMap()
     rom = Rom(ROM_BASE)
     ram = ScratchpadRam(RAM_BASE, size=0x800)
@@ -234,8 +231,8 @@ def _run_implementation(name: str, program: str, blocks: int,
     memory_map.add_slave(rom, "rom")
     memory_map.add_slave(ram, "ram")
     memory_map.add_slave(crypto, "crypto")
-    layer_bus = build_bus("layer1", simulator, clock, memory_map, table)
-    bus = layer_bus.bus
+    layer_bus = build_bus("layer1", None, None, memory_map, table)
+    simulator, clock, bus = layer_bus.simulator, layer_bus.clock, layer_bus.bus
     bus.enable_tracing()
     arbiter = BusArbiter(simulator, clock, bus, policy="priority")
     cpu = MipsCore(simulator, clock, arbiter.port("cpu", priority=0),

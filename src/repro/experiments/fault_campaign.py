@@ -38,14 +38,13 @@ from repro.ec import RetryPolicy
 from repro.faults import (BitFlipInjector, FaultySlave,
                           IntermittentErrorInjector, StuckWaitInjector,
                           TransientErrorInjector)
-from repro.kernel import Clock, Simulator
 from repro.ec import MemoryMap
 from repro.soc.layers import LAYERS, build_bus
 from repro.soc.memory import Eeprom, Rom, ScratchpadRam
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
 from repro.tlm import PipelinedMaster, run_script
 
-from .common import CLOCK_PERIOD, _busy_cycles, characterization
+from .common import _busy_cycles, characterization
 from .robustness import DEFAULT_SEED, workload_script
 from .supervisor import CampaignSupervisor, check_choices
 
@@ -220,10 +219,9 @@ def _run_cell(layer: str, workload: str, rate: float,
               wall_seconds: typing.Optional[float] = None) -> dict:
     """One cell, as its journal payload (module-level, so picklable
     for the worker pool)."""
-    simulator = Simulator(f"faults-{layer}")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = _campaign_memory_map(seed, workload, rate)
-    layer_bus = build_bus(layer, simulator, clock, memory_map, table=table)
+    layer_bus = build_bus(layer, None, None, memory_map, table=table)
+    simulator, clock = layer_bus.simulator, layer_bus.clock
     # gate level prices energy only post hoc: no per-episode probe
     power_model = layer_bus.tlm_model
     energy_probe = None

@@ -24,13 +24,13 @@ import dataclasses
 import typing
 
 from repro.ec import data_read, data_write
-from repro.kernel import Clock, Process, Simulator
-from repro.power import SignalStateRecorder
+from repro.kernel import Process
+from repro.power import SamplingProfiler, SignalStateRecorder
 from repro.soc.layers import build_bus
-from repro.soc.smartcard import EEPROM_BASE, RAM_BASE
+from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, fresh_memory_map
 from repro.tlm import PipelinedMaster, run_script
 
-from .common import CLOCK_PERIOD, characterization, fresh_memory_map
+from .common import characterization
 
 
 def figure6_script() -> list:
@@ -82,40 +82,37 @@ class Figure6Result:
 def _layer2_task(sample_cycles, table) -> dict:
     """Run layer 2, sampling the energy interface at the given
     cycles."""
-    simulator = Simulator("figure6_l2")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
-    layer_bus = build_bus("layer2", simulator, clock, memory_map, table)
-    bus, model = layer_bus.bus, layer_bus.power_model
+    layer_bus = build_bus("layer2", None, None, fresh_memory_map(), table)
+    simulator, clock = layer_bus.simulator, layer_bus.clock
+    bus = layer_bus.bus
     master = PipelinedMaster(simulator, clock, bus, figure6_script())
-    samples: typing.List[float] = []
+    profiler = SamplingProfiler(layer_bus.power_model)
     remaining = list(sample_cycles)
 
     def sampler():
         if remaining and bus.cycle >= remaining[0]:
             remaining.pop(0)
-            samples.append(model.energy_since_last_call_pj())
+            profiler.sample(bus.cycle)
 
     Process(simulator, sampler, "sampler", dont_initialize=True).sensitive(
         clock.posedge_event)
     run_script(simulator, master, 10_000, clock)
     total = layer_bus.energy_pj()  # clock baseline for the whole run
-    samples.append(model.energy_since_last_call_pj())  # final drain
+    profiler.sample(bus.cycle)  # final drain
     phases = [(txn.address_done_cycle, txn.data_done_cycle)
               for txn in sorted(master.completed,
                                 key=lambda t: (t.issue_cycle, t.txn_id))]
-    return {"samples": samples, "phases": phases, "total_pj": total}
+    return {"samples": [s.energy_pj for s in profiler.samples],
+            "phases": phases, "total_pj": total}
 
 
 def _layer1_task(sample_cycles, table) -> dict:
     """Run layer 1 and integrate its per-cycle trace over the same
     sampling windows."""
-    simulator = Simulator("figure6_l1")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
-    memory_map = fresh_memory_map()
     recorder = SignalStateRecorder()
-    layer_bus = build_bus("layer1", simulator, clock, memory_map, table,
+    layer_bus = build_bus("layer1", None, None, fresh_memory_map(), table,
                           recorder=recorder)
+    simulator, clock = layer_bus.simulator, layer_bus.clock
     master = PipelinedMaster(simulator, clock, layer_bus.bus,
                              figure6_script())
     run_script(simulator, master, 10_000, clock)

@@ -18,7 +18,6 @@ import dataclasses
 import typing
 
 from repro.ec import MemoryMap, MergePattern
-from repro.kernel import Clock, Simulator
 from repro.power.table import CharacterizationTable
 from repro.soc.layers import build_bus, clocked_layer_name
 from repro.soc.memory import Rom, ScratchpadRam
@@ -29,8 +28,6 @@ from .bytecode import Package
 from .interpreter import BytecodeInterpreter
 from .stack import HardwareStack, SfrLayout
 from .workloads import BENCHMARKS, benchmark_package
-
-CLOCK_PERIOD = 100
 
 #: candidate coprocessor base addresses: one a single address-bus bit
 #: away from the RAM the statics live in, one across many bits
@@ -114,17 +111,15 @@ def _build_refined_model(config: InterfaceConfig,
                          applet: Package,
                          bus_layer: typing.Union[str, int] = "layer1"):
     """Figure 7(b): interpreter + adapters + TLM bus + coprocessor."""
-    simulator = Simulator(f"explore_{config.name}")
-    clock = Clock(simulator, "clk", period=CLOCK_PERIOD)
     memory_map = MemoryMap()
     memory_map.add_slave(Rom(ROM_BASE), "rom")
     memory_map.add_slave(ScratchpadRam(RAM_BASE), "ram")
     hw_stack = HardwareStack(config.stack_base, layout=config.layout)
     memory_map.add_slave(hw_stack, "hw_stack")
-    layer_bus = build_bus(clocked_layer_name(bus_layer), simulator, clock,
+    layer_bus = build_bus(clocked_layer_name(bus_layer), None, None,
                           memory_map, table=table)
-    adapter = StackMasterAdapter(simulator, clock, layer_bus.bus,
-                                 config.stack_base,
+    adapter = StackMasterAdapter(layer_bus.simulator, layer_bus.clock,
+                                 layer_bus.bus, config.stack_base,
                                  layout=config.layout,
                                  access_pattern=config.access_pattern)
     statics = StaticsBusPort(adapter, RAM_BASE, applet.num_statics)

@@ -29,7 +29,6 @@ import random
 import typing
 
 from repro.ec import EC_SIGNALS, MemoryMap, SIGNALS_BY_NAME
-from repro.kernel import Clock, Simulator
 from repro.rtl import Netlist
 from repro.soc.layers import build_bus
 from repro.tlm import PipelinedMaster, run_script
@@ -159,14 +158,11 @@ def characterize(memory_map_factory: typing.Callable[[], MemoryMap],
     state); *script_factory* builds the stimulus script.
     """
     wire_load = wire_load or default_wire_load()
-    simulator = Simulator("characterisation")
-    clock = Clock(simulator, "clk", period=100)
-    memory_map = memory_map_factory()
     activity = InterfaceActivityLog()
     recorder = SignalStateRecorder()
-    layer_bus = build_bus("gate-level", simulator, clock, memory_map,
+    layer_bus = build_bus("gate-level", None, None, memory_map_factory(),
                           power_model=activity, recorder=recorder)
-    bus = layer_bus.bus
+    simulator, clock, bus = layer_bus.simulator, layer_bus.clock, layer_bus.bus
     master = PipelinedMaster(simulator, clock, bus, script_factory())
     run_script(simulator, master, max_cycles, clock)
     report = layer_bus.diesel_report(wire_load)
@@ -185,14 +181,10 @@ def default_characterization(seed: int = 2004,
     random mix — deliberately *not* the evaluation workloads, so the
     accuracy experiments measure genuine cross-workload transfer.
     """
-    from repro.soc.smartcard import SmartCardPlatform
     from repro.workloads import full_suite, generate_script, Window
     from repro.workloads.generator import PROGRAM_MIX
-    from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
-
-    def memory_map_factory() -> MemoryMap:
-        platform = SmartCardPlatform(bus_layer=1)
-        return platform.memory_map
+    from repro.soc.smartcard import (EEPROM_BASE, RAM_BASE, ROM_BASE,
+                                     fresh_memory_map)
 
     def script_factory() -> list:
         rng = random.Random(seed)
@@ -204,7 +196,7 @@ def default_characterization(seed: int = 2004,
             rng, transactions, windows, PROGRAM_MIX,
             gap_probability=0.2, sequential_fraction=0.6)
 
-    return characterize(memory_map_factory, script_factory,
+    return characterize(fresh_memory_map, script_factory,
                         source=f"ecspec+random(seed={seed})")
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.ec import MemoryMap
 from repro.fabric import Topology, build_fabric
 from repro.kernel import STEADY_FOREVER, Clock, Module, Simulator
 from repro.kernel import time as ktime
@@ -62,6 +63,33 @@ DMA_BASE = 0x0040_4000
 
 #: 10 MHz system clock (contact-mode smart card operating point)
 DEFAULT_CLOCK_HZ = 10e6
+
+
+def _figure1_slaves() -> typing.Dict[str, typing.Any]:
+    """Fresh Figure-1 slaves by topology name, in the flat topology's
+    order: the four memories, the UART, the timers, the TRNG and the
+    interrupt controller, with the UART and timer interrupts wired to
+    the controller."""
+    intc = InterruptController(INTC_BASE)
+    uart = Uart(UART_BASE, irq_callback=lambda: intc.raise_irq(LINE_UART))
+    timers = TimerUnit(
+        TIMER_BASE,
+        irq_callback=lambda t: intc.raise_irq(
+            LINE_TIMER0 if t == 0 else LINE_TIMER1))
+    rng = TrueRandomNumberGenerator(RNG_BASE)
+    return {"rom": Rom(ROM_BASE), "flash": Flash(FLASH_BASE),
+            "eeprom": Eeprom(EEPROM_BASE), "ram": ScratchpadRam(RAM_BASE),
+            "uart": uart, "timers": timers, "trng": rng, "intc": intc}
+
+
+def fresh_memory_map() -> MemoryMap:
+    """The flat card's Figure-1 memory map over fresh slaves, built
+    without a platform: no simulator, and its dynamic slaves unbound
+    until :func:`~repro.soc.layers.build_bus` binds them."""
+    memory_map = MemoryMap()
+    for name, slave in _figure1_slaves().items():
+        memory_map.add_slave(slave, name)
+    return memory_map
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,18 +125,10 @@ class SmartCardPlatform(Module):
         self.clock = Clock(
             simulator, "clk",
             period=ktime.period_from_frequency_hz(DEFAULT_CLOCK_HZ))
-        self.intc = InterruptController(INTC_BASE)
-        self.uart = Uart(UART_BASE,
-                         irq_callback=lambda: self.intc.raise_irq(LINE_UART))
-        self.timers = TimerUnit(
-            TIMER_BASE,
-            irq_callback=lambda t: self.intc.raise_irq(
-                LINE_TIMER0 if t == 0 else LINE_TIMER1))
-        self.rng = TrueRandomNumberGenerator(RNG_BASE)
-        self.rom = Rom(ROM_BASE)
-        self.flash = Flash(FLASH_BASE)
-        self.eeprom = Eeprom(EEPROM_BASE)
-        self.ram = ScratchpadRam(RAM_BASE)
+        #: every slave the card provides, by topology name
+        self.slaves = _figure1_slaves()
+        (self.rom, self.flash, self.eeprom, self.ram, self.uart,
+         self.timers, self.rng, self.intc) = self.slaves.values()
         self.dma: typing.Optional[DmaController] = None
         #: the ticks a steady cycle runs (see _steady_ticks)
         self._steady_live: typing.Tuple[typing.Callable[[], None], ...] = ()
@@ -122,11 +142,6 @@ class SmartCardPlatform(Module):
                                                  "priority_rr")
             topology = topology.with_slave(topology.root, "dma")
         self.topology = topology
-        #: every slave the card provides, by topology name
-        self.slaves = {"rom": self.rom, "flash": self.flash,
-                        "eeprom": self.eeprom, "ram": self.ram,
-                        "uart": self.uart, "timers": self.timers,
-                        "trng": self.rng, "intc": self.intc}
         if self.dma is not None:
             self.slaves["dma"] = self.dma
         self.fabric = build_fabric(

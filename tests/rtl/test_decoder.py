@@ -7,20 +7,16 @@ import random
 import pytest
 
 from repro.ec import ADDRESS_BITS, DecodeError
-from repro.kernel import Clock, Simulator
-from repro.rtl import RtlBus, build_address_decoder
+from repro.rtl import build_address_decoder
 from repro.rtl.decoder import _synthesise
+from repro.soc.layers import build_bus
 from repro.soc.smartcard import (EEPROM_BASE, RAM_BASE, ROM_BASE,
-                                 SmartCardPlatform)
+                                 fresh_memory_map)
 from repro.tlm import PipelinedMaster, run_script
 from repro.workloads import Window, generate_script
 from repro.workloads.generator import PROGRAM_MIX
 
 from tests.rtl.reference_netlist import ReferenceNetlist, net_state
-
-
-def figure1_map():
-    return SmartCardPlatform(bus_layer=1).memory_map
 
 
 def behavioural(memory_map, address):
@@ -54,7 +50,7 @@ def seeded_addresses(memory_map, count, seed=2004):
 
 class TestDecoderAgainstOracle:
     def test_every_net_matches_the_event_driven_oracle(self):
-        memory_map = figure1_map()
+        memory_map = fresh_memory_map()
         decoder = build_address_decoder(memory_map)
         reference = ReferenceNetlist(decoder.netlist)
         addresses = seeded_addresses(memory_map, 2000)
@@ -79,7 +75,7 @@ class TestDecoderAgainstOracle:
 
 class TestAddressRange:
     def test_wide_address_rejected_like_the_behavioural_decode(self):
-        memory_map = figure1_map()
+        memory_map = fresh_memory_map()
         decoder = build_address_decoder(memory_map)
         wide = 0x10_0030_0000  # RAM_BASE plus a bit above the 36 inputs
         assert wide & ((1 << ADDRESS_BITS) - 1) == RAM_BASE
@@ -92,18 +88,13 @@ class TestAddressRange:
         assert decoder.netlist.cycles_run == 0
 
     def test_top_address_still_decodes(self):
-        decoder = build_address_decoder(figure1_map())
+        decoder = build_address_decoder(fresh_memory_map())
         assert decoder.evaluate((1 << ADDRESS_BITS) - 1) is None
 
 
-def build_bus(memory_map):
-    simulator = Simulator("template")
-    clock = Clock(simulator, "clk", period=100)
-    bus = RtlBus(simulator, clock, memory_map)
-    for region in memory_map.regions:
-        if hasattr(region.slave, "bind_cycle_source"):
-            region.slave.bind_cycle_source(lambda: bus.cycle)
-    return simulator, clock, bus
+def gate_level_bus(memory_map):
+    layer_bus = build_bus("gate-level", None, None, memory_map)
+    return layer_bus.simulator, layer_bus.clock, layer_bus.bus
 
 
 def structure(netlist):
@@ -121,9 +112,9 @@ def assert_fresh(netlist, uncached):
 
 class TestTemplateIsolation:
     def test_buses_on_one_layout_start_fresh_and_stay_apart(self):
-        first_map, second_map = figure1_map(), figure1_map()
-        simulator, clock, first = build_bus(first_map)
-        _, _, second = build_bus(second_map)
+        first_map, second_map = fresh_memory_map(), fresh_memory_map()
+        simulator, clock, first = gate_level_bus(first_map)
+        _, _, second = gate_level_bus(second_map)
         layout = tuple((region.name, region.base, region.end)
                        for region in first_map.regions)
         uncached = _synthesise.__wrapped__(layout, ADDRESS_BITS)
@@ -143,11 +134,11 @@ class TestTemplateIsolation:
         assert first.decoder.netlist.total_glitches() > 0
         # no counters leaked to the idle bus, nor to a bus built later
         assert_fresh(second.decoder.netlist, uncached)
-        _, _, third = build_bus(figure1_map())
+        _, _, third = gate_level_bus(fresh_memory_map())
         assert_fresh(third.decoder.netlist, uncached)
 
     def test_selects_map_to_the_buses_own_regions(self):
-        buses = [build_bus(figure1_map())[2] for _ in range(2)]
+        buses = [gate_level_bus(fresh_memory_map())[2] for _ in range(2)]
         regions = [bus.decoder.evaluate(RAM_BASE) for bus in buses]
         for bus, region in zip(buses, regions):
             assert region is bus.memory_map.decode(RAM_BASE)

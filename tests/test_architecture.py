@@ -6,8 +6,10 @@ energy is read, is decided in :mod:`repro.soc.layers` — for every rung,
 the untimed layer 3 included, and for the fabric's segment buses too,
 which :mod:`repro.fabric.builder` builds through it.  How a card's
 DPM power stack is assembled is decided in :mod:`repro.soc.smartcard`
-(:meth:`~repro.soc.SmartCardPlatform.attach_power`).  Everything else
-asks them.  This walks ``src/repro`` with :mod:`ast` and fails when a
+(:meth:`~repro.soc.SmartCardPlatform.attach_power`).  A simulator and
+a clock are made only by :func:`repro.soc.layers.build_bus` (a fresh
+rung's, at the replay period) and by the card.  Everything else asks
+them.  This walks ``src/repro`` with :mod:`ast` and fails when a
 module outside the owners and the defining packages names one of
 their classes itself.  It also fails when a module outside
 :mod:`repro.kernel` imports a kernel name beyond the models' surface,
@@ -84,6 +86,48 @@ def test_only_the_card_assembles_a_dpm_stack():
     assert offenders == {}, (
         "attach the DPM stack with SmartCardPlatform.attach_power "
         f"instead of naming these classes: {offenders}")
+
+
+#: the kernel objects a fresh harness needs, and who may make them
+HARNESS_NAMES = frozenset({"Simulator", "Clock"})
+HARNESS_OWNERS = frozenset({os.path.join("soc", "layers.py"),
+                            os.path.join("soc", "smartcard.py")})
+
+
+def _calls(path, names):
+    """The *names* called in *path*: constructions, not imports (the
+    masters import the kernel classes for their annotations)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name in names:
+                found.add(name)
+    return found
+
+
+def test_only_the_rung_and_the_card_build_a_simulator_or_clock():
+    offenders = {relative: sorted(found)
+                 for relative, path in _checked_modules(("kernel",),
+                                                        HARNESS_OWNERS)
+                 for found in [_calls(path, HARNESS_NAMES)] if found}
+    assert offenders == {}, (
+        "get a fresh simulator and clock from "
+        "repro.soc.layers.build_bus(layer, None, None, memory_map) "
+        f"instead of building them: {offenders}")
+
+
+def test_the_call_walk_sees_constructions():
+    calls = {relative: _calls(path, HARNESS_NAMES)
+             for relative, path in _checked_modules(("kernel",), ())}
+    assert calls[os.path.join("soc", "layers.py")] == HARNESS_NAMES
+    assert calls[os.path.join("soc", "smartcard.py")] == HARNESS_NAMES
+    # an import for annotations is not a construction
+    assert calls[os.path.join("tlm", "master.py")] == set()
 
 
 def test_the_walk_sees_the_package():

@@ -4,40 +4,35 @@ complete successfully on both TLM layers and the gate-level bus."""
 import pytest
 
 from repro.ec import BusState, Transaction
-from repro.kernel import Clock, Simulator
-from repro.rtl import RtlBus
-from repro.soc.smartcard import SmartCardPlatform
-from repro.tlm import EcBusLayer1, EcBusLayer2, PipelinedMaster, run_script
+from repro.soc.layers import build_bus
+from repro.soc.smartcard import fresh_memory_map
+from repro.tlm import PipelinedMaster, run_script
 from repro.workloads import ALL_SEQUENCES, full_suite
 
 
-def run_sequence(script, bus_factory):
-    simulator = Simulator("ecspec")
-    clock = Clock(simulator, "clk", period=100)
-    memory_map = SmartCardPlatform(bus_layer=1).memory_map
-    bus = bus_factory(simulator, clock, memory_map)
-    for region in memory_map.regions:
-        if hasattr(region.slave, "bind_cycle_source"):
-            region.slave.bind_cycle_source(lambda: bus.cycle)
-    master = PipelinedMaster(simulator, clock, bus, script)
+def run_sequence(script, layer):
+    layer_bus = build_bus(layer, None, None, fresh_memory_map())
+    simulator, clock = layer_bus.simulator, layer_bus.clock
+    master = PipelinedMaster(simulator, clock, layer_bus.bus, script)
     run_script(simulator, master, 100_000, clock)
     return master
 
 
-BUS_FACTORIES = {
-    "layer1": EcBusLayer1,
-    "layer2": EcBusLayer2,
-    "rtl": RtlBus,
+#: test id -> rung
+BUS_LAYERS = {
+    "layer1": "layer1",
+    "layer2": "layer2",
+    "rtl": "gate-level",
 }
 
 
 class TestSequences:
     @pytest.mark.parametrize("sequence_name", sorted(ALL_SEQUENCES))
-    @pytest.mark.parametrize("bus_name", sorted(BUS_FACTORIES))
+    @pytest.mark.parametrize("bus_name", sorted(BUS_LAYERS))
     def test_sequence_completes_without_errors(self, sequence_name,
                                                bus_name):
         script = ALL_SEQUENCES[sequence_name]()
-        master = run_sequence(script, BUS_FACTORIES[bus_name])
+        master = run_sequence(script, BUS_LAYERS[bus_name])
         assert master.done
         assert not master.errors, (sequence_name, bus_name)
         assert all(t.state is BusState.OK for t in master.completed)
@@ -49,7 +44,7 @@ class TestSequences:
         assert len(suite) == individual
 
     def test_full_suite_completes_on_layer1(self):
-        master = run_sequence(full_suite(), EcBusLayer1)
+        master = run_sequence(full_suite(), "layer1")
         assert master.done and not master.errors
 
     def test_full_suite_separator_gaps(self):
