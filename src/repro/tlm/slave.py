@@ -178,6 +178,13 @@ class MemorySlave(BehaviouralSlave):
     Models the smart card memories of Figure 1 (ROM, EEPROM, FLASH,
     scratchpad RAM) — each instance differs only in size, wait states
     and access rights.
+
+    The contents are a sparse word store: a dict from word index to
+    value holding only the words ever stored, so an absent word reads
+    as 0.  A card replay touches a few hundred of the Figure-1 map's
+    92,160 words, and a dense per-word list would dominate the cost
+    of building (and holding) every fresh card.  Every accessor
+    raises ``IndexError`` for an offset outside ``[0, size)``.
     """
 
     def __init__(self, base_address: int, size: int,
@@ -188,34 +195,52 @@ class MemorySlave(BehaviouralSlave):
             raise ValueError("memory size must be a whole number of words")
         super().__init__(base_address, size, wait_states, access_rights,
                          name)
-        self._words = [0] * (size // BYTES_PER_WORD)
+        self._words: typing.Dict[int, int] = {}
+
+    def _index(self, offset: int) -> int:
+        """The word index of *offset*, checked against the memory."""
+        if 0 <= offset < self._size:
+            return offset // BYTES_PER_WORD
+        raise IndexError(f"{self.name}: offset {offset:#x} outside "
+                         f"[0, {self._size:#x})")
 
     def do_read(self, offset: int, byte_enables: int) -> SlaveResponse:
-        word = self._words[offset // BYTES_PER_WORD]
-        return SlaveResponse.ok(word)
+        return SlaveResponse.ok(self._words.get(self._index(offset), 0))
 
     def do_write(self, offset: int, byte_enables: int,
                  data: int) -> SlaveResponse:
-        index = offset // BYTES_PER_WORD
-        self._words[index] = _lane_merge(self._words[index], data,
+        index = self._index(offset)
+        self._words[index] = _lane_merge(self._words.get(index, 0), data,
                                          byte_enables)
         return SlaveResponse.ok()
 
     # -- back-door access (loaders / checkers, no bus traffic) ----------------
 
     def load(self, offset: int, words: typing.Sequence[int]) -> None:
-        """Back-door initialise memory contents (e.g. program images)."""
-        start = offset // BYTES_PER_WORD
-        for i, word in enumerate(words):
-            self._words[start + i] = word & DATA_MASK
+        """Back-door initialise memory contents (e.g. program images).
+
+        Zero words are dropped rather than stored, so loading a mostly
+        empty image keeps the store sparse.
+        """
+        if not words:
+            return
+        start = self._index(offset)
+        self._index(offset + (len(words) - 1) * BYTES_PER_WORD)
+        store = self._words
+        for index, word in enumerate(words, start):
+            word &= DATA_MASK
+            if word:
+                store[index] = word
+            else:
+                store.pop(index, None)
 
     def peek(self, offset: int) -> int:
         """Back-door read of the word containing *offset*."""
-        return self._words[offset // BYTES_PER_WORD]
+        return self._words.get(self._index(offset), 0)
 
     def poke(self, offset: int, word: int) -> None:
         """Back-door write of the word containing *offset*."""
-        self._words[offset // BYTES_PER_WORD] = word & DATA_MASK
+        self._words[self._index(offset)] = word & DATA_MASK
 
     def image(self) -> typing.List[int]:
         """Back-door snapshot of the whole memory, one int per word.
@@ -224,7 +249,10 @@ class MemorySlave(BehaviouralSlave):
         non-volatile image at the tear point, ``load`` it into the
         replacement device on the next power-up.
         """
-        return list(self._words)
+        image = [0] * (self._size // BYTES_PER_WORD)
+        for index, word in self._words.items():
+            image[index] = word
+        return image
 
 
 class RegisterSlave(BehaviouralSlave):

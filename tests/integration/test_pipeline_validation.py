@@ -18,12 +18,11 @@ import random
 import pytest
 
 from repro.ec import EC_SIGNALS
-from repro.kernel import Clock, Simulator
-from repro.power import Layer1PowerModel
 from repro.power.characterize import build_table, characterize
-from repro.power.diesel import DieselEstimator, WireLoadModel
+from repro.power.diesel import InterfaceActivityLog, WireLoadModel
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
-from repro.tlm import EcBusLayer1, PipelinedMaster, run_script
+from repro.soc.layers import build_bus
+from repro.tlm import PipelinedMaster, run_script
 from repro.workloads import Window, full_suite, generate_script
 
 from repro.experiments.common import fresh_memory_map
@@ -58,81 +57,41 @@ def neutral_table():
     return result.table
 
 
+def replay_evaluation(layer_bus):
+    """Run the evaluation workload on a fresh rung from ``build_bus``."""
+    master = PipelinedMaster(layer_bus.simulator, layer_bus.clock,
+                             layer_bus.bus, evaluation_script())
+    run_script(layer_bus.simulator, master, 1_000_000, layer_bus.clock)
+    return layer_bus
+
+
+@pytest.fixture(scope="module")
+def neutral_rungs(neutral_table):
+    """The gate-level Diesel report and the layer-1 energy model of the
+    evaluation workload, each replayed on its own fresh Figure-1 map."""
+    gate = replay_evaluation(build_bus(
+        "gate-level", None, None, fresh_memory_map(),
+        power_model=InterfaceActivityLog()))
+    layer1 = replay_evaluation(build_bus(
+        "layer1", None, None, fresh_memory_map(), table=neutral_table))
+    return gate.diesel_report(neutral_wire_load()), layer1.power_model
+
+
 class TestNeutralPipelineExactness:
     def test_layer1_matches_interface_plus_clock_exactly(
-            self, neutral_table):
+            self, neutral_rungs):
         """Cross-workload: characterise on the EC suite, evaluate on a
         random mix — with neutral slopes the match must be exact."""
-        from repro.power.diesel import InterfaceActivityLog
-        from repro.rtl import RtlBus
-
-        # gate-level run of the evaluation workload
-        simulator = Simulator("neutral_rtl")
-        clock = Clock(simulator, "clk", period=100)
-        memory_map = fresh_memory_map()
-        activity = InterfaceActivityLog()
-        bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-        for region in memory_map.regions:
-            if hasattr(region.slave, "bind_cycle_source"):
-                region.slave.bind_cycle_source(lambda: bus.cycle)
-        master = PipelinedMaster(simulator, clock, bus,
-                                 evaluation_script())
-        run_script(simulator, master, 1_000_000, clock)
-        report = DieselEstimator(neutral_wire_load()).estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-
-        # layer-1 run of the same workload with the neutral table
-        simulator1 = Simulator("neutral_l1")
-        clock1 = Clock(simulator1, "clk", period=100)
-        memory_map1 = fresh_memory_map()
-        model = Layer1PowerModel(neutral_table)
-        bus1 = EcBusLayer1(simulator1, clock1, memory_map1,
-                           power_model=model)
-        for region in memory_map1.regions:
-            if hasattr(region.slave, "bind_cycle_source"):
-                region.slave.bind_cycle_source(lambda: bus1.cycle)
-        master1 = PipelinedMaster(simulator1, clock1, bus1,
-                                  evaluation_script())
-        run_script(simulator1, master1, 1_000_000, clock1)
-
+        report, model = neutral_rungs
         visible = (report.module_energy_pj["interface"]
                    + report.module_energy_pj["clock"])
         assert model.total_energy_pj == pytest.approx(visible,
                                                       rel=1e-9)
 
     def test_remaining_error_is_exactly_the_invisible_share(
-            self, neutral_table):
+            self, neutral_rungs):
         """The Table-2 under-estimate equals decoder+datapath+control."""
-        from repro.power.diesel import InterfaceActivityLog
-        from repro.rtl import RtlBus
-
-        simulator = Simulator("neutral_rtl2")
-        clock = Clock(simulator, "clk", period=100)
-        memory_map = fresh_memory_map()
-        activity = InterfaceActivityLog()
-        bus = RtlBus(simulator, clock, memory_map, activity_log=activity)
-        master = PipelinedMaster(simulator, clock, bus,
-                                 evaluation_script())
-        run_script(simulator, master, 1_000_000, clock)
-        report = DieselEstimator(neutral_wire_load()).estimate(
-            activity, netlists=[bus.decoder.netlist],
-            control_register_toggles=bus.control_register_toggles,
-            control_flop_count=bus.control_flop_count,
-            cycles=bus.cycle)
-
-        simulator1 = Simulator("neutral_l1b")
-        clock1 = Clock(simulator1, "clk", period=100)
-        memory_map1 = fresh_memory_map()
-        model = Layer1PowerModel(neutral_table)
-        bus1 = EcBusLayer1(simulator1, clock1, memory_map1,
-                           power_model=model)
-        master1 = PipelinedMaster(simulator1, clock1, bus1,
-                                  evaluation_script())
-        run_script(simulator1, master1, 1_000_000, clock1)
-
+        report, model = neutral_rungs
         invisible = (report.module_energy_pj["decoder"]
                      + report.module_energy_pj["datapath"]
                      + report.module_energy_pj["control"])

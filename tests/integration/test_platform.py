@@ -1,6 +1,8 @@
 """Integration tests of the Figure-1 platform: CPU + bus + memories +
 peripherals working together, across bus layers."""
 
+import tracemalloc
+
 import pytest
 
 from repro.ec import AccessRights, data_read, data_write
@@ -10,6 +12,7 @@ from repro.soc import (EEPROM_BASE, FLASH_BASE, INTC_BASE, RAM_BASE,
                        RNG_BASE, ROM_BASE, SmartCardPlatform, TIMER_BASE,
                        UART_BASE)
 from repro.soc.rng import HARVEST_CYCLES
+from repro.soc.smartcard import fresh_memory_map
 from repro.tlm import BlockingMaster, run_script
 
 
@@ -41,6 +44,31 @@ class TestMemoryMapStructure:
         }
         for base, name in expectations.items():
             assert platform.memory_map.decode(base).name == name
+
+
+def allocated_bytes(build):
+    """Peak bytes *build* allocates, after one warm-up call has paid
+    for imports and caches."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCardAllocation:
+    """A fresh card holds only the memory words it stores: the Figure-1
+    memories span 92,160 words, and a dense per-word array for them
+    would cost about 720 KiB per card."""
+
+    def test_memory_map_allocates_under_64_kib(self):
+        assert allocated_bytes(fresh_memory_map) < 64 * 1024
+
+    def test_platform_allocates_under_128_kib(self):
+        assert allocated_bytes(
+            lambda: SmartCardPlatform(bus_layer=1)) < 128 * 1024
 
 
 class TestTimersOverTime:

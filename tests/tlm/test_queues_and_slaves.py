@@ -6,6 +6,7 @@ import pytest
 from repro.ec import (AccessRights, BusState, SlaveResponse, WaitStates,
                       data_read, data_write)
 from repro.faults import ErrorSlave
+from repro.soc import SmartCardPlatform
 from repro.tlm.queues import FinishPool, TransactionQueue
 from repro.tlm.slave import (BehaviouralSlave, MemorySlave,
                              RegisterSlave, _lane_merge)
@@ -109,6 +110,73 @@ class TestBlockInterface:
         assert error and words == []
         beats_ok, error = slave.write_block(0, [1], 0b1111)
         assert error and beats_ok == 0
+
+
+class TestSparseStore:
+    """The memories keep only the words ever stored; an absent word
+    reads as 0 and every accessor checks the offset against the size."""
+
+    SIZE = 0x100
+
+    def test_fresh_memory_reads_zero(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        assert memory.image() == [0] * (self.SIZE // 4)
+        for offset in (0, 4, 0x7F, self.SIZE - 1):
+            assert memory.peek(offset) == 0
+            assert memory.do_read(offset, 0b1111).data == 0
+
+    def test_lane_write_into_unwritten_word_merges_over_zero(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        memory.do_write(8, 0b0010, 0xAABBCCDD)
+        assert memory.peek(8) == 0x0000CC00
+        assert memory.peek(4) == 0 and memory.peek(12) == 0
+
+    def test_load_image_load_round_trips(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        memory.load(8, [0x11, 0, 0xFFFFFFFF, 0x1_0000_0022])
+        memory.poke(0x40, 0xCAFE)
+        memory.poke(0x40, 0)
+        image = memory.image()
+        assert image[2:6] == [0x11, 0, 0xFFFFFFFF, 0x22]
+        copy = MemorySlave(0x0, self.SIZE)
+        copy.load(0, image)
+        assert copy.image() == image
+        assert [copy.peek(4 * i) for i in range(self.SIZE // 4)] == image
+
+    def test_load_zero_overwrites_stored_word(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        memory.poke(4, 0x1234)
+        memory.load(0, [7, 0])
+        assert memory.image()[:2] == [7, 0]
+
+    @pytest.mark.parametrize("offset", [SIZE, -4])
+    @pytest.mark.parametrize("access", [
+        lambda memory, offset: memory.do_read(offset, 0b1111),
+        lambda memory, offset: memory.do_write(offset, 0b1111, 1),
+        lambda memory, offset: memory.peek(offset),
+        lambda memory, offset: memory.poke(offset, 1),
+        lambda memory, offset: memory.load(offset, [1]),
+    ], ids=["do_read", "do_write", "peek", "poke", "load"])
+    def test_offset_outside_memory_raises(self, access, offset):
+        memory = MemorySlave(0x0, self.SIZE)
+        with pytest.raises(IndexError):
+            access(memory, offset)
+        assert memory.image() == [0] * (self.SIZE // 4)
+
+    def test_load_past_the_end_stores_nothing(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        with pytest.raises(IndexError):
+            memory.load(self.SIZE - 4, [1, 2])
+        assert memory.image() == [0] * (self.SIZE // 4)
+
+    def test_cold_boot_carries_eeprom_word(self):
+        platform = SmartCardPlatform(bus_layer=1)
+        platform.eeprom.poke(0x40, 0xDEADBEEF)
+        platform.eeprom.do_write(0x7FFC, 0b0100, 0x00A50000)
+        booted = platform.cold_boot()
+        assert booted.eeprom.peek(0x40) == 0xDEADBEEF
+        assert booted.eeprom.peek(0x7FFC) == 0x00A50000
+        assert booted.eeprom.image() == platform.eeprom.image()
 
 
 class TestRegisterSlaveHooks:
