@@ -152,13 +152,17 @@ def _topology(scenario: ChaosScenario, layer: str) -> Topology:
 
 def _memory_digest(platform: SmartCardPlatform) -> str:
     """SHA-256 over the digest span of RAM + EEPROM, little-endian
-    words.  Taken from the back-door image, so it books no bus reads
+    words.  Taken from the back-door snapshot, so it books no bus reads
     and no events."""
     hasher = hashlib.sha256()
     for slave, span in ((platform.ram, _DIGEST_RAM_BYTES),
                         (platform.eeprom, _DIGEST_EEPROM_BYTES)):
-        words = min(span, slave.size) // 4
-        hasher.update(struct.pack(f"<{words}I", *slave.image()[:words]))
+        span = min(span, slave.size) // 4 * 4
+        window = bytearray(span)
+        for offset, word in slave.snapshot().items():
+            if offset < span:
+                struct.pack_into("<I", window, offset, word)
+        hasher.update(window)
     return hasher.hexdigest()
 
 

@@ -44,10 +44,6 @@ class ShrinkResult:
     replayed: bool            # minimal re-ran to the same signature
     minimal_result: ScenarioResult
 
-    @property
-    def is_minimal_smaller(self) -> bool:
-        return self.minimal.size() <= self.original.size()
-
     def to_dict(self) -> dict:
         return {
             "original": self.original.to_dict(),

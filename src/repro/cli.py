@@ -110,20 +110,25 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _run_campaign(args: argparse.Namespace,
                   runner: typing.Callable[..., typing.Any],
+                  options: typing.Sequence[str] = (),
                   after: typing.Optional[typing.Callable[[typing.Any],
                                                          None]] = None,
                   **kwargs: typing.Any) -> int:
-    """Run one supervised campaign with the options
+    """Run one supervised campaign with its own *options* (argparse
+    destinations named like the runner's parameters) and those
     :func:`add_campaign_options` added to *args*.
 
-    A ``ValueError`` (a bad axis, ``--resume`` without ``--journal``)
-    exits 2 with a clean message; otherwise the report is printed and
-    the campaign's ``passed`` verdict decides between exit 0 and 1.
-    *after* sees the result once its report is out.
+    Only the options given on the command line reach the runner (a
+    list as a tuple): the campaign owns its defaults and checks its
+    axes.  A ``ValueError`` (a bad axis, ``--resume`` without
+    ``--journal``) exits 2 with a clean message; otherwise the report
+    is printed and the campaign's ``passed`` verdict decides between
+    exit 0 and 1.  *after* sees the result once its report is out.
     """
-    for name in ("seed", "cell_wall_seconds", "workers"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
+    for name in (*options, "seed", "cell_wall_seconds", "workers"):
+        value = getattr(args, name, None)
+        if value is not None:
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         result = runner(journal_path=args.journal, resume=args.resume,
                         **kwargs)
@@ -149,45 +154,35 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.experiments import run_fault_campaign
     return _run_campaign(args, run_fault_campaign,
-                         rates=tuple(args.rates),
-                         classes=tuple(args.classes),
-                         layers=tuple(args.layers))
+                         ("rates", "classes", "layers"))
 
 
 def _cmd_tear(args: argparse.Namespace) -> int:
     from repro.experiments import run_tear_campaign
-    return _run_campaign(args, run_tear_campaign, points=args.points,
-                         transactions=args.transactions,
-                         layers=tuple(args.layers),
+    return _run_campaign(args, run_tear_campaign,
+                         ("points", "transactions", "layers"),
                          governor_study=not args.no_governor)
 
 
 def _cmd_dpm(args: argparse.Namespace) -> int:
     from repro.experiments import run_dpm_campaign
-    return _run_campaign(args, run_dpm_campaign, traces=args.traces,
-                         transactions=args.transactions,
-                         policies=tuple(args.policies),
-                         layers=tuple(args.layers), node_nm=args.node_nm,
-                         vdd=args.vdd, emergency=not args.no_emergency)
+    return _run_campaign(args, run_dpm_campaign,
+                         ("traces", "transactions", "policies", "layers",
+                          "node_nm", "vdd"),
+                         emergency=not args.no_emergency)
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
     from repro.experiments import run_link_campaign
     return _run_campaign(args, run_link_campaign,
-                         noise_rates=tuple(args.noise),
-                         layers=tuple(args.layers),
-                         dpm_modes=tuple(args.dpm),
-                         sessions=args.sessions, commands=args.commands)
+                         ("noise_rates", "layers", "dpm_modes", "sessions",
+                          "commands"))
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
     from repro.experiments import run_fabric_campaign
-    axes = {}
-    for name in ("topologies", "layers"):
-        if getattr(args, name) is not None:
-            axes[name] = tuple(getattr(args, name))
     return _run_campaign(args, run_fabric_campaign,
-                         commands=args.commands, **axes)
+                         ("topologies", "layers", "commands"))
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -209,9 +204,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"minimal repro written to {args.repro_out}")
 
-    return _run_campaign(args, run_chaos_campaign, after=write_repro,
-                         scenarios=args.scenarios,
-                         selftest=not args.no_selftest)
+    return _run_campaign(args, run_chaos_campaign, ("scenarios",),
+                         after=write_repro, selftest=not args.no_selftest)
 
 
 def _chaos_replay(path: str) -> int:
@@ -267,16 +261,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def add_campaign_options(command: argparse.ArgumentParser,
-                         seed: typing.Union[int, str, None] = None,
+                         seed: bool = False,
                          wall: bool = False,
                          workers: bool = True) -> None:
     """The supervised-campaign options :func:`_run_campaign` reads:
-    ``--journal``/``--resume`` always, ``--seed`` when the campaign
-    has a *seed* default, ``--cell-wall-seconds`` when its cells take
-    a *wall* budget, ``--workers`` unless it runs serially only."""
-    if seed is not None:
-        command.add_argument("--seed", default=seed,
-                             help="campaign seed (any int or string)")
+    ``--journal``/``--resume`` always, ``--seed`` when the campaign is
+    *seed*-ed, ``--cell-wall-seconds`` when its cells take a *wall*
+    budget, ``--workers`` unless it runs serially only."""
+    if seed:
+        command.add_argument("--seed",
+                             help="campaign seed (any int or string; "
+                                  "default: the campaign's)")
     if wall:
         command.add_argument(
             "--cell-wall-seconds", type=float, default=None,
@@ -358,109 +353,94 @@ def build_parser() -> argparse.ArgumentParser:
     add_campaign_options(robustness, workers=False)
     robustness.set_defaults(func=_cmd_robustness)
 
+    # each campaign owns its grid's vocabulary and defaults (and
+    # checks the axes); naming them here would restate them and load
+    # the campaign on every parse
     faults = sub.add_parser(
         "faults",
         help="fault-injection campaign: recovery cost per layer")
     faults.add_argument("--rates", type=float, nargs="+",
-                        default=[0.0, 0.02, 0.05, 0.1],
                         help="fault rates to sweep (0 is the baseline)")
     faults.add_argument("--classes", nargs="+",
-                        default=["random_mix", "burst_heavy",
-                                 "eeprom_contention"],
                         help="robustness workload classes to replay")
     faults.add_argument("--layers", nargs="+",
-                        default=["layer1", "layer2", "gate-level"],
-                        choices=["layer1", "layer2", "gate-level"],
                         help="bus models to run each cell on")
-    add_campaign_options(faults, seed=2004, wall=True)
+    add_campaign_options(faults, seed=True, wall=True)
     faults.set_defaults(func=_cmd_faults)
 
     tear = sub.add_parser(
         "tear",
         help="tear campaign: anti-tearing consistency and recovery "
              "cost under whole-card power loss")
-    tear.add_argument("--points", type=int, default=100,
+    tear.add_argument("--points", type=int,
                       help="seeded tear points per bus layer")
-    tear.add_argument("--transactions", type=int, default=12,
+    tear.add_argument("--transactions", type=int,
                       help="journaled transactions in the workload")
     tear.add_argument("--layers", nargs="+",
-                      default=["layer1", "layer2", "gate-level"],
-                      choices=["layer1", "layer2", "gate-level"],
                       help="bus models to sweep the tear grid on")
     tear.add_argument("--no-governor", action="store_true",
                       help="skip the energy-governor sub-study")
-    add_campaign_options(tear, seed=2004, wall=True)
+    add_campaign_options(tear, seed=True, wall=True)
     tear.set_defaults(func=_cmd_tear)
 
     dpm = sub.add_parser(
         "dpm",
         help="dynamic power management campaign: adaptive policies vs "
              "always-on, plus the emergency-checkpoint study")
-    dpm.add_argument("--traces", type=int, default=3,
+    dpm.add_argument("--traces", type=int,
                      help="seeded supply traces (harvest rates)")
-    dpm.add_argument("--transactions", type=int, default=8,
+    dpm.add_argument("--transactions", type=int,
                      help="journaled transactions in the workload")
     dpm.add_argument("--policies", nargs="+",
-                     default=["always_on", "fixed_timeout",
-                              "history_predictive", "budget_aware"],
-                     choices=["always_on", "fixed_timeout",
-                              "history_predictive", "budget_aware"],
                      help="DPM policies to run (always_on is the "
                           "baseline the verdict compares against)")
     dpm.add_argument("--layers", nargs="+",
-                     default=["layer1", "layer2"],
-                     choices=["layer1", "layer2"],
                      help="bus models to run the grid on")
-    dpm.add_argument("--node-nm", type=float, default=None,
+    dpm.add_argument("--node-nm", type=float,
                      help="calibrate the characterisation table at "
                           "this process node (with --vdd)")
-    dpm.add_argument("--vdd", type=float, default=None,
+    dpm.add_argument("--vdd", type=float,
                      help="calibrate the characterisation table at "
                           "this supply voltage (with --node-nm)")
     dpm.add_argument("--no-emergency", action="store_true",
                      help="skip the emergency-checkpoint study")
-    add_campaign_options(dpm, seed=2004, wall=True)
+    add_campaign_options(dpm, seed=True, wall=True)
     dpm.set_defaults(func=_cmd_dpm)
 
     link = sub.add_parser(
         "link",
         help="T=1 link campaign: noisy-channel APDU transport with "
              "bounded retransmission and energy-attributed recovery")
-    link.add_argument("--noise", type=float, nargs="+",
-                      default=[0.0, 0.01, 0.03],
+    link.add_argument("--noise", dest="noise_rates", metavar="NOISE",
+                      type=float, nargs="+",
                       help="per-byte corruption rates (0 is the "
                            "baseline that must stay retransmission-"
                            "free)")
     link.add_argument("--layers", nargs="+",
-                      default=["layer1", "layer2"],
-                      choices=["layer1", "layer2"],
                       help="bus models to price recovery energy on")
-    link.add_argument("--dpm", nargs="+", default=["off", "on"],
-                      choices=["off", "on"],
-                      help="run with/without the DPM power stack (a "
-                           "clock-gated receiver loses wire bytes)")
-    link.add_argument("--sessions", type=int, default=4,
+    link.add_argument("--dpm", dest="dpm_modes", metavar="DPM",
+                      nargs="+",
+                      help="run with (on) and/or without (off) the DPM "
+                           "power stack (a clock-gated receiver loses "
+                           "wire bytes)")
+    link.add_argument("--sessions", type=int,
                       help="T=1 sessions per grid cell")
-    link.add_argument("--commands", type=int, default=6,
+    link.add_argument("--commands", type=int,
                       help="APDU commands per session")
-    add_campaign_options(link, seed=2004, wall=True)
+    add_campaign_options(link, seed=True, wall=True)
     link.set_defaults(func=_cmd_link)
 
-    # the campaign owns its grid's vocabulary and defaults (and
-    # checks the axes); naming them here would load it on every parse
     fabric = sub.add_parser(
         "fabric",
         help="routable-fabric campaign: flat vs bridged topology under "
              "APDU + DMA traffic with exact per-link energy books")
     fabric.add_argument("--topologies", nargs="+",
-                        help="bus topologies to run the grid on "
-                             "(default: all of them)")
+                        help="bus topologies to run the grid on")
     fabric.add_argument("--layers", nargs="+",
-                        help="abstraction layers to route on "
-                             "(default: all of them)")
-    fabric.add_argument("--commands", type=int, default=8,
+                        help="abstraction layers to route on")
+    fabric.add_argument("--commands", type=int,
                         help="APDU commands in the session workload")
-    add_campaign_options(fabric, seed=2004, wall=True)
+    add_campaign_options(fabric, seed=True, wall=True)
     fabric.set_defaults(func=_cmd_fabric)
 
     chaos = sub.add_parser(
@@ -468,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos campaign: seeded fabric-fault scenarios checked "
              "by a cross-layer differential oracle, with a "
              "self-shrinking repro of any failure")
-    chaos.add_argument("--scenarios", type=int, default=25,
+    chaos.add_argument("--scenarios", type=int,
                        help="number of generated scenarios to run")
     chaos.add_argument("--no-selftest", action="store_true",
                        help="skip the injected-failure shrinker "
@@ -480,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--repro-out", metavar="FILE",
                        help="write the self-test's minimal repro as "
                             "replayable JSON")
-    add_campaign_options(chaos, seed=7)
+    add_campaign_options(chaos, seed=True)
     chaos.set_defaults(func=_cmd_chaos)
 
     vcd = sub.add_parser(

@@ -44,17 +44,6 @@ class Region:
         """One past the last address of the window."""
         return self.base + self.size
 
-    @property
-    def is_bridge(self) -> bool:
-        """True when this region leads to another bus segment.
-
-        A bridge slave exposes the downstream segment's decoder as a
-        ``downstream_map`` attribute (see
-        :class:`~repro.fabric.BusBridge`); duck-typing keeps the core
-        decoder free of a dependency on the fabric package.
-        """
-        return getattr(self.slave, "downstream_map", None) is not None
-
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
 

@@ -88,7 +88,8 @@ EMERGENCY_WATERMARKS = dict(defer_nj=0.20, sleep_nj=0.15,
                             emergency_nj=0.10)
 EMERGENCY_GAPS = (100, 200)
 
-#: Cycle budget of every run_script call in a cell.
+#: Cycle budget of a cell's workload run (boot-time recovery runs
+#: under the tear campaign's budget).
 MAX_CYCLES = 400_000
 
 
@@ -415,39 +416,22 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
         violations.append("checkpoint fired after the power loss")
 
     # cold boot + bus-level recovery, then verify
-    booted = platform.cold_boot()
-    read = workload.reader(booted)
-    boot_state = workload.journal.decode(read)
-    recovery = workload.journal.recovery_script(boot_state)
-    recovery_master = BlockingMaster(booted.simulator, booted.clock,
-                                     booted.bus, recovery)
-    recovery_cycles = run_script(booted.simulator, recovery_master,
-                                 MAX_CYCLES, booted.clock,
-                                 wall_seconds=wall_seconds)
-    if not recovery_master.done:
-        violations.append("recovery script did not complete")
-    statuses = workload.classify(booted)
+    reboot = workload.reboot(platform, wall_seconds)
+    violations.extend(reboot.violations)
+    booted = reboot.booted
     checkpoint_txn = mark["txn"]
     checkpoint_txn_applied = (checkpoint_txn is not None
-                              and statuses[checkpoint_txn] == "new")
+                              and reboot.statuses[checkpoint_txn] == "new")
     if checkpoint_txn is not None and not checkpoint_txn_applied:
         violations.append(
             f"checkpointed txn {checkpoint_txn} not applied "
-            f"({statuses[checkpoint_txn]})")
-    for index, status in enumerate(statuses):
-        if status == "mixed":
-            violations.append(f"txn {index} partially committed")
-    applied = [i for i, s in enumerate(statuses) if s == "new"]
-    if applied != list(range(len(applied))):
-        violations.append(f"applied set {applied} is not a prefix")
-    journal_clean = not workload.journal.decode(read).committed
-    if not journal_clean:
-        violations.append("journal still committed after recovery")
-    image_after = booted.eeprom.image()
+            f"({reboot.statuses[checkpoint_txn]})")
+    snapshot = booted.eeprom.snapshot()
     workload.journal.recover(
-        read, lambda address, value: booted.eeprom.poke(
-            address - EEPROM_BASE, value))
-    idempotent = booted.eeprom.image() == image_after
+        workload.reader(booted),
+        lambda address, value: booted.eeprom.poke(address - EEPROM_BASE,
+                                                  value))
+    idempotent = booted.eeprom.snapshot() == snapshot
     if not idempotent:
         violations.append("second recovery pass changed the image")
     return {
@@ -457,9 +441,9 @@ def _run_emergency_cell(trace: int, seed, transactions: int, table,
         "checkpoint_txn": checkpoint_txn,
         "died": died,
         "completed_before_death": len(master.completed),
-        "recovery_cycles": recovery_cycles,
+        "recovery_cycles": reboot.recovery_cycles,
         "checkpoint_txn_applied": checkpoint_txn_applied,
-        "journal_clean": journal_clean,
+        "journal_clean": reboot.journal_clean,
         "idempotent": idempotent,
         "verified": not violations,
         "violations": violations,

@@ -18,14 +18,18 @@ Per (layer, tear point) cell the campaign
    state gone, EEPROM frozen mid-flight);
 3. re-fields the card with
    :meth:`~repro.soc.SmartCardPlatform.cold_boot` (same non-volatile
-   image, fresh everything else) and runs the journal's boot-time
+   words, fresh everything else) and runs the journal's boot-time
    :meth:`~repro.soc.journal.TransactionJournal.recovery_script` over
    the bus, measuring its cycles and energy on the same layer;
 4. verifies the consistency invariants: every logical transaction is
    all-old or all-new (no partial commit is visible), the applied
-   transactions form a prefix of the issue order, a frame that was
-   durably committed at the tear point is applied after recovery, and
-   the journal is clean afterwards.
+   transactions form a prefix of the issue order, the journal is
+   clean afterwards, and a frame that was durably committed at the
+   tear point is applied after recovery.
+
+Steps 3 and 4 up to the last invariant are
+:meth:`_JournalWorkload.reboot`, the reboot-and-verify step the DPM
+campaign's emergency cells share.
 
 Tear points come from :func:`~repro.faults.tear_schedule`, seeded per
 layer and spanning each layer's own tear-free baseline run, so the
@@ -53,7 +57,8 @@ import typing
 
 from repro.faults import TearInjector, tear_schedule
 from repro.power import EnergyGovernor, PowerDomain, PowerSupply
-from repro.soc import EEPROM_BASE, SmartCardPlatform, TransactionJournal
+from repro.soc import (EEPROM_BASE, JournalState, SmartCardPlatform,
+                       TransactionJournal)
 from repro.soc.layers import LAYERS
 from repro.tlm import BlockingMaster, run_script
 
@@ -230,6 +235,21 @@ class TearCampaignResult:
         return "\n".join(lines)
 
 
+@dataclasses.dataclass
+class _Reboot:
+    """What :meth:`_JournalWorkload.reboot` found on the re-fielded
+    card."""
+
+    booted: SmartCardPlatform
+    #: the journal as boot-time recovery found it
+    boot_state: JournalState
+    recovery_cycles: int
+    #: per transaction: "old", "new" or "mixed" after recovery
+    statuses: typing.List[str]
+    journal_clean: bool
+    violations: typing.List[str]
+
+
 class _JournalWorkload:
     """The seeded journaled-update workload shared by every cell.
 
@@ -296,6 +316,40 @@ class _JournalWorkload:
                 statuses.append("mixed")
         return statuses
 
+    def reboot(self, platform: SmartCardPlatform,
+               wall_seconds: typing.Optional[float]) -> _Reboot:
+        """Re-field *platform* after a power loss and verify it.
+
+        Cold-boots the card (fresh volatile world and energy model,
+        same EEPROM contents), runs the journal's boot-time recovery
+        over the new card's bus, and checks what every power-loss study
+        demands: the recovery completes, no transaction is partially
+        committed, the applied transactions are a prefix of the issue
+        order and the journal is clean afterwards.
+        """
+        booted = platform.cold_boot()
+        read = self.reader(booted)
+        boot_state = self.journal.decode(read)
+        master = BlockingMaster(booted.simulator, booted.clock, booted.bus,
+                                self.journal.recovery_script(boot_state))
+        cycles = run_script(booted.simulator, master, MAX_CYCLES,
+                            booted.clock, wall_seconds=wall_seconds)
+        statuses = self.classify(booted)
+        applied = [i for i, s in enumerate(statuses) if s == "new"]
+        journal_clean = not self.journal.decode(read).committed
+        violations = []
+        if not master.done:
+            violations.append("recovery script did not complete")
+        violations.extend(f"txn {index} partially committed"
+                          for index, status in enumerate(statuses)
+                          if status == "mixed")
+        if applied != list(range(len(applied))):
+            violations.append(f"applied set {applied} is not a prefix")
+        if not journal_clean:
+            violations.append("journal still committed after recovery")
+        return _Reboot(booted, boot_state, cycles, statuses, journal_clean,
+                       violations)
+
 
 def _run_baseline(layer: str, seed, transactions: int, table,
                   wall_seconds: typing.Optional[float]) -> dict:
@@ -332,44 +386,22 @@ def _run_tear_cell(layer: str, tear_cycle: int, seed,
                wall_seconds=wall_seconds)
     torn = platform.simulator.powered_off
     state_at_tear = workload.journal.decode(workload.reader(platform))
-
-    # re-field the card: fresh volatile world (and energy model), same
-    # EEPROM image
-    booted = platform.cold_boot()
-    state = workload.journal.decode(workload.reader(booted))
-    recovery = workload.journal.recovery_script(state)
-    recovery_master = BlockingMaster(booted.simulator, booted.clock,
-                                     booted.bus, recovery)
-    recovery_cycles = run_script(booted.simulator, recovery_master,
-                                 MAX_CYCLES, booted.clock,
-                                 wall_seconds=wall_seconds)
-    recovery_energy = booted.layer_bus.energy_pj()
-
-    violations = []
-    if not recovery_master.done:
-        violations.append("recovery script did not complete")
-    statuses = workload.classify(booted)
-    for index, status in enumerate(statuses):
-        if status == "mixed":
-            violations.append(f"txn {index} partially committed")
-    applied = [i for i, s in enumerate(statuses) if s == "new"]
-    if applied != list(range(len(applied))):
-        violations.append(f"applied set {applied} is not a prefix")
-    if state_at_tear.committed and statuses[state_at_tear.seq] != "new":
+    reboot = workload.reboot(platform, wall_seconds)
+    violations = reboot.violations
+    if (state_at_tear.committed
+            and reboot.statuses[state_at_tear.seq] != "new"):
         violations.append(
             f"durably committed txn {state_at_tear.seq} lost")
-    if workload.journal.decode(workload.reader(booted)).committed:
-        violations.append("journal still committed after recovery")
-    if not torn and statuses != ["new"] * transactions:
+    if not torn and reboot.statuses != ["new"] * transactions:
         violations.append("untorn run did not apply every txn")
 
     return {
         "layer": layer, "tear_cycle": tear_cycle, "torn": torn,
-        "transactions": transactions, "applied": len(applied),
+        "transactions": transactions, "applied": reboot.statuses.count("new"),
         "committed_at_tear": state_at_tear.committed,
-        "replayed": state.committed,
-        "recovery_cycles": recovery_cycles,
-        "recovery_energy_pj": recovery_energy,
+        "replayed": reboot.boot_state.committed,
+        "recovery_cycles": reboot.recovery_cycles,
+        "recovery_energy_pj": reboot.booted.layer_bus.energy_pj(),
         "consistent": not violations, "violations": violations,
     }
 

@@ -51,12 +51,6 @@ class FabricSegment:
     arbiter: typing.Any = None
     layer_bus: typing.Any = None  # the rung (repro.soc.layers.LayerBus)
 
-    @property
-    def master_interface(self) -> typing.Any:
-        """Where a master of this segment plugs in: the arbiter (make
-        a port) when one exists, the bus itself otherwise."""
-        return self.arbiter if self.arbiter is not None else self.bus
-
 
 @dataclasses.dataclass(frozen=True)
 class FabricEnergyReport:
@@ -103,10 +97,6 @@ class BusFabric:
     @property
     def root_bus(self) -> typing.Any:
         return self.root.bus
-
-    @property
-    def root_map(self) -> MemoryMap:
-        return self.root.memory_map
 
     def segment(self, name: str) -> FabricSegment:
         return self.segments[name]

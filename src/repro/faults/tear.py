@@ -7,9 +7,8 @@ every RAM word and every CPU register is gone, and only the
 non-volatile memories survive.  :class:`TearInjector` models exactly
 that with the kernel's cooperative power-loss stop
 (:meth:`~repro.kernel.Simulator.power_off`): at a seeded trigger cycle
-(or when the live power model reaches an energy threshold) the
-simulator halts cleanly and latches off, and the testbench carries the
-EEPROM image into a fresh platform
+the simulator halts cleanly and latches off, and the testbench carries
+the stored EEPROM words into a fresh platform
 (:meth:`~repro.soc.SmartCardPlatform.cold_boot`) to study recovery.
 
 :func:`tear_schedule` derives the seeded grids the ``tear_campaign``
@@ -25,7 +24,7 @@ from repro.kernel import Clock, Module, Simulator
 
 
 class TearInjector:
-    """Kills the whole card at a trigger cycle or energy threshold.
+    """Kills the whole card at a trigger cycle.
 
     Parameters
     ----------
@@ -36,33 +35,18 @@ class TearInjector:
         bus.cycle``) — the counter the trigger compares against.
     at_cycle:
         Tear when the cycle counter reaches this value.
-    power_model / at_energy_pj:
-        Alternative energy trigger: tear once *power_model*'s
-        ``total_energy_pj`` reaches *at_energy_pj* — "the field
-        delivered this much and no more".
     """
 
     def __init__(self, simulator: Simulator, clock: Clock,
                  cycle_source: typing.Callable[[], int],
-                 at_cycle: typing.Optional[int] = None,
-                 power_model=None,
-                 at_energy_pj: typing.Optional[float] = None,
-                 name: str = "tear") -> None:
-        if at_cycle is None and at_energy_pj is None:
-            raise ValueError(
-                "TearInjector needs at_cycle and/or at_energy_pj")
-        if at_cycle is not None and at_cycle < 0:
+                 at_cycle: int, name: str = "tear") -> None:
+        if at_cycle < 0:
             raise ValueError(f"at_cycle must be >= 0, got {at_cycle}")
-        if at_energy_pj is not None and power_model is None:
-            raise ValueError("at_energy_pj needs a power_model")
         self.simulator = simulator
         self.cycle_source = cycle_source
         self.at_cycle = at_cycle
-        self.power_model = power_model
-        self.at_energy_pj = at_energy_pj
         self.torn = False
         self.tear_cycle: typing.Optional[int] = None
-        self.tear_energy_pj: typing.Optional[float] = None
         self._module = Module(simulator, name)
         self._module.method(self._check, name="check",
                             sensitive=[clock.posedge_event],
@@ -72,20 +56,10 @@ class TearInjector:
         if self.torn or self.simulator.powered_off:
             return
         cycle = self.cycle_source()
-        if self.at_cycle is not None and cycle >= self.at_cycle:
-            self._tear(cycle)
-            return
-        if (self.at_energy_pj is not None
-                and self.power_model.total_energy_pj
-                >= self.at_energy_pj):
-            self._tear(cycle)
-
-    def _tear(self, cycle: int) -> None:
-        self.torn = True
-        self.tear_cycle = cycle
-        if self.power_model is not None:
-            self.tear_energy_pj = self.power_model.total_energy_pj
-        self.simulator.power_off(f"card torn at cycle {cycle}")
+        if cycle >= self.at_cycle:
+            self.torn = True
+            self.tear_cycle = cycle
+            self.simulator.power_off(f"card torn at cycle {cycle}")
 
 
 def tear_schedule(seed: typing.Union[int, str], count: int,

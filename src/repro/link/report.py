@@ -89,13 +89,3 @@ class LinkReport:
     def add_recovery(self, kind: str, energy_pj: float) -> None:
         self.recovery_energy_pj[kind] = \
             self.recovery_energy_pj.get(kind, 0.0) + energy_pj
-
-    def as_payload(self) -> typing.Dict[str, typing.Any]:
-        """JSON-friendly image for campaign journals."""
-        payload = dataclasses.asdict(self)
-        payload["recovery_total_pj"] = self.recovery_total_pj
-        payload["unaccounted_pj"] = self.unaccounted_pj
-        payload["accounted"] = self.accounted
-        payload["retries_within_budget"] = self.retries_within_budget
-        payload["clean_close"] = self.clean_close
-        return payload

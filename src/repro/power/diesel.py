@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.ec import EC_SIGNALS, SIGNALS_BY_NAME
+from repro.ec import EC_SIGNALS
 
 from .units import DEFAULT_VDD, transition_energy_pj
 
@@ -244,8 +244,3 @@ class DieselEstimator:
         }
         return DieselReport(wire_energy, wire_transitions, modules,
                             glitches, cycles)
-
-
-def signal_width(signal_name: str) -> int:
-    """Width of an EC signal bundle (helper for reporting)."""
-    return SIGNALS_BY_NAME[signal_name].width

@@ -118,10 +118,6 @@ class PowerSupply:
         return self.charge_pj / PJ_PER_NJ
 
     @property
-    def in_brownout(self) -> bool:
-        return self.charge_pj < self.brownout_pj
-
-    @property
     def powered_down(self) -> bool:
         return bool(self.power_losses)
 

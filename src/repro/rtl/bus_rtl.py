@@ -321,8 +321,3 @@ class RtlBus(EcBusBase):
                     or self._read.active or self._read.pending
                     or self._write.active or self._write.pending
                     or len(self.finish_pool))
-
-    @property
-    def signal_values(self) -> typing.Dict[str, int]:
-        """The interface wire values committed for the last cycle."""
-        return dict(self._values)

@@ -176,10 +176,6 @@ class MipsCore(Module):
         self._fetch_txn = None
         # the fetched instruction executes next cycle (fill latency)
 
-    def invalidate_line_buffer(self) -> None:
-        """Flush fetched lines (needed after self-modifying stores)."""
-        self._lines.clear()
-
     # -- posted stores ---------------------------------------------------------
 
     def _poll_stores(self) -> None:

@@ -36,8 +36,8 @@ Two consumers:
   issue (driven by a :class:`~repro.tlm.BlockingMaster`, whose strict
   ordering *is* the discipline the argument above needs);
 * **boot side** — :meth:`decode` / :meth:`recover` inspect and repair
-  a back-door EEPROM image (what
-  :meth:`~repro.soc.SmartCardPlatform.cold_boot` carries across
+  the EEPROM through back-door word accessors (its stored words are
+  what :meth:`~repro.soc.SmartCardPlatform.cold_boot` carries across
   simulator instances), and :meth:`recovery_script` emits the bus
   traffic of the same repair so its cycle and energy cost is
   measurable on every bus layer.
@@ -153,7 +153,7 @@ class TransactionJournal:
     def decode(self, read_word: typing.Callable[[int], int]
                ) -> JournalState:
         """Parse the journal window through *read_word* (an absolute
-        word reader, e.g. a back-door peek over the EEPROM image).
+        word reader, e.g. a back-door EEPROM peek).
 
         A frame is *committed* only when COMMIT is nonzero **and**
         matches the checksum of the header and records it promises —
@@ -197,7 +197,7 @@ class TransactionJournal:
 
         The firmware always reads the header and commit word; with a
         committed frame (*state* from :meth:`decode` on the same
-        image) it also reads the records, replays the home writes and
+        EEPROM) it also reads the records, replays the home writes and
         clears the commit word.  Running this on a cold-booted
         platform prices the recovery overhead in cycles and energy.
         """

@@ -244,32 +244,35 @@ class SmartCardPlatform(Module):
             self.run_cycles(1)
         return False
 
-    def cold_boot(self, **overrides) -> "SmartCardPlatform":
+    def cold_boot(self) -> "SmartCardPlatform":
         """Re-field the card: a fresh platform with this card's
         non-volatile state.
 
         Builds a brand-new platform (fresh :class:`Simulator`, fresh
         bus, fresh peripherals — everything volatile is gone, exactly
         as after a tear) from the same construction recipe, then
-        carries over the persistent memories: ROM, FLASH and — the one
-        that matters for anti-tearing — the EEPROM image, byte for
-        byte, including any partially-applied journal frame.
+        carries over the stored words of the persistent memories: ROM,
+        FLASH and — the one that matters for anti-tearing — the
+        EEPROM, byte for byte, including any partially-applied journal
+        frame.
 
         A card priced through ``table=`` boots with fresh energy models
         (and, at gate level, a fresh activity log), so every boot is
-        priced separately.  *overrides* patch the recipe: a card built
-        with an explicit ``power_model=`` needs a fresh one passed here
-        (energy models are stateful and stay bound to the dead
-        platform's bus).  Boot-time
-        journal recovery is the firmware's first job on the new
-        platform — see :class:`~repro.soc.journal.TransactionJournal`.
+        priced separately.  A card built with an explicit
+        ``power_model=`` cannot boot again (the model is stateful and
+        stays bound to the dead platform's bus): ``ValueError``.
+        Boot-time journal recovery is the firmware's first job on the
+        new platform — see
+        :class:`~repro.soc.journal.TransactionJournal`.
         """
-        config = dict(self._config)
-        config.update(overrides)
-        platform = SmartCardPlatform(**config)
-        platform.rom.load(0, self.rom.image())
-        platform.flash.load(0, self.flash.image())
-        platform.eeprom.load(0, self.eeprom.image())
+        if self._config["power_model"] is not None:
+            raise ValueError("cold_boot needs a card priced through "
+                             "table=, not an explicit power_model=")
+        platform = SmartCardPlatform(**self._config)
+        for name in ("rom", "flash", "eeprom"):
+            poke = platform.slaves[name].poke
+            for offset, word in self.slaves[name].snapshot().items():
+                poke(offset, word)
         return platform
 
     @property

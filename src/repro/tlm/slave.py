@@ -242,17 +242,16 @@ class MemorySlave(BehaviouralSlave):
         """Back-door write of the word containing *offset*."""
         self._words[self._index(offset)] = word & DATA_MASK
 
-    def image(self) -> typing.List[int]:
-        """Back-door snapshot of the whole memory, one int per word.
+    def snapshot(self) -> typing.Dict[int, int]:
+        """Back-door copy of the nonzero words, by byte offset.
 
         The persistence primitive of power-loss studies: capture the
-        non-volatile image at the tear point, ``load`` it into the
-        replacement device on the next power-up.
+        non-volatile contents at the tear point, ``poke`` them into the
+        replacement device on the next power-up.  Two snapshots are
+        equal exactly when the memories read the same everywhere.
         """
-        image = [0] * (self._size // BYTES_PER_WORD)
-        for index, word in self._words.items():
-            image[index] = word
-        return image
+        return {index * BYTES_PER_WORD: word
+                for index, word in self._words.items() if word}
 
 
 class RegisterSlave(BehaviouralSlave):

@@ -1,10 +1,9 @@
-"""Whole-card tear injection: clean halts at seeded cycles/energy."""
+"""Whole-card tear injection: clean halts at seeded cycles."""
 
 import pytest
 
 from repro.ec import data_write
 from repro.faults import TearInjector, tear_schedule
-from repro.power import Layer1PowerModel, default_table
 from repro.soc import EEPROM_BASE, SmartCardPlatform
 from repro.tlm import BlockingMaster, run_script
 
@@ -42,19 +41,6 @@ class TestTearInjector:
         assert not injector.torn
         assert not platform.simulator.powered_off
 
-    def test_energy_threshold_trigger(self):
-        model = Layer1PowerModel(default_table())
-        platform = SmartCardPlatform(bus_layer=1, power_model=model)
-        injector = TearInjector(platform.simulator, platform.clock,
-                                lambda: platform.bus.cycle,
-                                power_model=model, at_energy_pj=100.0)
-        master = BlockingMaster(platform.simulator, platform.clock,
-                                platform.bus, eeprom_script())
-        run_script(platform.simulator, master, 10_000, platform.clock)
-        assert injector.torn
-        assert injector.tear_energy_pj >= 100.0
-        assert platform.simulator.powered_off
-
     def test_run_after_power_off_is_a_noop(self):
         platform = SmartCardPlatform(bus_layer=1)
         TearInjector(platform.simulator, platform.clock,
@@ -69,15 +55,11 @@ class TestTearInjector:
     def test_validation(self):
         platform = SmartCardPlatform(bus_layer=1)
         source = lambda: platform.bus.cycle  # noqa: E731
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             TearInjector(platform.simulator, platform.clock, source)
         with pytest.raises(ValueError):
             TearInjector(platform.simulator, platform.clock, source,
                          at_cycle=-1)
-        with pytest.raises(ValueError):
-            # an energy trigger needs a power model to read
-            TearInjector(platform.simulator, platform.clock, source,
-                         at_energy_pj=10.0)
 
 
 class TestTearSchedule:

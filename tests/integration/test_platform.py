@@ -70,6 +70,15 @@ class TestCardAllocation:
         assert allocated_bytes(
             lambda: SmartCardPlatform(bus_layer=1)) < 128 * 1024
 
+    def test_cold_boot_allocates_under_128_kib(self):
+        # the boot copies only the stored words of ROM, FLASH and
+        # EEPROM, not a per-word image of each memory
+        platform = SmartCardPlatform(bus_layer=1)
+        platform.rom.load(0, [0x3C1D0030, 0x27BD0100, 0x0C000010])
+        platform.flash.poke(0x10, 0xF1A5)
+        platform.eeprom.poke(0x40, 0xEE11)
+        assert allocated_bytes(platform.cold_boot) < 128 * 1024
+
 
 class TestTimersOverTime:
     def test_timer_overflow_raises_interrupt(self):

@@ -5,7 +5,49 @@ import shutil
 import pytest
 
 from repro.experiments import run_tear_campaign
-from repro.experiments.tear_campaign import LAYERS
+from repro.experiments.tear_campaign import (LAYERS, WORDS_PER_TXN,
+                                             _JournalWorkload)
+from repro.soc import EEPROM_BASE, SmartCardPlatform
+
+
+class TestRebootStep:
+    """The one reboot-and-verify step the tear and DPM campaigns
+    share: cold boot, decode, recover on the bus, classify, check."""
+
+    @staticmethod
+    def torn_card(workload, frame_items):
+        """A card holding the old home values plus the first
+        *frame_items* writes of txn 0's journal discipline, as a tear
+        right after them would leave it."""
+        platform = SmartCardPlatform(bus_layer="layer1")
+        workload.preload(platform)
+        frame = workload.journal.update_script(0, workload.txn_writes[0])
+        for txn in frame[:frame_items]:
+            platform.eeprom.poke(txn.address - EEPROM_BASE, txn.data[0])
+        return platform
+
+    def test_card_torn_mid_commit_recovers_cleanly(self):
+        workload = _JournalWorkload(3, 2)
+        # records, HDR and COMMIT written, then one of two home words
+        platform = self.torn_card(workload, 2 * WORDS_PER_TXN + 3)
+        assert workload.classify(platform) == ["mixed", "old"]
+        reboot = workload.reboot(platform, None)
+        assert reboot.boot_state.committed
+        assert reboot.violations == []
+        assert reboot.statuses == ["new", "old"]
+        assert reboot.journal_clean
+        assert reboot.recovery_cycles > 0
+        assert reboot.booted is not platform
+
+    def test_half_written_home_without_a_frame_is_partial(self):
+        workload = _JournalWorkload(3, 2)
+        platform = self.torn_card(workload, 0)
+        (address, new), _ = workload.txn_writes[0]
+        platform.eeprom.poke(address - EEPROM_BASE, new)
+        reboot = workload.reboot(platform, None)
+        assert not reboot.boot_state.committed
+        assert reboot.statuses == ["mixed", "old"]
+        assert reboot.violations == ["txn 0 partially committed"]
 
 
 class TestReducedGrid:

@@ -149,12 +149,12 @@ class TestColdBootPersistence:
         assert booted.eeprom.peek(0x40) == 0xEE11
         assert booted.ram.peek(0) == 0  # RAM is volatile
 
-    def test_overrides_patch_the_recipe(self):
+    def test_card_with_explicit_power_model_cannot_boot_again(self):
         from repro.power import Layer1PowerModel, default_table
-        platform = SmartCardPlatform(bus_layer=1)
-        model = Layer1PowerModel(default_table())
-        booted = platform.cold_boot(power_model=model)
-        assert booted.bus.power_model is model
+        platform = SmartCardPlatform(
+            bus_layer=1, power_model=Layer1PowerModel(default_table()))
+        with pytest.raises(ValueError, match="power_model"):
+            platform.cold_boot()
 
 
 class TestTearAnywhere:

@@ -126,14 +126,25 @@ class TestCommands:
         assert main(["fabric", "--commands", "0"]) == 2
         assert main(["fabric", "--resume"]) == 2
 
-    @pytest.mark.parametrize("axis", [["--layers", "gate-level"],
-                                      ["--topologies", "ring"]])
-    def test_fabric_axes_come_from_the_campaign(self, axis, capsys):
-        assert main(["fabric", *axis]) == 2
+    @pytest.mark.parametrize("command, axis, choices", [
+        ("faults", ["--classes", "idle"],
+         "burst_heavy, eeprom_contention, random_mix"),
+        ("faults", ["--layers", "layer3"], "layer1, layer2, gate-level"),
+        ("tear", ["--layers", "layer3"], "layer1, layer2, gate-level"),
+        ("dpm", ["--policies", "greedy"],
+         "always_on, fixed_timeout, history_predictive, budget_aware"),
+        ("dpm", ["--layers", "gate-level"], "layer1, layer2"),
+        ("link", ["--layers", "gate-level"], "layer1, layer2"),
+        ("link", ["--dpm", "auto"], "off, on"),
+        ("fabric", ["--layers", "gate-level"], "layer1, layer2, layer3"),
+        ("fabric", ["--topologies", "ring"], "flat, bridged"),
+    ])
+    def test_axes_come_from_the_campaign(self, command, axis, choices,
+                                         capsys):
+        assert main([command, *axis]) == 2
         error = capsys.readouterr().err
-        assert error.startswith("repro fabric: error: unknown")
-        assert ("layer1, layer2, layer3" in error
-                or "flat, bridged" in error)
+        assert error.startswith(f"repro {command}: error: unknown")
+        assert choices in error
 
     def test_chaos_small_campaign(self, tmp_path, capsys):
         repro = tmp_path / "repro.json"

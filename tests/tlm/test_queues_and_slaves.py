@@ -114,13 +114,14 @@ class TestBlockInterface:
 
 class TestSparseStore:
     """The memories keep only the words ever stored; an absent word
-    reads as 0 and every accessor checks the offset against the size."""
+    reads as 0, every accessor checks the offset against the size, and
+    ``snapshot()`` copies the nonzero words by offset."""
 
     SIZE = 0x100
 
     def test_fresh_memory_reads_zero(self):
         memory = MemorySlave(0x0, self.SIZE)
-        assert memory.image() == [0] * (self.SIZE // 4)
+        assert memory.snapshot() == {}
         for offset in (0, 4, 0x7F, self.SIZE - 1):
             assert memory.peek(offset) == 0
             assert memory.do_read(offset, 0b1111).data == 0
@@ -130,24 +131,47 @@ class TestSparseStore:
         memory.do_write(8, 0b0010, 0xAABBCCDD)
         assert memory.peek(8) == 0x0000CC00
         assert memory.peek(4) == 0 and memory.peek(12) == 0
+        assert memory.snapshot() == {8: 0x0000CC00}
 
-    def test_load_image_load_round_trips(self):
+    def test_snapshot_holds_the_nonzero_words_by_offset(self):
         memory = MemorySlave(0x0, self.SIZE)
         memory.load(8, [0x11, 0, 0xFFFFFFFF, 0x1_0000_0022])
+        assert memory.snapshot() == {8: 0x11, 16: 0xFFFFFFFF, 20: 0x22}
+
+    def test_word_poked_back_to_zero_leaves_the_snapshot(self):
+        memory = MemorySlave(0x0, self.SIZE)
         memory.poke(0x40, 0xCAFE)
+        memory.do_write(0x44, 0b1111, 0xBEEF)
         memory.poke(0x40, 0)
-        image = memory.image()
-        assert image[2:6] == [0x11, 0, 0xFFFFFFFF, 0x22]
+        memory.do_write(0x44, 0b1111, 0)
+        assert memory.snapshot() == {}
+        assert memory.snapshot() == MemorySlave(0x0, self.SIZE).snapshot()
+
+    def test_snapshot_poke_round_trips(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        memory.load(0, [3, 1, 4, 1, 5, 9, 2, 6])
+        memory.poke(self.SIZE - 4, 0x1234)
         copy = MemorySlave(0x0, self.SIZE)
-        copy.load(0, image)
-        assert copy.image() == image
-        assert [copy.peek(4 * i) for i in range(self.SIZE // 4)] == image
+        for offset, word in memory.snapshot().items():
+            copy.poke(offset, word)
+        assert copy.snapshot() == memory.snapshot()
+        assert ([copy.peek(offset) for offset in range(0, self.SIZE, 4)]
+                == [memory.peek(offset)
+                    for offset in range(0, self.SIZE, 4)])
+
+    def test_snapshot_is_a_copy(self):
+        memory = MemorySlave(0x0, self.SIZE)
+        memory.poke(4, 7)
+        snapshot = memory.snapshot()
+        snapshot[4] = 8
+        memory.poke(8, 9)
+        assert memory.peek(4) == 7 and 8 not in snapshot
 
     def test_load_zero_overwrites_stored_word(self):
         memory = MemorySlave(0x0, self.SIZE)
         memory.poke(4, 0x1234)
         memory.load(0, [7, 0])
-        assert memory.image()[:2] == [7, 0]
+        assert memory.snapshot() == {0: 7}
 
     @pytest.mark.parametrize("offset", [SIZE, -4])
     @pytest.mark.parametrize("access", [
@@ -161,13 +185,13 @@ class TestSparseStore:
         memory = MemorySlave(0x0, self.SIZE)
         with pytest.raises(IndexError):
             access(memory, offset)
-        assert memory.image() == [0] * (self.SIZE // 4)
+        assert memory.snapshot() == {}
 
     def test_load_past_the_end_stores_nothing(self):
         memory = MemorySlave(0x0, self.SIZE)
         with pytest.raises(IndexError):
             memory.load(self.SIZE - 4, [1, 2])
-        assert memory.image() == [0] * (self.SIZE // 4)
+        assert memory.snapshot() == {}
 
     def test_cold_boot_carries_eeprom_word(self):
         platform = SmartCardPlatform(bus_layer=1)
@@ -176,7 +200,7 @@ class TestSparseStore:
         booted = platform.cold_boot()
         assert booted.eeprom.peek(0x40) == 0xDEADBEEF
         assert booted.eeprom.peek(0x7FFC) == 0x00A50000
-        assert booted.eeprom.image() == platform.eeprom.image()
+        assert booted.eeprom.snapshot() == platform.eeprom.snapshot()
 
 
 class TestRegisterSlaveHooks:
