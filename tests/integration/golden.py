@@ -15,7 +15,9 @@ activity counters, and every Table 1 and Table 2 row.  They also pin
 the experiments that build their buses outside a campaign: the
 Figure 6 samples, the case-study and coprocessor-study rows, and the
 SHA-256 of the ``repro vcd`` waveform file.  Floats are kept as
-``repr`` strings, so a change in the last bit fails.
+``repr`` strings, so a change in the last bit fails.  Tables 1 and 2,
+Figure 6, the case study and the coprocessor study keep their printed
+report and its SHA-256 beside their values, as the campaigns do.
 
 The manifest lives next to this module in ``golden_campaigns.json``;
 rewrite it with ``python tests/integration/test_golden_campaigns.py
@@ -116,22 +118,39 @@ def characterization_values() -> dict:
     }
 
 
+def report_text(result: typing.Any) -> dict:
+    """The printed report (``result.format()``): its SHA-256 and its
+    lines."""
+    report = result.format()
+    return {
+        "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+        "report": report.splitlines(),
+    }
+
+
 def table1_values() -> dict:
-    """Every Table 1 row: cycles, relative cycles, error."""
+    """Every Table 1 row: cycles, relative cycles, error; and the
+    report."""
+    result = run_table1()
     return {"rows": [[row.abstraction_level, row.cycles,
                       repr(row.cycles_relative), repr(row.error_percent)]
-                     for row in run_table1().rows]}
+                     for row in result.rows],
+            **report_text(result)}
 
 
 def table2_values() -> dict:
-    """Every Table 2 row: energy, relative energy, error."""
+    """Every Table 2 row: energy, relative energy, error; and the
+    report."""
+    result = run_table2()
     return {"rows": [[row.abstraction_level, repr(row.energy_pj),
                       repr(row.energy_relative), repr(row.error_percent)]
-                     for row in run_table2().rows]}
+                     for row in result.rows],
+            **report_text(result)}
 
 
 def figure6_values() -> dict:
-    """The Figure 6 samples, windows, totals and phase timings."""
+    """The Figure 6 samples, windows, totals and phase timings; and
+    the report."""
     result = run_figure6()
     return {
         "sample_cycles": result.sample_cycles,
@@ -141,6 +160,7 @@ def figure6_values() -> dict:
                     phase.data_done_cycle] for phase in result.phases],
         "layer2_total_pj": repr(result.layer2_total_pj),
         "layer1_total_pj": repr(result.layer1_total_pj),
+        **report_text(result),
     }
 
 
@@ -152,7 +172,7 @@ def _exploration_rows(exploration) -> list:
 
 def casestudy_values() -> dict:
     """The case study's functional results and exploration rows, plus
-    the same exploration on layer 2."""
+    the same exploration on layer 2; and the report."""
     result = run_casestudy()
     layer2 = run_exploration(characterization().table, bus_layer=2)
     return {
@@ -160,16 +180,19 @@ def casestudy_values() -> dict:
                        in sorted(result.functional_results.items())},
         "rows": _exploration_rows(result.exploration),
         "layer2_rows": _exploration_rows(layer2),
+        **report_text(result),
     }
 
 
 def coprocessor_values() -> dict:
-    """Every coprocessor-study row."""
+    """Every coprocessor-study row; and the report."""
+    result = run_coprocessor_study()
     return {"rows": [[row.name, row.cycles, repr(row.bus_energy_pj),
                       repr(row.coprocessor_energy_pj),
                       row.bus_transactions, row.cpu_instructions,
                       row.correct]
-                     for row in run_coprocessor_study().rows]}
+                     for row in result.rows],
+            **report_text(result)}
 
 
 def vcd_values() -> dict:
@@ -216,11 +239,9 @@ def cell_lines(journal: str) -> bytes:
 
 
 def digest(result: typing.Any, journal: str) -> dict:
-    report = result.format()
     return {
-        "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
         "journal_sha256": hashlib.sha256(cell_lines(journal)).hexdigest(),
-        "report": report.splitlines(),
+        **report_text(result),
     }
 
 
