@@ -58,40 +58,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table1
-    print(run_table1().format())
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table2
-    print(run_table2().format())
-    return 0
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table3
-    print(run_table3(transactions=args.transactions,
-                     include_gate_level=not args.no_gate_level).format())
-    return 0
-
-
-def _cmd_figure6(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure6
-    print(run_figure6().format())
-    return 0
-
-
-def _cmd_casestudy(args: argparse.Namespace) -> int:
-    from repro.experiments import run_casestudy
-    print(run_casestudy().format())
-    return 0
-
-
-def _cmd_coprocessor(args: argparse.Namespace) -> int:
-    from repro.experiments import run_coprocessor_study
-    print(run_coprocessor_study(blocks=args.blocks).format())
+def _print_report(args: argparse.Namespace) -> int:
+    """Run ``repro.experiments.<args.runner>`` with the command's own
+    options (argparse destinations named like the runner's
+    parameters) and print its report."""
+    import repro.experiments
+    options = {name: value for name, value in vars(args).items()
+               if name not in ("command", "func", "runner")}
+    print(getattr(repro.experiments, args.runner)(**options).format())
     return 0
 
 
@@ -311,24 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     sub.add_parser("table1", help="timing accuracy"
-                   ).set_defaults(func=_cmd_table1)
+                   ).set_defaults(func=_print_report, runner="run_table1")
     sub.add_parser("table2", help="energy estimation accuracy"
-                   ).set_defaults(func=_cmd_table2)
+                   ).set_defaults(func=_print_report, runner="run_table2")
 
     table3 = sub.add_parser("table3", help="simulation performance")
     table3.add_argument("--transactions", type=int, default=2_000)
-    table3.add_argument("--no-gate-level", action="store_true")
-    table3.set_defaults(func=_cmd_table3)
+    table3.add_argument("--no-gate-level", dest="include_gate_level",
+                        action="store_false")
+    table3.set_defaults(func=_print_report, runner="run_table3")
 
     sub.add_parser("figure6", help="energy sampling profile"
-                   ).set_defaults(func=_cmd_figure6)
+                   ).set_defaults(func=_print_report, runner="run_figure6")
     sub.add_parser("casestudy", help="java card HW/SW exploration"
-                   ).set_defaults(func=_cmd_casestudy)
+                   ).set_defaults(func=_print_report, runner="run_casestudy")
 
     coproc = sub.add_parser("coprocessor",
                             help="crypto HW/SW interface study")
     coproc.add_argument("--blocks", type=int, default=4)
-    coproc.set_defaults(func=_cmd_coprocessor)
+    coproc.set_defaults(func=_print_report, runner="run_coprocessor_study")
 
     characterize = sub.add_parser(
         "characterize", help="run the power characterisation flow")

@@ -18,6 +18,7 @@ import dataclasses
 import typing
 
 from repro.ec import TransactionKind
+from repro.report import Column, Report, Reported
 from repro.soc.cpu import MipsCore
 from repro.soc.smartcard import ROM_BASE, SmartCardPlatform
 
@@ -46,7 +47,7 @@ class SweepPoint:
 
 
 @dataclasses.dataclass
-class BusSweepResult:
+class BusSweepResult(Reported):
     points: typing.List[SweepPoint]
 
     def point(self, burst: int, lines: int) -> SweepPoint:
@@ -74,24 +75,21 @@ class BusSweepResult:
     def best_by_cycles(self) -> SweepPoint:
         return min(self._usable(), key=lambda point: point.cycles)
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        if any(point.status == "ok" for point in self.points):
+            summary = (f"fastest: {self.best_by_cycles().label}   "
+                       f"lowest energy: {self.best_by_energy().label}")
+        else:
+            summary = "every sweep point degraded"
+        return Report(
             "Fetch-path parameter sweep (section-4.1 test program):",
-            f"{'configuration':<20}{'cycles':>8}{'bus pJ':>11}"
-            f"{'fetch txns':>12}{'fetch words':>13}",
-        ]
-        for point in self.points:
-            if point.status != "ok":
-                lines.append(f"{point.label:<20}  DEGRADED: "
-                             f"{point.error}")
-                continue
-            lines.append(
-                f"{point.label:<20}{point.cycles:>8}"
-                f"{point.bus_energy_pj:>11.1f}"
-                f"{point.fetch_transactions:>12}{point.fetch_words:>13}")
-        lines.append(f"fastest: {self.best_by_cycles().label}   "
-                     f"lowest energy: {self.best_by_energy().label}")
-        return "\n".join(lines)
+            columns=[
+                Column("configuration", 20, "{label}", "<"),
+                Column("cycles", 8, "{cycles}"),
+                Column("bus pJ", 11, "{bus_energy_pj:.1f}"),
+                Column("fetch txns", 12, "{fetch_transactions}"),
+                Column("fetch words", 13, "{fetch_words}"),
+            ], rows=self.points, after=[summary])
 
 
 def run_point(fetch_burst_length: int, line_buffer_lines: int,

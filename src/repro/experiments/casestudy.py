@@ -24,23 +24,26 @@ from repro.javacard import (BytecodeInterpreter, ExplorationResult,
                             FunctionalStack, benchmark_package,
                             run_exploration)
 from repro.javacard.workloads import BENCHMARKS
+from repro.report import Report, Reported
 
 from .common import characterization
 
 
 @dataclasses.dataclass
-class CaseStudyResult:
+class CaseStudyResult(Reported):
     functional_results: typing.Dict[str, int]
     exploration: ExplorationResult
 
-    def format(self) -> str:
-        lines = ["Case study (section 4.3): java card VM refinement",
-                 "functional (untimed) model results:"]
-        for name, value in self.functional_results.items():
-            lines.append(f"  {name:<20} = {value}")
-        lines.append("")
-        lines.append(self.exploration.format())
-        return "\n".join(lines)
+    def report(self) -> Report:
+        """The exploration's table, under the functional results."""
+        exploration = self.exploration.report()
+        return dataclasses.replace(
+            exploration,
+            title="Case study (section 4.3): java card VM refinement",
+            before=["functional (untimed) model results:",
+                    *(f"  {name:<20} = {value}" for name, value
+                      in self.functional_results.items()),
+                    "", exploration.title, *exploration.before])
 
 
 def run_casestudy() -> CaseStudyResult:

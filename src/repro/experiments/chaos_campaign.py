@@ -32,6 +32,7 @@ import typing
 from repro.chaos import generate_scenario, run_scenario, shrink_scenario
 from repro.chaos.scenario import ChaosScenario
 from repro.faults.fabric import FabricFaultSpec
+from repro.report import Report, Reported
 
 from .supervisor import CampaignSupervisor, check_counts
 
@@ -86,67 +87,16 @@ class ShrinkCell:
 
 
 @dataclasses.dataclass
-class ChaosCampaignResult:
+class ChaosCampaignResult(Reported):
     seed: typing.Union[int, str]
     scenarios: int
     cells: typing.List[ChaosCell]
     selftest: typing.Optional[ShrinkCell]
 
     @property
-    def all_cells_ok(self) -> bool:
-        cells_ok = all(cell.status == "ok" for cell in self.cells)
-        selftest_ok = (self.selftest is None
-                       or self.selftest.status == "ok")
-        return cells_ok and selftest_ok
-
-    @property
-    def no_hangs(self) -> bool:
-        """No layer of any scenario tripped the progress watchdog or
-        refused to drain its fabric after the script completed."""
-        return all(cell.hangs == 0 for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def no_divergences(self) -> bool:
-        """Every generated scenario passed the cross-layer oracle —
-        zero unexplained divergences between layers 1, 2 and 3."""
-        return all(cell.passed for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def books_balanced(self) -> bool:
-        """Every layer of every scenario telescoped its per-link
-        energy buckets bitwise into the composite probe total."""
-        return all(cell.balanced for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def faults_exercised(self) -> bool:
-        """The campaign scheduled fabric faults and they actually
-        landed on crossings — a fault schedule that never fires tests
-        nothing."""
-        scheduled = sum(cell.faults_scheduled for cell in self.cells
-                        if cell.status == "ok")
-        fired = sum(cell.faults_fired for cell in self.cells
-                    if cell.status == "ok")
-        return fired > 0 if scheduled > 0 else True
-
-    @property
-    def shrinker_ok(self) -> bool:
-        """The injected-for-test failure shrank to a one-fault minimal
-        scenario that replayed deterministically to the same
-        signature.  (True when the self-test arm was not requested.)"""
-        if self.selftest is None:
-            return True
-        cell = self.selftest
-        return (cell.status == "ok" and cell.replayed and cell.smaller
-                and cell.minimal_faults == 1)
-
-    @property
     def passed(self) -> bool:
-        return (self.all_cells_ok and self.no_hangs
-                and self.no_divergences and self.books_balanced
-                and self.faults_exercised and self.shrinker_ok)
+        """Every check the report prints held."""
+        return self.report().passed
 
     # -- aggregates -------------------------------------------------------
 
@@ -163,16 +113,15 @@ class ChaosCampaignResult:
         return [cell for cell in self.cells
                 if cell.status != "ok" or not cell.passed]
 
-    def format(self) -> str:
+    def report(self) -> Report:
         ok = [cell for cell in self.cells if cell.status == "ok"]
         degraded = len(self.cells) - len(ok)
         faulted = sum(1 for cell in ok if cell.faults_scheduled)
         fired_total = sum(cell.faults_fired for cell in ok)
         reports = sum(cell.fault_reports for cell in ok)
         recovered = sum(cell.recovered for cell in ok)
+        selftest = self.selftest
         lines = [
-            f"chaos campaign (seed={self.seed!r}, "
-            f"{self.scenarios} scenarios x 3 layers):",
             f"  scenarios: {len(ok)} ok / {degraded} degraded; "
             f"{faulted} with fault schedules, "
             f"{fired_total} faults fired",
@@ -195,36 +144,44 @@ class ChaosCampaignResult:
         if len(failing) > 10:
             lines.append(f"  ... and {len(failing) - 10} more "
                          f"failing scenarios")
-        if self.selftest is not None:
-            cell = self.selftest
-            if cell.status != "ok":
-                lines.append(f"  selftest shrink DEGRADED: {cell.error}")
-            else:
-                original_faults = len(cell.original.get("faults", ()))
-                lines.append(
-                    f"  selftest shrink: signature {cell.signature!r}, "
-                    f"{original_faults} -> {cell.minimal_faults} "
-                    f"fault(s) in {cell.steps} steps / {cell.runs} "
-                    f"oracle runs, replay "
-                    f"{'ok' if cell.replayed else 'DIVERGED'}")
-        checks = [
-            ("all cells ran", self.all_cells_ok),
-            ("zero hangs under the progress watchdog", self.no_hangs),
-            ("zero unexplained cross-layer divergences",
-             self.no_divergences),
-            ("per-link energy books telescope bitwise",
-             self.books_balanced),
-            ("scheduled fabric faults fired", self.faults_exercised),
-            ("injected failure shrank to a deterministic minimal repro",
-             self.shrinker_ok),
-        ]
-        for label, good in checks:
-            lines.append(f"  [{'pass' if good else 'FAIL'}] {label}")
-        lines.append("verdict: "
-                     + ("layers agree under fabric faults and "
-                        "failures shrink to minimal repros"
-                        if self.passed else "FAILED"))
-        return "\n".join(lines)
+        if selftest is not None and selftest.status != "ok":
+            lines.append(f"  selftest shrink DEGRADED: {selftest.error}")
+        elif selftest is not None:
+            original_faults = len(selftest.original.get("faults", ()))
+            lines.append(
+                f"  selftest shrink: signature {selftest.signature!r}, "
+                f"{original_faults} -> {selftest.minimal_faults} "
+                f"fault(s) in {selftest.steps} steps / {selftest.runs} "
+                f"oracle runs, replay "
+                f"{'ok' if selftest.replayed else 'DIVERGED'}")
+        return Report(
+            f"chaos campaign (seed={self.seed!r}, "
+            f"{self.scenarios} scenarios x 3 layers):",
+            before=lines,
+            checks=[
+                ("all cells ran", not degraded
+                 and (selftest is None or selftest.status == "ok")),
+                # no layer tripped the watchdog or failed to drain its
+                # fabric after the script completed
+                ("zero hangs under the progress watchdog",
+                 all(cell.hangs == 0 for cell in ok)),
+                ("zero unexplained cross-layer divergences",
+                 all(cell.passed for cell in ok)),
+                ("per-link energy books telescope bitwise",
+                 all(cell.balanced for cell in ok)),
+                # a fault schedule that never fires tests nothing
+                ("scheduled fabric faults fired",
+                 fired_total > 0 or not faulted),
+                # to one fault, replaying to the same signature (holds
+                # when the self-test arm was not requested)
+                ("injected failure shrank to a deterministic minimal "
+                 "repro", selftest is None
+                 or (selftest.status == "ok" and selftest.replayed
+                     and selftest.smaller
+                     and selftest.minimal_faults == 1)),
+            ],
+            verdict=("layers agree under fabric faults and failures "
+                     "shrink to minimal repros"))
 
 
 def _run_scenario_cell(index: int,

@@ -28,6 +28,7 @@ import dataclasses
 import typing
 
 from repro.ec import MemoryMap
+from repro.report import Column, Report, Reported, yes_no
 from repro.soc.crypto import (CryptoCoprocessor, DmaDriver,
                               xtea_encrypt)
 from repro.soc.cpu import MipsCore
@@ -197,7 +198,7 @@ class ImplementationResult:
 
 
 @dataclasses.dataclass
-class CoprocessorStudyResult:
+class CoprocessorStudyResult(Reported):
     blocks: int
     rows: typing.List[ImplementationResult]
 
@@ -207,19 +208,18 @@ class CoprocessorStudyResult:
                 return row
         raise KeyError(name)
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        return Report(
             f"Crypto HW/SW interface study ({self.blocks} XTEA blocks):",
-            f"{'implementation':<12}{'cycles':>9}{'bus pJ':>11}"
-            f"{'engine pJ':>11}{'bus txns':>10}{'CPU instr':>11}{'ok':>4}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.name:<12}{row.cycles:>9}{row.bus_energy_pj:>11.1f}"
-                f"{row.coprocessor_energy_pj:>11.1f}"
-                f"{row.bus_transactions:>10}{row.cpu_instructions:>11}"
-                f"{'yes' if row.correct else 'NO':>4}")
-        return "\n".join(lines)
+            columns=[
+                Column("implementation", 12, "{name}", "<"),
+                Column("cycles", 9, "{cycles}"),
+                Column("bus pJ", 11, "{bus_energy_pj:.1f}"),
+                Column("engine pJ", 11, "{coprocessor_energy_pj:.1f}"),
+                Column("bus txns", 10, "{bus_transactions}"),
+                Column("CPU instr", 11, "{cpu_instructions}"),
+                Column("ok", 4, lambda row: yes_no(row.correct)),
+            ], rows=self.rows)
 
 
 def _run_implementation(name: str, program: str, blocks: int,

@@ -46,6 +46,7 @@ import typing
 
 from repro.power import (FixedTimeoutPolicy, POLICIES,
                          default_technology_table)
+from repro.report import Column, Report, Reported, yes_no
 from repro.soc import EEPROM_BASE, SmartCardPlatform
 from repro.soc.uart import CTRL as UART_CTRL, CTRL_ENABLE as UART_ENABLE
 from repro.tlm import BlockingMaster, run_script
@@ -134,7 +135,7 @@ class EmergencyCell:
 
 
 @dataclasses.dataclass
-class DpmCampaignResult:
+class DpmCampaignResult(Reported):
     seed: typing.Union[int, str]
     traces: int
     transactions: int
@@ -193,34 +194,8 @@ class DpmCampaignResult:
         return (self.adaptive_policies_effective
                 and self.emergency_recovery_verified)
 
-    def format(self) -> str:
-        lines = [
-            f"DPM campaign (seed={self.seed!r}, {self.traces} supply "
-            f"traces x {len(self.policies)} policies x "
-            f"{len(self.layers)} layers, {self.transactions} journaled "
-            f"txns; table: {self.table_source}):",
-            f"{'layer':<8}{'policy':<20}{'harvest':>8}{'brownouts':>10}"
-            f"{'completed':>10}{'cycles':>8}{'drained nJ':>11}"
-            f"{'psm ovh pJ':>11}{'wakes':>6}",
-        ]
-        for layer in self.layers:
-            for policy in self.policies:
-                for cell in (c for c in self.cells
-                             if c.layer == layer and c.policy == policy):
-                    if cell.status != "ok":
-                        lines.append(
-                            f"{layer:<8}{policy:<20} DEGRADED "
-                            f"(trace {cell.trace}): {cell.error}")
-                        continue
-                    lines.append(
-                        f"{layer:<8}{policy:<20}"
-                        f"{cell.harvest_pj_per_cycle:>8.3f}"
-                        f"{cell.brownouts:>10}"
-                        f"{cell.completed:>7}/{cell.transactions:<2}"
-                        f"{cell.cycles:>8}"
-                        f"{cell.drained_pj / 1e3:>11.3f}"
-                        f"{cell.psm_overhead_pj:>11.2f}"
-                        f"{cell.wakes:>6}")
+    def report(self) -> Report:
+        lines: typing.List[str] = []
         if "always_on" in self.policies:
             for layer in self.layers:
                 baseline = sum(c.brownouts
@@ -253,12 +228,10 @@ class DpmCampaignResult:
                 lines.append(
                     f"  trace {cell.trace}: checkpoint txn "
                     f"{cell.checkpoint_txn} @cycle "
-                    f"{cell.checkpoint_cycle}, died="
-                    f"{'yes' if cell.died else 'NO'}, recovery "
-                    f"{cell.recovery_cycles} cycles, applied="
-                    f"{'yes' if cell.checkpoint_txn_applied else 'NO'}, "
-                    f"idempotent="
-                    f"{'yes' if cell.idempotent else 'NO'} -> "
+                    f"{cell.checkpoint_cycle}, died={yes_no(cell.died)}, "
+                    f"recovery {cell.recovery_cycles} cycles, applied="
+                    f"{yes_no(cell.checkpoint_txn_applied)}, idempotent="
+                    f"{yes_no(cell.idempotent)} -> "
                     + ("VERIFIED" if cell.verified else "NOT verified"))
                 for violation in cell.violations:
                     lines.append(f"    VIOLATION: {violation}")
@@ -272,17 +245,36 @@ class DpmCampaignResult:
                     f"{row['always_on_nj']:.3f} nJ -> "
                     f"{row['best_policy']} "
                     f"{row['best_adaptive_nj']:.3f} nJ")
-        lines.append(
-            "verdict: "
-            + ("adaptive DPM effective, emergency recovery verified"
-               if self.passed else
-               "FAILED — "
-               + ("; ".join(
-                   ([] if self.adaptive_policies_effective
-                    else ["an adaptive policy does not beat always-on"])
-                   + ([] if self.emergency_recovery_verified
-                      else ["emergency recovery not verified"])))))
-        return "\n".join(lines)
+        failures = (
+            ([] if self.adaptive_policies_effective
+             else ["an adaptive policy does not beat always-on"])
+            + ([] if self.emergency_recovery_verified
+               else ["emergency recovery not verified"]))
+        return Report(
+            f"DPM campaign (seed={self.seed!r}, {self.traces} supply "
+            f"traces x {len(self.policies)} policies x "
+            f"{len(self.layers)} layers, {self.transactions} journaled "
+            f"txns; table: {self.table_source}):",
+            columns=[
+                Column("layer", 8, "{layer}", "<"),
+                Column("policy", 20, "{policy}", "<"),
+                Column("harvest", 8, "{harvest_pj_per_cycle:.3f}"),
+                Column("brownouts", 10, "{brownouts}"),
+                Column("completed", 10, "{completed:>7}/{transactions:<2}"),
+                Column("cycles", 8, "{cycles}"),
+                Column("drained nJ", 11,
+                       lambda cell: f"{cell.drained_pj / 1e3:.3f}"),
+                Column("psm ovh pJ", 11, "{psm_overhead_pj:.2f}"),
+                Column("wakes", 6, "{wakes}"),
+            ],
+            rows=[cell for layer in self.layers for policy in self.policies
+                  for cell in self.cells
+                  if cell.layer == layer and cell.policy == policy],
+            keys=2, degraded=" DEGRADED (trace {trace}): {error}",
+            after=lines,
+            verdict=("adaptive DPM effective, emergency recovery verified"
+                     if self.passed
+                     else "FAILED — " + "; ".join(failures)))
 
 
 class _DpmWorkload(_JournalWorkload):

@@ -33,6 +33,7 @@ import typing
 
 from repro.ec import data_read, data_write
 from repro.fabric import Topology
+from repro.report import Column, Report, Reported
 from repro.soc import DMA_BASE, UART_BASE, SmartCardPlatform
 from repro.soc.dma import ram_move_script
 from repro.tlm.layer3 import MessageRun
@@ -85,7 +86,7 @@ class FabricCell:
 
 
 @dataclasses.dataclass
-class FabricCampaignResult:
+class FabricCampaignResult(Reported):
     seed: typing.Union[int, str]
     topologies: typing.Tuple[str, ...]
     layers: typing.Tuple[str, ...]
@@ -93,109 +94,61 @@ class FabricCampaignResult:
     cells: typing.List[FabricCell]
 
     @property
-    def all_cells_ok(self) -> bool:
-        return all(cell.status == "ok" for cell in self.cells)
-
-    @property
-    def books_balanced(self) -> bool:
-        """Every cell's per-link buckets telescope exactly into the
-        composite probe total — the fabric's attribution invariant."""
-        return all(cell.balanced for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def no_errors(self) -> bool:
-        return all(cell.errors == 0 and cell.posted_errors == 0
-                   for cell in self.cells if cell.status == "ok")
-
-    @property
-    def bridged_arm_crossed(self) -> bool:
-        """Every bridged cell routed traffic through its bridge, and
-        the timed bridged cells granted both masters at the arbiter."""
-        bridged = [cell for cell in self.cells
-                   if cell.status == "ok" and cell.topology == "bridged"]
-        if not bridged:
-            return True
-        for cell in bridged:
-            if cell.bridge_crossings == 0:
-                return False
-            if cell.layer != "layer3" and (cell.cpu_grants == 0
-                                           or cell.dma_grants == 0):
-                return False
-        return True
-
-    @property
-    def flat_is_legacy(self) -> bool:
-        """The explicit flat topology reproduces the default
-        single-bus platform byte-identically (cycles and energy)."""
-        return all(cell.flat_identity is not False for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def bridge_costs_cycles(self) -> bool:
-        """On the timed layers, the bridged arm pays for its crossing:
-        same workload, and the transactions that route across the
-        bridge spend strictly more cycles in flight than they do on
-        the flat bus.  (Whole-workload cycles are deliberately not
-        compared: posted writes release the root bus early, which can
-        *speed up* unrelated traffic and mask the crossing cost.)"""
-        by_key = {(cell.topology, cell.layer): cell
-                  for cell in self.cells if cell.status == "ok"}
-        for layer in ("layer1", "layer2"):
-            flat = by_key.get(("flat", layer))
-            bridged = by_key.get(("bridged", layer))
-            if flat is not None and bridged is not None \
-                    and bridged.periph_cycles <= flat.periph_cycles:
-                return False
-        return True
-
-    @property
     def passed(self) -> bool:
-        return (self.all_cells_ok and self.books_balanced
-                and self.no_errors and self.bridged_arm_crossed
-                and self.flat_is_legacy and self.bridge_costs_cycles)
+        """Every check the report prints held."""
+        return self.report().passed
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        ok = [cell for cell in self.cells if cell.status == "ok"]
+        arm = {(cell.topology, cell.layer): cell for cell in ok}
+        return Report(
             f"fabric campaign (seed={self.seed!r}, "
             f"{'/'.join(self.topologies)} x {'/'.join(self.layers)}, "
             f"{self.commands} APDU commands + DMA):",
-            f"{'topology':<9}{'layer':<8}{'cycles':>8}{'periph':>7}"
-            f"{'txns':>6}{'err':>4}{'dma':>4}{'grants c/d':>11}"
-            f"{'cross':>6}{'total pJ':>11}{'books':>6}",
-        ]
-        for cell in self.cells:
-            if cell.status != "ok":
-                lines.append(f"{cell.topology:<9}{cell.layer:<8}"
-                             f" DEGRADED: {cell.error}")
-                continue
-            lines.append(
-                f"{cell.topology:<9}{cell.layer:<8}{cell.cycles:>8}"
-                f"{cell.periph_cycles:>7}"
-                f"{cell.transactions:>6}{cell.errors:>4}"
-                f"{cell.dma_words:>4}"
-                f"{cell.cpu_grants:>6}/{cell.dma_grants:<4}"
-                f"{cell.bridge_crossings:>6}"
-                f"{cell.probe_total_pj:>11.1f}"
-                f"{'  ok' if cell.balanced else ' LEAK':>6}")
-        checks = [
-            ("all cells ran", self.all_cells_ok),
-            ("per-link books telescope to the probe total",
-             self.books_balanced),
-            ("zero transaction / posted-write errors", self.no_errors),
-            ("bridged arm crossed the bridge under contention",
-             self.bridged_arm_crossed),
-            ("flat topology byte-identical to the legacy card",
-             self.flat_is_legacy),
-            ("bridge crossing costs cycles on the timed layers",
-             self.bridge_costs_cycles),
-        ]
-        for label, good in checks:
-            lines.append(f"  [{'pass' if good else 'FAIL'}] {label}")
-        lines.append("verdict: "
-                     + ("per-link energy books telescope to the "
-                        "probe total" if self.passed else "FAILED"))
-        return "\n".join(lines)
+            columns=[
+                Column("topology", 9, "{topology}", "<"),
+                Column("layer", 8, "{layer}", "<"),
+                Column("cycles", 8, "{cycles}"),
+                Column("periph", 7, "{periph_cycles}"),
+                Column("txns", 6, "{transactions}"),
+                Column("err", 4, "{errors}"),
+                Column("dma", 4, "{dma_words}"),
+                Column("grants c/d", 11, "{cpu_grants:>6}/{dma_grants:<4}"),
+                Column("cross", 6, "{bridge_crossings}"),
+                Column("total pJ", 11, "{probe_total_pj:.1f}"),
+                Column("books", 6,
+                       lambda cell: "ok" if cell.balanced else "LEAK"),
+            ], rows=self.cells, keys=2,
+            degraded=" DEGRADED: {error}",
+            checks=[
+                ("all cells ran", len(ok) == len(self.cells)),
+                # the fabric's attribution invariant, bit for bit
+                ("per-link books telescope to the probe total",
+                 all(cell.balanced for cell in ok)),
+                ("zero transaction / posted-write errors",
+                 all(cell.errors == 0 and cell.posted_errors == 0
+                     for cell in ok)),
+                # the timed arms also granted both masters
+                ("bridged arm crossed the bridge under contention",
+                 all(cell.bridge_crossings > 0
+                     and (cell.layer == "layer3"
+                          or (cell.cpu_grants > 0 and cell.dma_grants > 0))
+                     for cell in ok if cell.topology == "bridged")),
+                # in cycles and energy
+                ("flat topology byte-identical to the legacy card",
+                 all(cell.flat_identity is not False for cell in ok)),
+                # the in-flight cycles of the traffic that crosses, on
+                # the same workload; whole-workload cycles would not
+                # do: posted writes release the root bus early, which
+                # can speed up other traffic and mask the crossing cost
+                ("bridge crossing costs cycles on the timed layers",
+                 all(arm["bridged", layer].periph_cycles
+                     > arm["flat", layer].periph_cycles
+                     for layer in ("layer1", "layer2")
+                     if ("flat", layer) in arm
+                     and ("bridged", layer) in arm)),
+            ],
+            verdict="per-link energy books telescope to the probe total")
 
 
 def _campaign_topology(topology: str, layer: str) -> Topology:

@@ -39,6 +39,7 @@ from repro.faults import (BitFlipInjector, FaultySlave,
                           IntermittentErrorInjector, StuckWaitInjector,
                           TransientErrorInjector)
 from repro.ec import MemoryMap
+from repro.report import Column, Report, Reported
 from repro.soc.layers import LAYERS, build_bus
 from repro.soc.memory import Eeprom, Rom, ScratchpadRam
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
@@ -102,7 +103,7 @@ class CampaignCell:
 
 
 @dataclasses.dataclass
-class FaultCampaignResult:
+class FaultCampaignResult(Reported):
     seed: typing.Union[int, str]
     rates: typing.Tuple[float, ...]
     classes: typing.Tuple[str, ...]
@@ -123,44 +124,33 @@ class FaultCampaignResult:
         return all(cell.status == "ok" and not cell.failures
                    for cell in self.cells)
 
-    def format(self) -> str:
+    def report(self) -> Report:
         policy = DEFAULT_POLICY
-        lines = [
-            "Fault-injection campaign "
-            f"(seed={self.seed!r}, retry budget "
-            f"{policy.max_attempts}, backoff "
-            f"{policy.backoff_cycles}, watchdog "
-            f"{policy.timeout_cycles} cycles):",
-            f"{'workload':<19}{'rate':>6}  {'layer':<10}{'txns':>6}"
-            f"{'compl':>7}{'retry':>6}{'wdog':>5}{'cyc+':>7}"
-            f"{'E+ (pJ)':>10}{'retry E (pJ)':>13}",
-        ]
-        for cell in self.cells:
-            if cell.status != "ok":
-                lines.append(
-                    f"{cell.workload:<19}{cell.rate:>6.2f}"
-                    f"  {cell.layer:<10}  DEGRADED: {cell.error}")
-                continue
-            overhead = ("" if cell.cycle_overhead is None
-                        else f"{cell.cycle_overhead:>+7d}")
-            e_overhead = ("" if cell.energy_overhead_pj is None
-                          else f"{cell.energy_overhead_pj:>+10.1f}")
-            retry_e = ("      n/a" if cell.retry_energy_pj is None
-                       else f"{cell.retry_energy_pj:>9.1f}")
-            lines.append(
-                f"{cell.workload:<19}{cell.rate:>6.2f}"
-                f"  {cell.layer:<10}{cell.transactions:>6}"
-                f"{100.0 * cell.completion_rate:>6.1f}%"
-                f"{cell.retries:>6}{cell.timeouts:>5}"
-                f"{overhead:>7}{e_overhead:>10}{retry_e:>13}")
         total_failures = sum(cell.failures for cell in self.cells)
-        lines.append(
-            f"unrecovered transactions across all cells: {total_failures}")
+        after = [f"unrecovered transactions across all cells: "
+                 f"{total_failures}"]
         degraded = sum(1 for cell in self.cells if cell.status != "ok")
         if degraded:
-            lines.append(f"degraded cells (crashed/stalled after "
+            after.append(f"degraded cells (crashed/stalled after "
                          f"retries): {degraded}")
-        return "\n".join(lines)
+        return Report(
+            f"Fault-injection campaign (seed={self.seed!r}, retry budget "
+            f"{policy.max_attempts}, backoff {policy.backoff_cycles}, "
+            f"watchdog {policy.timeout_cycles} cycles):",
+            columns=[
+                Column("workload", 19, "{workload}", "<"),
+                # two spaces set the layer off from the rate
+                Column("rate  ", 8, "{rate:.2f}  "),
+                Column("layer", 10, "{layer}", "<"),
+                Column("txns", 6, "{transactions}"),
+                Column("compl", 7, "{completion_rate:.1%}"),
+                Column("retry", 6, "{retries}"),
+                Column("wdog", 5, "{timeouts}"),
+                Column("cyc+", 7, "{cycle_overhead:+d}"),
+                Column("E+ (pJ)", 10, "{energy_overhead_pj:+.1f}"),
+                Column("retry E (pJ)", 13, "{retry_energy_pj:.1f}",
+                       missing="n/a"),
+            ], rows=self.cells, keys=3, after=after)
 
 
 def _campaign_injectors(seed: typing.Union[int, str], workload: str,

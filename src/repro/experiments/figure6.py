@@ -26,6 +26,7 @@ import typing
 from repro.ec import data_read, data_write
 from repro.kernel import Process
 from repro.power import SamplingProfiler, SignalStateRecorder
+from repro.report import Column, Report, Reported
 from repro.soc.layers import build_bus
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, fresh_memory_map
 from repro.tlm import PipelinedMaster, run_script
@@ -53,7 +54,7 @@ class PhaseTiming:
 
 
 @dataclasses.dataclass
-class Figure6Result:
+class Figure6Result(Reported):
     sample_cycles: typing.List[int]
     layer2_samples_pj: typing.List[float]
     layer1_window_pj: typing.List[float]
@@ -61,22 +62,24 @@ class Figure6Result:
     layer2_total_pj: float
     layer1_total_pj: float
 
-    def format(self) -> str:
-        lines = ["Figure 6: energy sampling profile (layer 2 vs layer 1)",
-                 "phase completion times:"]
-        for phase in self.phases:
-            lines.append(f"  {phase.label:<12} A-phase done at cycle "
-                         f"{phase.address_done_cycle}, data phase done "
-                         f"at cycle {phase.data_done_cycle}")
-        lines.append(f"{'sample cycle':>14}{'layer 2 (pJ)':>16}"
-                     f"{'layer 1 (pJ)':>16}")
-        for cycle, l2, l1 in zip(self.sample_cycles,
-                                 self.layer2_samples_pj,
-                                 self.layer1_window_pj):
-            lines.append(f"{cycle:>14}{l2:>16.2f}{l1:>16.2f}")
-        lines.append(f"{'total':>14}{self.layer2_total_pj:>16.2f}"
-                     f"{self.layer1_total_pj:>16.2f}")
-        return "\n".join(lines)
+    def report(self) -> Report:
+        return Report(
+            "Figure 6: energy sampling profile (layer 2 vs layer 1)",
+            before=["phase completion times:"] + [
+                f"  {phase.label:<12} A-phase done at cycle "
+                f"{phase.address_done_cycle}, data phase done at cycle "
+                f"{phase.data_done_cycle}" for phase in self.phases],
+            columns=[
+                Column("sample cycle", 14, "{cycle}"),
+                Column("layer 2 (pJ)", 16, "{layer2:.2f}"),
+                Column("layer 1 (pJ)", 16, "{layer1:.2f}"),
+            ],
+            rows=[*(dict(cycle=cycle, layer2=layer2, layer1=layer1)
+                    for cycle, layer2, layer1 in zip(
+                        self.sample_cycles, self.layer2_samples_pj,
+                        self.layer1_window_pj)),
+                  dict(cycle="total", layer2=self.layer2_total_pj,
+                       layer1=self.layer1_total_pj)])
 
 
 def _layer2_task(sample_cycles, table) -> dict:

@@ -38,6 +38,7 @@ import typing
 
 from repro.link import LinkParams, NoisyChannel, run_link_session
 from repro.power import FixedTimeoutPolicy
+from repro.report import Column, Report, Reported
 from repro.soc import SmartCardPlatform
 from repro.workloads.apdu import COMMANDS
 
@@ -133,7 +134,7 @@ class LinkCell:
 
 
 @dataclasses.dataclass
-class LinkCampaignResult:
+class LinkCampaignResult(Reported):
     seed: typing.Union[int, str]
     noise_rates: typing.Tuple[float, ...]
     layers: typing.Tuple[str, ...]
@@ -143,86 +144,60 @@ class LinkCampaignResult:
     cells: typing.List[LinkCell]
 
     @property
-    def all_cells_ok(self) -> bool:
-        return all(cell.status == "ok" for cell in self.cells)
+    def passed(self) -> bool:
+        """Every check the report prints held."""
+        return self.report().passed
 
-    @property
-    def no_hangs(self) -> bool:
-        return all(cell.hung == 0 for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def all_sessions_clean(self) -> bool:
-        """Every session of every healthy cell closed cleanly: it
-        completed or degraded (never hung), kept its retries within
-        the session budget, and its energy books balanced."""
-        return all(cell.all_clean for cell in self.cells
-                   if cell.status == "ok")
-
-    @property
-    def baseline_quiet(self) -> bool:
-        """The noise-free/DPM-off arms complete every session with
-        zero retransmissions in either direction — the link layer is
-        free when the wire is clean."""
+    def report(self) -> Report:
+        ok = [cell for cell in self.cells if cell.status == "ok"]
+        # the noise-free/DPM-off arms: the link layer must be free when
+        # the wire is clean
         baseline = [cell for cell in self.cells
                     if cell.noise == 0.0 and cell.dpm == "off"]
-        if not baseline:
-            return True
-        return all(cell.status == "ok"
-                   and cell.completed == cell.sessions
-                   and cell.host_retransmissions == 0
-                   and cell.card_retransmissions == 0
-                   and cell.retries == 0
-                   for cell in baseline)
-
-    @property
-    def passed(self) -> bool:
-        return (self.all_cells_ok and self.no_hangs
-                and self.all_sessions_clean and self.baseline_quiet)
-
-    def format(self) -> str:
-        lines = [
+        return Report(
             f"T=1 link campaign (seed={self.seed!r}, "
             f"{len(self.noise_rates)} noise rates x "
             f"{len(self.layers)} layers x DPM {'/'.join(self.dpm_modes)}"
             f", {self.sessions} sessions x {self.commands} commands):",
-            f"{'layer':<8}{'noise':>6}{'dpm':>5}{'ok/dg/hg':>9}"
-            f"{'cmds':>8}{'retry':>6}{'retx h/c':>9}{'rsync':>6}"
-            f"{'abrt':>5}{'cwt':>5}{'bwt':>5}{'gated':>6}"
-            f"{'recov pJ':>10}{'total nJ':>10}{'books':>6}",
-        ]
-        for cell in self.cells:
-            if cell.status != "ok":
-                lines.append(
-                    f"{cell.layer:<8}{cell.noise:>6.3f}{cell.dpm:>5}"
-                    f" DEGRADED: {cell.error}")
-                continue
-            lines.append(
-                f"{cell.layer:<8}{cell.noise:>6.3f}{cell.dpm:>5}"
-                f"{cell.completed:>3}/{cell.degraded:>2}/{cell.hung:>2}"
-                f"{cell.commands_completed:>4}/{cell.commands_total:<3}"
-                f"{cell.retries:>6}"
-                f"{cell.host_retransmissions:>4}/"
-                f"{cell.card_retransmissions:<4}"
-                f"{cell.resyncs:>6}{cell.aborts:>5}"
-                f"{cell.cwt_timeouts:>5}{cell.bwt_timeouts:>5}"
-                f"{cell.rx_dropped_gated:>6}"
-                f"{cell.recovery_total_pj:>10.1f}"
-                f"{cell.energy_pj / 1e3:>10.3f}"
-                f"{'  ok' if cell.all_accounted else ' LEAK':>6}")
-        checks = [
-            ("all cells ran", self.all_cells_ok),
-            ("zero hangs", self.no_hangs),
-            ("every session closed cleanly (books balanced, "
-             "retries within budget)", self.all_sessions_clean),
-            ("clean baseline retransmission-free", self.baseline_quiet),
-        ]
-        for label, good in checks:
-            lines.append(f"  [{'pass' if good else 'FAIL'}] {label}")
-        lines.append("verdict: "
-                     + ("every session completes or degrades cleanly"
-                        if self.passed else "FAILED"))
-        return "\n".join(lines)
+            columns=[
+                Column("layer", 8, "{layer}", "<"),
+                Column("noise", 6, "{noise:.3f}"),
+                Column("dpm", 5, "{dpm}"),
+                Column("ok/dg/hg", 9,
+                       "{completed:>3}/{degraded:>2}/{hung:>2}"),
+                Column("cmds", 8,
+                       "{commands_completed:>4}/{commands_total:<3}"),
+                Column("retry", 6, "{retries}"),
+                Column("retx h/c", 9, "{host_retransmissions:>4}/"
+                                      "{card_retransmissions:<4}"),
+                Column("rsync", 6, "{resyncs}"),
+                Column("abrt", 5, "{aborts}"),
+                Column("cwt", 5, "{cwt_timeouts}"),
+                Column("bwt", 5, "{bwt_timeouts}"),
+                Column("gated", 6, "{rx_dropped_gated}"),
+                Column("recov pJ", 10, "{recovery_total_pj:.1f}"),
+                Column("total nJ", 10,
+                       lambda cell: f"{cell.energy_pj / 1e3:.3f}"),
+                Column("books", 6,
+                       lambda cell: "ok" if cell.all_accounted else "LEAK"),
+            ], rows=self.cells, keys=3,
+            degraded=" DEGRADED: {error}",
+            checks=[
+                ("all cells ran", len(ok) == len(self.cells)),
+                ("zero hangs", all(cell.hung == 0 for cell in ok)),
+                # each session completed or degraded (never hung), kept
+                # its retries within the session budget and balanced
+                # its energy books
+                ("every session closed cleanly (books balanced, "
+                 "retries within budget)",
+                 all(cell.all_clean for cell in ok)),
+                ("clean baseline retransmission-free",
+                 all(cell.status == "ok" and cell.completed == cell.sessions
+                     and cell.host_retransmissions == 0
+                     and cell.card_retransmissions == 0
+                     and cell.retries == 0 for cell in baseline)),
+            ],
+            verdict="every session completes or degrades cleanly")
 
 
 def _link_platform(layer: str, dpm: str, table):

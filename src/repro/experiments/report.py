@@ -7,8 +7,6 @@ study, each next to the paper's published values.
 
 from __future__ import annotations
 
-import typing
-
 from .casestudy import run_casestudy
 from .figure6 import run_figure6
 from .table1 import run_table1
@@ -32,34 +30,19 @@ def full_report(transactions: int = 2_000,
     crypto coprocessor HW/SW comparison, the accuracy-robustness sweep
     and the fetch-path parameter sweep.
     """
-    sections: typing.List[str] = []
-    table1 = run_table1()
-    sections.append(table1.format())
-    sections.append(PAPER_TABLE1)
-    sections.append("")
-    table2 = run_table2()
-    sections.append(table2.format())
-    sections.append(PAPER_TABLE2)
-    sections.append("")
+    sections = [f"{run_table1().format()}\n{PAPER_TABLE1}",
+                f"{run_table2().format()}\n{PAPER_TABLE2}"]
     table3 = run_table3(transactions=transactions,
                         include_gate_level=include_gate_level)
-    sections.append(table3.format())
-    sections.append(PAPER_TABLE3)
-    sections.append("")
-    sections.append(run_figure6().format())
-    sections.append("")
-    sections.append(run_casestudy().format())
+    sections += [f"{table3.format()}\n{PAPER_TABLE3}",
+                 run_figure6().format(), run_casestudy().format()]
     if extended:
         from .coprocessor import run_coprocessor_study
         from .robustness import run_robustness
         from .bus_sweep import run_bus_sweep
-        sections.append("")
-        sections.append(run_coprocessor_study().format())
-        sections.append("")
-        sections.append(run_robustness().format())
-        sections.append("")
-        sections.append(run_bus_sweep().format())
-    return "\n".join(sections)
+        sections += [run_coprocessor_study().format(),
+                     run_robustness().format(), run_bus_sweep().format()]
+    return "\n\n".join(sections)
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -29,6 +29,7 @@ import random
 import typing
 
 from repro.ec import data_read, data_write
+from repro.report import Column, Report, Reported
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE, ROM_BASE
 from repro.workloads import (Mix, Window, apdu_session,
                              generate_script, sub_word_script)
@@ -118,7 +119,7 @@ class RobustnessRow:
 
 
 @dataclasses.dataclass
-class RobustnessResult:
+class RobustnessResult(Reported):
     rows: typing.List[RobustnessRow]
 
     def row(self, workload: str) -> RobustnessRow:
@@ -132,35 +133,28 @@ class RobustnessResult:
         """Every workload class ran."""
         return all(row.status == "ok" for row in self.rows)
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        usable = [row for row in self.rows if row.status == "ok"]
+        if usable:
+            l1_errors = [row.layer1_energy_error for row in usable]
+            l2_errors = [row.layer2_energy_error for row in usable]
+            summary = (f"L1 energy error band: [{min(l1_errors):+.2f}%, "
+                       f"{max(l1_errors):+.2f}%]   "
+                       f"L2: [{min(l2_errors):+.2f}%, "
+                       f"{max(l2_errors):+.2f}%]")
+        else:
+            summary = "every workload class degraded"
+        return Report(
             "Accuracy robustness across workload classes "
             "(one fixed characterisation):",
-            f"{'workload':<20}{'cycles':>8}{'L1 t-err':>10}"
-            f"{'L2 t-err':>10}{'L1 E-err':>10}{'L2 E-err':>10}",
-        ]
-        for row in self.rows:
-            if row.status != "ok":
-                lines.append(f"{row.workload:<20}  DEGRADED: "
-                             f"{row.error}")
-                continue
-            lines.append(
-                f"{row.workload:<20}{row.cycles:>8}"
-                f"{row.layer1_timing_error:>+9.2f}%"
-                f"{row.layer2_timing_error:>+9.2f}%"
-                f"{row.layer1_energy_error:>+9.2f}%"
-                f"{row.layer2_energy_error:>+9.2f}%")
-        usable = [row for row in self.rows if row.status == "ok"]
-        if not usable:
-            lines.append("every workload class degraded")
-            return "\n".join(lines)
-        l1_errors = [row.layer1_energy_error for row in usable]
-        l2_errors = [row.layer2_energy_error for row in usable]
-        lines.append(
-            f"L1 energy error band: [{min(l1_errors):+.2f}%, "
-            f"{max(l1_errors):+.2f}%]   "
-            f"L2: [{min(l2_errors):+.2f}%, {max(l2_errors):+.2f}%]")
-        return "\n".join(lines)
+            columns=[
+                Column("workload", 20, "{workload}", "<"),
+                Column("cycles", 8, "{cycles}"),
+                Column("L1 t-err", 10, "{layer1_timing_error:+.2f}%"),
+                Column("L2 t-err", 10, "{layer2_timing_error:+.2f}%"),
+                Column("L1 E-err", 10, "{layer1_energy_error:+.2f}%"),
+                Column("L2 E-err", 10, "{layer2_energy_error:+.2f}%"),
+            ], rows=self.rows, after=[summary])
 
 
 def workload_script(name: str,

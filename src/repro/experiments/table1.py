@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.report import Column, Report, Reported
+
 from .common import (RunResult, evaluation_script, percent_error,
                      run_on_layer)
 
@@ -35,7 +37,7 @@ class Table1Row:
 
 
 @dataclasses.dataclass
-class Table1Result:
+class Table1Result(Reported):
     rows: typing.List[Table1Row]
     runs: typing.List[RunResult]
 
@@ -45,17 +47,14 @@ class Table1Result:
                 return row
         raise KeyError(name)
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        return Report(
             "Table 1: timing error vs gate-level simulation",
-            f"{'Abstraction Level':<22}{'Cycles':>10}{'Error':>10}",
-        ]
-        for row in self.rows:
-            error = ("-" if row.error_percent is None
-                     else f"{row.error_percent:+.2f}%")
-            lines.append(f"{row.abstraction_level:<22}"
-                         f"{row.cycles_relative:>9.2f}%{error:>10}")
-        return "\n".join(lines)
+            columns=[
+                Column("Abstraction Level", 22, "{abstraction_level}", "<"),
+                Column("Cycles", 10, "{cycles_relative:.2f}%"),
+                Column("Error", 10, "{error_percent:+.2f}%", missing="-"),
+            ], rows=self.rows)
 
 
 def run_table1(script_factory: typing.Callable[[], list] = None

@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.report import Column, Report, Reported
+
 from .common import (RunResult, characterization, evaluation_script,
                      percent_error, run_on_layer)
 
@@ -35,7 +37,7 @@ class Table2Row:
 
 
 @dataclasses.dataclass
-class Table2Result:
+class Table2Result(Reported):
     rows: typing.List[Table2Row]
     runs: typing.List[RunResult]
 
@@ -45,17 +47,14 @@ class Table2Result:
                 return row
         raise KeyError(name)
 
-    def format(self) -> str:
-        lines = [
+    def report(self) -> Report:
+        return Report(
             "Table 2: energy estimation error vs gate-level estimation",
-            f"{'Abstraction Level':<26}{'Energy':>10}{'Error':>10}",
-        ]
-        for row in self.rows:
-            error = ("-" if row.error_percent is None
-                     else f"{row.error_percent:+.1f}%")
-            lines.append(f"{row.abstraction_level:<26}"
-                         f"{row.energy_relative:>10.1f}{error:>10}")
-        return "\n".join(lines)
+            columns=[
+                Column("Abstraction Level", 26, "{abstraction_level}", "<"),
+                Column("Energy", 10, "{energy_relative:.1f}"),
+                Column("Error", 10, "{error_percent:+.1f}%", missing="-"),
+            ], rows=self.rows)
 
 
 def run_table2(script_factory: typing.Callable[[], list] = None

@@ -26,6 +26,7 @@ import dataclasses
 import random
 import typing
 
+from repro.report import Column, Report, Reported
 from repro.soc.smartcard import EEPROM_BASE, RAM_BASE
 from repro.workloads import table3_script
 
@@ -42,7 +43,7 @@ class Table3Row:
 
 
 @dataclasses.dataclass
-class Table3Result:
+class Table3Result(Reported):
     rows: typing.List[Table3Row]
     transactions: int
     gate_level_kts: typing.Optional[float] = None
@@ -53,23 +54,25 @@ class Table3Result:
                 return row
         raise KeyError(name)
 
-    def format(self) -> str:
-        lines = [
-            "Table 3: simulation performance (executed transactions/s)",
-            f"{'':<14}{'with estimation':>22}{'without estimation':>24}",
-            f"{'':<14}{'kT/s':>12}{'factor':>10}{'kT/s':>14}{'factor':>10}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.model:<14}{row.with_estimation_kts:>12.1f}"
-                f"{row.with_estimation_factor:>10.2f}"
-                f"{row.without_estimation_kts:>14.1f}"
-                f"{row.without_estimation_factor:>10.2f}")
+    def report(self) -> Report:
+        rows = list(self.rows)
         if self.gate_level_kts is not None:
-            lines.append(f"{'gate level':<14}{'-':>12}{'-':>10}"
-                         f"{self.gate_level_kts:>14.1f}"
-                         f"{'':>10}")
-        return "\n".join(lines)
+            # gate level is timed without estimation only: no factor
+            rows.append(dict(model="gate level",
+                             without_estimation_kts=self.gate_level_kts))
+        return Report(
+            "Table 3: simulation performance (executed transactions/s)",
+            columns=[
+                Column("", 14, "{model}", "<"),
+                Column("kT/s", 12, "{with_estimation_kts:.1f}",
+                       missing="-", group="with estimation"),
+                Column("factor", 10, "{with_estimation_factor:.2f}",
+                       missing="-", group="with estimation"),
+                Column("kT/s", 14, "{without_estimation_kts:.1f}",
+                       group="without estimation"),
+                Column("factor", 10, "{without_estimation_factor:.2f}",
+                       group="without estimation"),
+            ], rows=rows)
 
 
 def make_script(transactions: int, seed: int = 42) -> list:

@@ -57,6 +57,7 @@ import typing
 
 from repro.faults import TearInjector, tear_schedule
 from repro.power import EnergyGovernor, PowerDomain, PowerSupply
+from repro.report import Column, Report, Reported, yes_no
 from repro.soc import (EEPROM_BASE, JournalState, SmartCardPlatform,
                        TransactionJournal)
 from repro.soc.layers import LAYERS
@@ -126,7 +127,7 @@ class GovernorCell:
 
 
 @dataclasses.dataclass
-class TearCampaignResult:
+class TearCampaignResult(Reported):
     seed: typing.Union[int, str]
     points: int
     transactions: int
@@ -169,30 +170,23 @@ class TearCampaignResult:
         return self.all_consistent and (not self.governor
                                          or self.governor_effective)
 
-    def format(self) -> str:
-        lines = [
-            f"Tear campaign (seed={self.seed!r}, {self.points} tear "
-            f"points/layer, {self.transactions} journaled txns of "
-            f"{WORDS_PER_TXN} words):",
-            f"{'layer':<12}{'points':>7}{'torn':>6}{'consistent':>11}"
-            f"{'rate':>8}{'replays':>8}{'recovery cyc':>13}"
-            f"{'replay E (nJ)':>14}",
-        ]
-        for layer in self.layers:
-            cells = self.layer_cells(layer)
-            ok = [c for c in cells if c.status == "ok"]
-            consistent = sum(1 for c in ok if c.consistent)
-            replays = [c for c in ok if c.replayed]
-            mean_cycles = (sum(c.recovery_cycles for c in replays)
-                           / len(replays)) if replays else 0.0
-            mean_nj = (sum(c.recovery_energy_pj for c in replays)
-                       / len(replays) / 1e3) if replays else 0.0
-            lines.append(
-                f"{layer:<12}{len(cells):>7}"
-                f"{sum(1 for c in ok if c.torn):>6}"
-                f"{consistent:>11}"
-                f"{100.0 * self.consistency_rate(layer):>7.1f}%"
-                f"{len(replays):>8}{mean_cycles:>13.1f}{mean_nj:>14.3f}")
+    def _layer_row(self, layer: str) -> dict:
+        cells = self.layer_cells(layer)
+        ok = [c for c in cells if c.status == "ok"]
+        replays = [c for c in ok if c.replayed]
+        mean_cycles = (sum(c.recovery_cycles for c in replays)
+                       / len(replays)) if replays else 0.0
+        mean_nj = (sum(c.recovery_energy_pj for c in replays)
+                   / len(replays) / 1e3) if replays else 0.0
+        return dict(layer=layer, points=len(cells),
+                    torn=sum(1 for c in ok if c.torn),
+                    consistent=sum(1 for c in ok if c.consistent),
+                    rate=self.consistency_rate(layer),
+                    replays=len(replays), recovery_cycles=mean_cycles,
+                    recovery_nj=mean_nj)
+
+    def report(self) -> Report:
+        lines: typing.List[str] = []
         violations = [(cell, v) for cell in self.cells
                       for v in cell.violations]
         for cell, violation in violations[:10]:
@@ -222,17 +216,30 @@ class TearCampaignResult:
                     f"  {arm:<10} brownouts={cell.brownouts}"
                     f" deferrals={cell.deferrals}"
                     f" cycles={cell.cycles}"
-                    f" completed={'yes' if cell.completed else 'NO'}")
+                    f" completed={yes_no(cell.completed)}")
             lines.append(
                 "  governor verdict: "
                 + ("effective (strictly fewer brownouts)"
                    if self.governor_effective else "NOT effective"))
-        lines.append(
-            "verdict: "
-            + ("all tear points recovered consistently"
-               if self.all_consistent
-               else "CONSISTENCY VIOLATIONS — see above"))
-        return "\n".join(lines)
+        return Report(
+            f"Tear campaign (seed={self.seed!r}, {self.points} tear "
+            f"points/layer, {self.transactions} journaled txns of "
+            f"{WORDS_PER_TXN} words):",
+            columns=[
+                Column("layer", 12, "{layer}", "<"),
+                Column("points", 7, "{points}"),
+                Column("torn", 6, "{torn}"),
+                Column("consistent", 11, "{consistent}"),
+                Column("rate", 8, "{rate:.1%}"),
+                Column("replays", 8, "{replays}"),
+                Column("recovery cyc", 13, "{recovery_cycles:.1f}"),
+                Column("replay E (nJ)", 14, "{recovery_nj:.3f}"),
+            ],
+            rows=[self._layer_row(layer) for layer in self.layers],
+            after=lines,
+            verdict=("all tear points recovered consistently"
+                     if self.all_consistent
+                     else "CONSISTENCY VIOLATIONS — see above"))
 
 
 @dataclasses.dataclass

@@ -19,6 +19,7 @@ import typing
 
 from repro.ec import MemoryMap, MergePattern
 from repro.power.table import CharacterizationTable
+from repro.report import Column, Report, Reported, yes_no
 from repro.soc.layers import build_bus, clocked_layer_name
 from repro.soc.memory import Rom, ScratchpadRam
 from repro.soc.smartcard import RAM_BASE, ROM_BASE
@@ -74,7 +75,7 @@ class ConfigResult:
 
 
 @dataclasses.dataclass
-class ExplorationResult:
+class ExplorationResult(Reported):
     rows: typing.List[ConfigResult]
 
     def best_by_energy(self) -> ConfigResult:
@@ -89,21 +90,20 @@ class ExplorationResult:
                 return row
         raise KeyError(name)
 
-    def format(self) -> str:
-        lines = [
-            "HW/SW interface exploration (java card VM vs HW stack):",
-            f"{'configuration':<26}{'cycles':>9}{'energy pJ':>12}"
-            f"{'bus txns':>10}{'ok':>4}",
-        ]
-        for row in sorted(self.rows, key=lambda r: r.bus_energy_pj):
-            lines.append(
-                f"{row.config.name:<26}{row.bus_cycles:>9}"
-                f"{row.bus_energy_pj:>12.1f}{row.bus_transactions:>10}"
-                f"{'yes' if row.results_correct else 'NO':>4}")
+    def report(self) -> Report:
         best = self.best_by_energy()
-        lines.append(f"best by energy: {best.config.name} "
-                     f"({best.config.describe()})")
-        return "\n".join(lines)
+        return Report(
+            "HW/SW interface exploration (java card VM vs HW stack):",
+            columns=[
+                Column("configuration", 26, "{config.name}", "<"),
+                Column("cycles", 9, "{bus_cycles}"),
+                Column("energy pJ", 12, "{bus_energy_pj:.1f}"),
+                Column("bus txns", 10, "{bus_transactions}"),
+                Column("ok", 4, lambda row: yes_no(row.results_correct)),
+            ],
+            rows=sorted(self.rows, key=lambda row: row.bus_energy_pj),
+            after=[f"best by energy: {best.config.name} "
+                   f"({best.config.describe()})"])
 
 
 def _build_refined_model(config: InterfaceConfig,

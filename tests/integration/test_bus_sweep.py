@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.bus_sweep import run_point
+from repro.experiments.bus_sweep import (BusSweepResult, SweepPoint,
+                                         run_point)
 from repro.experiments.common import characterization
 
 
@@ -40,6 +41,18 @@ class TestSweepShape:
         text = sweep.format()
         for point in sweep.points:
             assert point.label in text
+
+
+class TestAllDegraded:
+    def test_report_says_so_instead_of_raising(self):
+        sweep = BusSweepResult([
+            SweepPoint(1, 1, status="degraded", error="crashed twice"),
+            SweepPoint(4, 8, status="degraded", error="stalled")])
+        assert sweep.format().splitlines()[-3:] == [
+            "burst=1 lines=1       DEGRADED: crashed twice",
+            "burst=4 lines=8       DEGRADED: stalled",
+            "every sweep point degraded"]
+        assert not sweep.passed
 
 
 class TestDefaultGridPoints:

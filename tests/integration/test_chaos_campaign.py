@@ -16,12 +16,9 @@ class TestSmallCampaign:
         return run_chaos_campaign(scenarios=4, seed="chaos-test")
 
     def test_verdict_passes(self, result):
-        assert result.all_cells_ok
-        assert result.no_hangs
-        assert result.no_divergences
-        assert result.books_balanced
-        assert result.faults_exercised
-        assert result.shrinker_ok
+        failed = [label for label, good in result.report().checks
+                  if not good]
+        assert failed == []
         assert result.passed
 
     def test_every_cell_ran_all_three_layers(self, result):
@@ -58,8 +55,7 @@ class TestSmallCampaign:
         result = run_chaos_campaign(scenarios=1, seed="chaos-noself",
                                     selftest=False)
         assert result.selftest is None
-        assert result.shrinker_ok  # vacuously
-        assert result.passed
+        assert result.passed  # the shrinker check holds vacuously
 
 
 class TestSupervision:

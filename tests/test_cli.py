@@ -210,6 +210,20 @@ class TestCommands:
         assert "DEGRADED" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_all_degraded_sweep_reports_and_fails(self, monkeypatch,
+                                                   capsys):
+        # the sweep has no wall budget: make every grid point crash
+        import repro.experiments.bus_sweep as bus_sweep
+
+        def crash(*args):
+            raise RuntimeError("point crashed")
+
+        monkeypatch.setattr(bus_sweep, "run_point", crash)
+        assert main(["sweep"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("DEGRADED: RuntimeError: point crashed") == 9
+        assert out.endswith("every sweep point degraded\n")
+
     def test_chaos_has_no_wall_budget_option(self, capsys):
         # every chaos scenario is bounded by its own stall watchdog
         with pytest.raises(SystemExit):
