@@ -45,14 +45,14 @@ import typing
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import full_report
-    print(full_report(transactions=args.transactions,
-                      include_gate_level=not args.no_gate_level,
-                      extended=args.extended))
+    from repro.experiments.report import full_report, run_paper
+    # one run of each experiment feeds both the text and the CSVs
+    paper = run_paper(transactions=args.transactions,
+                      include_gate_level=not args.no_gate_level)
+    print(full_report(paper, extended=args.extended))
     if args.csv:
         from repro.experiments.export import write_csv_reports
-        paths = write_csv_reports(args.csv,
-                                  transactions=args.transactions)
+        paths = write_csv_reports(args.csv, paper)
         print(f"\nCSV results written: "
               f"{', '.join(str(p) for p in paths)}")
     return 0

@@ -159,28 +159,30 @@ class DpmCampaignResult(Reported):
     def adaptive_policies(self) -> typing.Tuple[str, ...]:
         return tuple(p for p in self.policies if p != "always_on")
 
+    def beats_baseline(self, layer: str, policy: str) -> bool:
+        """The per-arm rule: *policy* strictly beats always-on on summed
+        brownouts at equal-or-better completed work per trace.  False
+        when either arm is missing a trace."""
+        if not (self._arm_ok(layer, policy)
+                and self._arm_ok(layer, "always_on")):
+            return False
+        arm = self.arm(layer, policy)
+        baseline = self.arm(layer, "always_on")
+        return (sum(c.brownouts for c in arm)
+                < sum(c.brownouts for c in baseline)
+                and all(a.completed >= b.completed
+                        for a, b in zip(arm, baseline)))
+
     @property
     def adaptive_policies_effective(self) -> bool:
-        """Every adaptive policy strictly beats always-on on summed
-        brownouts, per layer, at equal-or-better completed work per
-        trace.  False when the baseline or any arm is missing."""
-        if "always_on" not in self.policies or not self.adaptive_policies:
-            return False
-        for layer in self.layers:
-            if not self._arm_ok(layer, "always_on"):
-                return False
-            baseline = self.arm(layer, "always_on")
-            for policy in self.adaptive_policies:
-                if not self._arm_ok(layer, policy):
-                    return False
-                arm = self.arm(layer, policy)
-                if (sum(c.brownouts for c in arm)
-                        >= sum(c.brownouts for c in baseline)):
-                    return False
-                if any(a.completed < b.completed
-                       for a, b in zip(arm, baseline)):
-                    return False
-        return True
+        """Every adaptive policy beats always-on on every layer (see
+        :meth:`beats_baseline`).  False without a baseline or an
+        adaptive policy."""
+        return ("always_on" in self.policies
+                and bool(self.adaptive_policies)
+                and all(self.beats_baseline(layer, policy)
+                        for layer in self.layers
+                        for policy in self.adaptive_policies))
 
     @property
     def emergency_recovery_verified(self) -> bool:
@@ -203,13 +205,11 @@ class DpmCampaignResult(Reported):
                 for policy in self.adaptive_policies:
                     total = sum(c.brownouts
                                 for c in self.arm(layer, policy))
-                    beat = (total < baseline
-                            and self._arm_ok(layer, policy)
-                            and self._arm_ok(layer, "always_on"))
                     lines.append(
                         f"  {layer} {policy}: {total} brownouts vs "
                         f"always_on {baseline} -> "
-                        + ("beats baseline" if beat
+                        + ("beats baseline"
+                           if self.beats_baseline(layer, policy)
                            else "does NOT beat baseline"))
         if self.emergency:
             lines.append(

@@ -1,7 +1,8 @@
 """Machine-readable export of the reproduced results.
 
-``write_csv_reports`` regenerates every table/figure and writes one
-CSV per artefact, so downstream tooling (plots, regression dashboards,
+``write_csv_reports`` writes one CSV per artefact of a
+:class:`~repro.experiments.report.PaperResults` — the same results the
+printed report shows — so downstream tooling (plots, regression dashboards,
 the paper-vs-repro comparison in EXPERIMENTS.md) can consume the
 numbers without scraping text tables.
 """
@@ -12,11 +13,12 @@ import csv
 import pathlib
 import typing
 
-from .casestudy import run_casestudy
-from .figure6 import run_figure6
-from .table1 import run_table1
-from .table2 import run_table2
-from .table3 import run_table3
+from .casestudy import CaseStudyResult
+from .figure6 import Figure6Result
+from .report import PaperResults
+from .table1 import Table1Result
+from .table2 import Table2Result
+from .table3 import Table3Result
 
 
 def _write(path: pathlib.Path, header: typing.Sequence[str],
@@ -27,8 +29,8 @@ def _write(path: pathlib.Path, header: typing.Sequence[str],
         writer.writerows(rows)
 
 
-def export_table1(directory: pathlib.Path) -> pathlib.Path:
-    result = run_table1()
+def export_table1(directory: pathlib.Path,
+                  result: Table1Result) -> pathlib.Path:
     path = directory / "table1_timing.csv"
     _write(path,
            ["abstraction_level", "cycles", "cycles_relative_percent",
@@ -41,8 +43,8 @@ def export_table1(directory: pathlib.Path) -> pathlib.Path:
     return path
 
 
-def export_table2(directory: pathlib.Path) -> pathlib.Path:
-    result = run_table2()
+def export_table2(directory: pathlib.Path,
+                  result: Table2Result) -> pathlib.Path:
     path = directory / "table2_energy.csv"
     _write(path,
            ["abstraction_level", "energy_pj", "energy_relative",
@@ -56,8 +58,7 @@ def export_table2(directory: pathlib.Path) -> pathlib.Path:
 
 
 def export_table3(directory: pathlib.Path,
-                  transactions: int = 1_000) -> pathlib.Path:
-    result = run_table3(transactions=transactions)
+                  result: Table3Result) -> pathlib.Path:
     path = directory / "table3_performance.csv"
     _write(path,
            ["model", "with_estimation_kts", "with_estimation_factor",
@@ -70,8 +71,8 @@ def export_table3(directory: pathlib.Path,
     return path
 
 
-def export_figure6(directory: pathlib.Path) -> pathlib.Path:
-    result = run_figure6()
+def export_figure6(directory: pathlib.Path,
+                   result: Figure6Result) -> pathlib.Path:
     path = directory / "figure6_sampling.csv"
     rows = []
     labels = [str(cycle) for cycle in result.sample_cycles] + ["final"]
@@ -82,8 +83,8 @@ def export_figure6(directory: pathlib.Path) -> pathlib.Path:
     return path
 
 
-def export_casestudy(directory: pathlib.Path) -> pathlib.Path:
-    result = run_casestudy()
+def export_casestudy(directory: pathlib.Path,
+                     result: CaseStudyResult) -> pathlib.Path:
     path = directory / "casestudy_exploration.csv"
     _write(path,
            ["configuration", "layout", "stack_base", "access_pattern",
@@ -98,16 +99,15 @@ def export_casestudy(directory: pathlib.Path) -> pathlib.Path:
     return path
 
 
-def write_csv_reports(directory,
-                      transactions: int = 1_000
+def write_csv_reports(directory, paper: PaperResults
                       ) -> typing.List[pathlib.Path]:
-    """Regenerate every artefact and write one CSV each."""
+    """Write one CSV per artefact of *paper* (runs nothing)."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     return [
-        export_table1(directory),
-        export_table2(directory),
-        export_table3(directory, transactions),
-        export_figure6(directory),
-        export_casestudy(directory),
+        export_table1(directory, paper.table1),
+        export_table2(directory, paper.table2),
+        export_table3(directory, paper.table3),
+        export_figure6(directory, paper.figure6),
+        export_casestudy(directory, paper.casestudy),
     ]

@@ -221,6 +221,11 @@ class TearCampaignResult(Reported):
                 "  governor verdict: "
                 + ("effective (strictly fewer brownouts)"
                    if self.governor_effective else "NOT effective"))
+        failures = (
+            ([] if self.all_consistent
+             else ["CONSISTENCY VIOLATIONS — see above"])
+            + ([] if not self.governor or self.governor_effective
+               else ["governor NOT effective"]))
         return Report(
             f"Tear campaign (seed={self.seed!r}, {self.points} tear "
             f"points/layer, {self.transactions} journaled txns of "
@@ -238,8 +243,7 @@ class TearCampaignResult(Reported):
             rows=[self._layer_row(layer) for layer in self.layers],
             after=lines,
             verdict=("all tear points recovered consistently"
-                     if self.all_consistent
-                     else "CONSISTENCY VIOLATIONS — see above"))
+                     if self.passed else "; ".join(failures)))
 
 
 @dataclasses.dataclass

@@ -27,10 +27,12 @@ Reconstruction contract (per cycle):
   cycle (wait states included); ``EB_WDRdy`` pulses per accepted beat;
   ``EB_WBErr`` pulses on error.
 
-The reconstructed wires live packed in one 128-bit python int per
-cycle (one lane per signal, see :mod:`repro.power.engine`): the phase
-hooks are pure mask arithmetic, and the per-cycle accounting is
-delegated to the :class:`~repro.power.engine.PackedEngine`.  With no
+The bus makes one call per cycle, :meth:`Layer1PowerModel.commit_cycle`,
+after its write phase, passing what each phase did.  The reconstructed
+wires live packed in one 128-bit python int per cycle (one lane per
+signal, see :mod:`repro.power.engine`): setting them is pure mask
+arithmetic, and the per-cycle accounting is delegated to the
+:class:`~repro.power.engine.PackedEngine`.  With no
 per-cycle sinks attached the model defers whole batches of cycle words
 and flushes them on the first energy read — byte-identical results
 (the engine replays the naive scan's float operations in its order),
@@ -147,7 +149,7 @@ class SignalStateRecorder:
         return len(self.cycles)
 
 
-# packed-lane constants for the phase hooks, resolved once
+# packed-lane constants for commit_cycle, resolved once
 _A_MASK = LANES[0][3]
 _AVALID = LANES[1][3]
 _INSTR = LANES[2][3]
@@ -167,28 +169,25 @@ _WDATA_MASK = LANES[12][3]
 _WDRDY = LANES[13][3]
 _WBERR = LANES[14][3]
 
-# per-hook clear masks: the lanes a phase hook rewrites; everything
-# else holds its value (the buses' "hold when idle" reconstruction)
-_ADDR_IDLE_CLEAR = ~(_AVALID | _BFIRST | _BLAST | _ARDY)
-_ADDR_ACTIVE_CLEAR = ~(_A_MASK | _AVALID | _INSTR | _WRITE | _BURST
-                       | _BFIRST | _BLAST | _BE_MASK | _ARDY)
-_READ_IDLE_CLEAR = ~(_RDVAL | _RBERR)
-_READ_OK_CLEAR = ~(_RDATA_MASK | _RDVAL | _RBERR)
-_WRITE_IDLE_CLEAR = ~(_WDRDY | _WBERR)
-_WRITE_ACTIVE_CLEAR = ~(_WDATA_MASK | _WDRDY | _WBERR)
+# clear masks: every cycle drops the per-cycle strobes; a driven
+# channel also rewrites its buses, an idle one leaves them holding their
+# value (the buses' "hold when idle" reconstruction)
+_STROBES_CLEAR = ~(_AVALID | _BFIRST | _BLAST | _ARDY
+                   | _RDVAL | _RBERR | _WDRDY | _WBERR)
+_ADDR_BUS_CLEAR = ~(_A_MASK | _INSTR | _WRITE | _BURST | _BE_MASK)
+_RDATA_CLEAR = ~_RDATA_MASK
+_WDATA_CLEAR = ~_WDATA_MASK
 
 _GI_CLOCK = GROUP_INDEX[SignalGroup.CLOCK]
 
 _INSTRUCTION_READ = TransactionKind.INSTRUCTION_READ
 _DATA_WRITE = TransactionKind.DATA_WRITE
+_OK = BusState.OK
+_ERROR = BusState.ERROR
 
 
 class Layer1PowerModel(CycleAccuratePowerInterface):
     """Cycle-accurate transition-counting energy model for layer 1."""
-
-    #: index of each signal in value tuples (hot-path layout, kept for
-    #: introspection compatibility)
-    _INDEX = {spec.name: i for i, spec in enumerate(EC_SIGNALS)}
 
     def __init__(self, table: CharacterizationTable,
                  recorder: typing.Optional[SignalStateRecorder] = None
@@ -246,84 +245,77 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
             self._sinks.append(sink)
 
     # ------------------------------------------------------------------
-    # phase hooks invoked by EcBusLayer1 (exactly one address, one read
-    # and one write hook per cycle); pure packed-lane mask arithmetic
+    # the one per-cycle call from EcBusLayer1, after its write phase
     # ------------------------------------------------------------------
 
-    def address_phase_idle(self) -> None:
-        # AValid/BFirst/BLast low, ARdy high;
-        # EB_A / EB_Instr / EB_Write / EB_Burst / EB_BE hold
-        self._word = (self._word & _ADDR_IDLE_CLEAR) | _ARDY
-        self._current_tenure_id = None
+    def commit_cycle(self, cycle: int,
+                     transaction: typing.Optional[Transaction],
+                     completing: bool,
+                     read: typing.Optional[SlaveResponse],
+                     write_data: int,
+                     write: typing.Optional[SlaveResponse]) -> None:
+        """Set this cycle's wires from what the bus phases drove, then
+        account the cycle.
 
-    def address_phase_active(self, transaction: Transaction,
-                             completing: bool) -> None:
-        txn_id = transaction.txn_id
-        first_cycle = self._current_tenure_id != txn_id
-        self._current_tenure_id = None if completing else txn_id
-        word = ((self._word & _ADDR_ACTIVE_CLEAR)
-                | transaction.address          # lane shift 0
-                | _AVALID
-                | (transaction._enables << _BE_SHIFT))
-        kind = transaction.kind
-        if kind is _INSTRUCTION_READ:
-            word |= _INSTR
-        elif kind is _DATA_WRITE:
-            word |= _WRITE
-        if transaction.burst_length > 1:
-            word |= _BURST
-        if first_cycle:
-            word |= _BFIRST
-        if completing:
-            word |= _BLAST | _ARDY
-        self._word = word
-
-    def read_phase_idle(self) -> None:
-        self._word &= _READ_IDLE_CLEAR  # EB_RData holds
-
-    def read_phase_active(self, transaction: Transaction,
-                          response: SlaveResponse) -> None:
-        state = response.state
-        if state is BusState.OK:
-            self._word = ((self._word & _READ_OK_CLEAR)
-                          | (response.data << _RDATA_SHIFT) | _RDVAL)
-        elif state is BusState.ERROR:
-            self._word = (self._word & _READ_IDLE_CLEAR) | _RBERR
-        else:  # WAIT
-            self._word &= _READ_IDLE_CLEAR
-
-    def write_phase_idle(self) -> None:
-        self._word &= _WRITE_IDLE_CLEAR  # EB_WData holds
-
-    def write_phase_active(self, transaction: Transaction, data: int,
-                           response: SlaveResponse) -> None:
-        word = ((self._word & _WRITE_ACTIVE_CLEAR)
-                | (data << _WDATA_SHIFT))
-        state = response.state
-        if state is BusState.OK:
-            word |= _WDRDY
-        elif state is BusState.ERROR:
-            word |= _WBERR
-        self._word = word
-
-    def end_of_cycle(self, cycle: int) -> None:
-        """Commit this cycle's packed word to the transition engine.
-
-        Eager mode (per-cycle sinks attached): the cycle is accounted
-        immediately and streamed to every sink.  Deferred mode: the
-        word is buffered; the engine replays the whole batch — the
-        identical float operations in the identical order — on the
-        next energy read or at :data:`FLUSH_CAP`.
+        *transaction*/*completing*: the address tenure (``None`` when
+        idle) and whether this is its last address cycle; *read* and
+        *write*: the data beats' slave responses (``None`` when idle),
+        *write_data* the driven word.  Eager mode (per-cycle sinks
+        attached) accounts the cycle at once and streams it to every
+        sink; deferred mode buffers the word for the engine's batch
+        replay — the identical float operations in the identical order
+        — on the next energy read or at :data:`FLUSH_CAP`.
         """
+        # strobes low; buses and the address qualifiers hold unless a
+        # channel drives them below
+        word = self._word & _STROBES_CLEAR
+        if transaction is None:
+            word |= _ARDY
+            self._current_tenure_id = None
+        else:
+            txn_id = transaction.txn_id
+            word = ((word & _ADDR_BUS_CLEAR)
+                    | transaction.address          # lane shift 0
+                    | _AVALID
+                    | (transaction._enables << _BE_SHIFT))
+            kind = transaction.kind
+            if kind is _INSTRUCTION_READ:
+                word |= _INSTR
+            elif kind is _DATA_WRITE:
+                word |= _WRITE
+            if transaction.burst_length > 1:
+                word |= _BURST
+            if self._current_tenure_id != txn_id:
+                word |= _BFIRST
+            if completing:
+                word |= _BLAST | _ARDY
+                self._current_tenure_id = None
+            else:
+                self._current_tenure_id = txn_id
+        if read is not None:
+            state = read.state
+            if state is _OK:
+                word = ((word & _RDATA_CLEAR)
+                        | (read.data << _RDATA_SHIFT) | _RDVAL)
+            elif state is _ERROR:
+                word |= _RBERR
+        if write is not None:
+            word = (word & _WDATA_CLEAR) | (write_data << _WDATA_SHIFT)
+            state = write.state
+            if state is _OK:
+                word |= _WDRDY
+            elif state is _ERROR:
+                word |= _WBERR
+        self._word = word
         if self._sinks:
-            self._engine.flush(self, (self._word,))
+            self._engine.flush(self, (word,))
             energy = self._last_cycle_energy
             view = self._view
             for sink in self._sinks:
                 sink(cycle, view, energy)
         else:
             pending = self._pending
-            pending.append(self._word)
+            pending.append(word)
             if len(pending) >= FLUSH_CAP:
                 self._flush()
 
@@ -335,7 +327,7 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
     def steady_idle_cycle(self) -> None:
         """Book one more all-idle cycle after an all-idle cycle.
 
-        The idle hooks leave the packed word as it was, so no lane
+        An all-idle commit leaves the packed word as it was, so no lane
         toggles: the engine would add the clock baseline to the clock
         group and to the total, nothing else.  This makes exactly those
         additions, after flushing any deferred words so the order of

@@ -101,22 +101,25 @@ class EcBusLayer1(EcBusBase):
         The phases run inline in one method — they execute every
         single cycle of every layer-1 simulation, so the former
         one-method-per-phase layout paid three calls and repeated
-        attribute walks per cycle for structure no caller used.
+        attribute walks per cycle for structure no caller used.  Each
+        phase keeps in locals what it drove; after the write phase the
+        power model gets them all in one call (§3.3).
         """
         power_model = self.power_model
         cycle = self.cycle
         routes = self._routes
+        completing = False   # the address tenure's last cycle
+        read = write = None  # the data beats' slave responses
+        write_data = 0
 
         # -- phase 2: address (the FSM of Figure 3) --------------------
         fsm = self._address_fsm
-        addr_busy = True
         # steady: a cycle with every phase idle repeats identically
         # until a master issues (see _steady_idle)
         idle = False
         if fsm.state == fsm.IDLE:
             fifo = self.request_queue._fifo
             if not fifo:
-                addr_busy = False
                 idle = True
             else:
                 head = fifo.popleft()
@@ -131,86 +134,69 @@ class EcBusLayer1(EcBusBase):
                 except DecodeError:
                     head.fail(cycle, ErrorCause.DECODE)
                     self.finish_pool.push(head)
-                    addr_busy = False
                 else:
                     fsm.start(head, region,
                               self.get_slave_state(region).address)
-        if not addr_busy:
-            if power_model is not None:
-                power_model.address_phase_idle()
-        else:
-            # BUSY: drive the address channel, count down wait states
-            transaction = fsm.current
+        # BUSY: drive the address channel, count down wait states
+        tenure = fsm.current
+        if tenure is not None:
             completing = fsm.remaining_wait_states == 0
-            if power_model is not None:
-                power_model.address_phase_active(transaction, completing)
             if completing:
-                transaction.address_done_cycle = cycle
+                tenure.address_done_cycle = cycle
                 slave = fsm.region.slave
-                routes[transaction.txn_id] = (
+                routes[tenure.txn_id] = (
                     fsm.region, slave,
                     getattr(slave, "forward_read_beat", None),
                     getattr(slave, "forward_write_beat", None),
                     slave.base_address)
-                if transaction.direction is Direction.READ:
-                    self.read_queue.push(transaction)
+                if tenure.direction is Direction.READ:
+                    self.read_queue.push(tenure)
                 else:
-                    self.write_queue.push(transaction)
+                    self.write_queue.push(tenure)
                 fsm.finish()
             else:
                 fsm.remaining_wait_states -= 1
 
         # -- phase 3: read data ----------------------------------------
         fifo = self.read_queue._fifo
-        if not fifo:
-            if power_model is not None:
-                power_model.read_phase_idle()
-        else:
+        if fifo:
             idle = False
             transaction = fifo[0]
             (_region, slave, forward, _fw,
              base) = routes[transaction.txn_id]
             if forward is not None:  # bridge: transaction-aware forward
-                response = forward(transaction)
+                read = forward(transaction)
             else:
                 # beat_address() inlined: the decode already validated
                 # the whole burst inside the window, no wrap possible
-                response = slave.read_beat(
+                read = slave.read_beat(
                     transaction.address - base
                     + (transaction.beats_done << 2),
                     transaction._enables)
-            if power_model is not None:
-                power_model.read_phase_active(transaction, response)
-            self._apply_response(transaction, response,
-                                 self.read_queue, value=response.data)
+            self._apply_response(transaction, read,
+                                 self.read_queue, value=read.data)
 
         # -- phase 4: write data ---------------------------------------
         fifo = self.write_queue._fifo
-        if not fifo:
-            if power_model is not None:
-                power_model.write_phase_idle()
-        else:
+        if fifo:
             idle = False
             transaction = fifo[0]
             (_region, slave, _fr, forward,
              base) = routes[transaction.txn_id]
             beat = transaction.beats_done
-            data = transaction.data[beat]
+            write_data = transaction.data[beat]
             if forward is not None:  # bridge: transaction-aware forward
-                response = forward(transaction, data)
+                write = forward(transaction, write_data)
             else:
                 # beat_address() inlined, as in the read phase
-                response = slave.write_beat(
+                write = slave.write_beat(
                     transaction.address - base + (beat << 2),
-                    transaction._enables, data)
-            if power_model is not None:
-                power_model.write_phase_active(transaction, data,
-                                               response)
-            self._apply_response(transaction, response,
-                                 self.write_queue)
+                    transaction._enables, write_data)
+            self._apply_response(transaction, write, self.write_queue)
 
         if power_model is not None:
-            power_model.end_of_cycle(cycle)
+            power_model.commit_cycle(cycle, tenure, completing, read,
+                                     write_data, write)
         self.cycle = cycle + 1
         process = self._process
         if process.steady_armed:

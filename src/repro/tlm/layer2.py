@@ -105,8 +105,8 @@ class EcBusLayer2(EcBusBase):
 
     def _bus_process(self) -> None:
         self._address_phase()
-        self._read_phase()
-        self._write_phase()
+        self._data_phase(self._read_queue, is_read=True)
+        self._data_phase(self._write_queue, is_read=False)
         self.cycle += 1
 
     def _address_phase(self) -> None:
@@ -121,7 +121,8 @@ class EcBusLayer2(EcBusBase):
         self.address_queue.pop()
         head.address_done_cycle = self.cycle
         if item.decode_failed:
-            self._finish_error(item, ErrorCause.DECODE)
+            head.fail(self.cycle, ErrorCause.DECODE)
+            self._finish(head)
             return
         if self.power_model is not None:
             self.power_model.address_phase_finished(head)
@@ -129,12 +130,6 @@ class EcBusLayer2(EcBusBase):
             self._read_queue.append(item)
         else:
             self._write_queue.append(item)
-
-    def _read_phase(self) -> None:
-        self._data_phase(self._read_queue, is_read=True)
-
-    def _write_phase(self) -> None:
-        self._data_phase(self._write_queue, is_read=False)
 
     def _data_phase(self, queue: typing.List[_TimedRequest],
                     is_read: bool) -> None:
@@ -174,12 +169,8 @@ class EcBusLayer2(EcBusBase):
             for _ in range(beats_ok):
                 transaction.complete_beat(self.cycle)
         if error:
-            self._finish_error(item, ErrorCause.SLAVE_ERROR)
-            return
-        if self.power_model is not None:
-            self.power_model.data_phase_finished(transaction)
-        del self._items[transaction.txn_id]
-        self.finish_pool.push(transaction)
+            transaction.fail(self.cycle, ErrorCause.SLAVE_ERROR)
+        self._finish(transaction)
 
     def _bridge_data_phase(self, queue: typing.List[_TimedRequest],
                            item: _TimedRequest, is_read: bool) -> None:
@@ -211,8 +202,9 @@ class EcBusLayer2(EcBusBase):
                     transaction.complete_beat(self.cycle, word)
                 # relay the downstream cause (a decode fault two hops
                 # away must not degenerate into SLAVE_ERROR upstream)
-                self._finish_error(item, item.clone.error_cause
-                                   or ErrorCause.SLAVE_ERROR)
+                transaction.fail(self.cycle, item.clone.error_cause
+                                 or ErrorCause.SLAVE_ERROR)
+                self._finish(transaction)
                 return
             if item.data_remaining > 0 or state is not BusState.OK:
                 return  # still streaming upstream / still downstream
@@ -229,18 +221,15 @@ class EcBusLayer2(EcBusBase):
             queue.pop(0)
             for _ in range(transaction.burst_length):
                 transaction.complete_beat(self.cycle)
+        self._finish(transaction)
+
+    def _finish(self, transaction: Transaction) -> None:
+        """The one exit of every transaction off the bus, completed or
+        failed (``fail`` already called): book its data phase, drop its
+        entry, hand it to the finish pool."""
         if self.power_model is not None:
             self.power_model.data_phase_finished(transaction)
         del self._items[transaction.txn_id]
-        self.finish_pool.push(transaction)
-
-    def _finish_error(self, item: _TimedRequest,
-                      cause: ErrorCause) -> None:
-        transaction = item.transaction
-        transaction.fail(self.cycle, cause)
-        self._items.pop(transaction.txn_id, None)
-        if self.power_model is not None:
-            self.power_model.data_phase_finished(transaction)
         self.finish_pool.push(transaction)
 
     def _evict(self, transaction: Transaction) -> bool:

@@ -5,12 +5,14 @@ import csv
 import pytest
 
 from repro.experiments.export import write_csv_reports
+from repro.experiments.report import run_paper
 
 
 @pytest.fixture(scope="module")
 def csv_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("results")
-    write_csv_reports(directory, transactions=300)
+    write_csv_reports(directory, run_paper(transactions=300,
+                                           include_gate_level=False))
     return directory
 
 

@@ -4,7 +4,10 @@ The golden manifest pins the campaigns' reports as their passing runs
 print them.  Here each of the eight campaign results is built by hand
 with one degraded cell and at least one failing check or violation,
 so the ``DEGRADED`` rows, the ``[FAIL]`` check lines and the
-``FAILED`` verdicts are pinned too.  Table 3 is pinned from a fixed
+``FAILED`` verdicts are pinned too.  Two more results fail one rule
+with every cell ok: a tear run whose only failure is the governor, and
+a DPM arm with fewer brownouts but less completed work — their
+verdicts and per-arm lines must say so.  Table 3 is pinned from a fixed
 result, with and without the gate-level row, because its real numbers
 are wall-clock rates.  Every expected text is a literal: a change to
 any column, check or verdict fails here with the two texts side by
@@ -101,6 +104,44 @@ def dpm():
         technology=[dict(node_nm=130, vdd=1.2, scale=0.1234,
                          always_on_nj=1.5, best_policy="budget_aware",
                          best_adaptive_nj=1.25)])
+
+
+def tear_governor_ineffective():
+    # every tear point consistent; only the governor sub-study fails
+    return TearCampaignResult(
+        seed="pin", points=1, transactions=3, layers=("layer1",),
+        baselines={"layer1": {"layer": "layer1"}},
+        cells=[
+            TearCell("layer1", 120, torn=True, transactions=3, applied=1,
+                     committed_at_tear=True, replayed=True,
+                     recovery_cycles=41, recovery_energy_pj=5321.0,
+                     consistent=True),
+        ],
+        governor=[
+            GovernorCell(True, completed=True, cycles=5000, brownouts=3,
+                         deferrals=9, drained_pj=300.0),
+            GovernorCell(False, completed=True, cycles=4800, brownouts=3,
+                         drained_pj=310.0),
+        ])
+
+
+def dpm_fewer_brownouts_less_work():
+    # the adaptive arm browns out less but completes less work than
+    # always-on: it does not beat the baseline, line and verdict alike
+    return DpmCampaignResult(
+        seed="pin", traces=1, transactions=6,
+        policies=("always_on", "fixed_timeout"), layers=("layer1",),
+        table_source="default characterisation",
+        cells=[
+            DpmCell("layer1", "always_on", 0, harvest_pj_per_cycle=0.35,
+                    brownouts=4, completed=6, transactions=6,
+                    cycles=12000, drained_pj=2500.0),
+            DpmCell("layer1", "fixed_timeout", 0,
+                    harvest_pj_per_cycle=0.35, brownouts=1, completed=4,
+                    transactions=6, cycles=11000, drained_pj=2000.0,
+                    psm_overhead_pj=12.5, wakes=3),
+        ],
+        emergency=[], technology=[])
 
 
 def link():
@@ -234,6 +275,19 @@ EXPECTED = {
         'verdict: FAILED — an adaptive policy does not beat always-on; '
         'emergency recovery not verified',
     ),
+    'dpm_fewer_brownouts_less_work': (
+        "DPM campaign (seed='pin', 1 supply traces x 2 policies x 1 "
+        'layers, 6 journaled txns; table: default characterisation):',
+        'layer   policy               harvest brownouts completed  cycles '
+        'drained nJ psm ovh pJ wakes',
+        'layer1  always_on              0.350         4      6/6    12000  '
+        '    2.500       0.00     0',
+        'layer1  fixed_timeout          0.350         1      4/6    11000  '
+        '    2.000      12.50     3',
+        '  layer1 fixed_timeout: 1 brownouts vs always_on 4 -> does NOT '
+        'beat baseline',
+        'verdict: FAILED — an adaptive policy does not beat always-on',
+    ),
     'fabric': (
         "fabric campaign (seed='pin', flat/bridged x layer1, 4 APDU "
         'commands + DMA):',
@@ -335,14 +389,31 @@ EXPECTED = {
         '  governed   brownouts=2 deferrals=9 cycles=5000 completed=yes',
         '  open-loop  DEGRADED: stalled',
         '  governor verdict: NOT effective',
-        'verdict: CONSISTENCY VIOLATIONS — see above',
+        'verdict: CONSISTENCY VIOLATIONS — see above; governor NOT '
+        'effective',
+    ),
+    'tear_governor_ineffective': (
+        "Tear campaign (seed='pin', 1 tear points/layer, 3 journaled txns "
+        'of 2 words):',
+        'layer        points  torn consistent    rate replays recovery cyc '
+        'replay E (nJ)',
+        'layer1            1     1          1  100.0%       1         41.0 '
+        '        5.321',
+        'governor sub-study (layer1, 0.10 nJ cap, 2.0 pJ/cycle harvest, '
+        'brownout at 0.05 nJ):',
+        '  governed   brownouts=3 deferrals=9 cycles=5000 completed=yes',
+        '  open-loop  brownouts=3 deferrals=0 cycles=4800 completed=yes',
+        '  governor verdict: NOT effective',
+        'verdict: governor NOT effective',
     ),
 }
 
 CASES = {
     "faults": faults,
     "tear": tear,
+    "tear_governor_ineffective": tear_governor_ineffective,
     "dpm": dpm,
+    "dpm_fewer_brownouts_less_work": dpm_fewer_brownouts_less_work,
     "link": link,
     "fabric": fabric,
     "chaos": chaos,

@@ -22,7 +22,7 @@ from tests.power.reference_energy import (ReferenceLayer1,
 
 
 class _Txn:
-    """The attribute subset the layer-1 phase hooks read."""
+    """The attribute subset ``Layer1PowerModel.commit_cycle`` reads."""
 
     def __init__(self, txn_id, address, enables=0xF,
                  kind=TransactionKind.DATA_READ, burst_length=1):
@@ -37,15 +37,11 @@ def _drive(model, cycles):
     """A fixed activity pattern with address + read-data transitions."""
     for index in range(cycles):
         if index % 3 == 0:
-            txn = _Txn(index, 0x5A5A0 ^ (index << 4))
-            model.address_phase_active(txn, completing=True)
-            model.read_phase_active(
-                txn, SlaveResponse.ok(0xDEAD0000 | index))
+            model.commit_cycle(index, _Txn(index, 0x5A5A0 ^ (index << 4)),
+                               True, SlaveResponse.ok(0xDEAD0000 | index),
+                               0, None)
         else:
-            model.address_phase_idle()
-            model.read_phase_idle()
-        model.write_phase_idle()
-        model.end_of_cycle(index)
+            model.commit_cycle(index, None, False, None, 0, None)
 
 
 class TestLutMemoization:

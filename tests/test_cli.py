@@ -224,6 +224,40 @@ class TestCommands:
         assert out.count("DEGRADED: RuntimeError: point crashed") == 9
         assert out.endswith("every sweep point degraded\n")
 
+    def test_report_csv_runs_table3_once(self, monkeypatch, tmp_path,
+                                         capsys):
+        # the printed Table 3 and table3_performance.csv must be one
+        # timing run: count run_table3 wherever the report path binds it
+        import csv
+
+        import repro.experiments.export as export
+        import repro.experiments.report as report
+        from repro.experiments.table3 import run_table3
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return run_table3(*args, **kwargs)
+
+        for module in (report, export):
+            if hasattr(module, "run_table3"):
+                monkeypatch.setattr(module, "run_table3", counted)
+        assert main(["report", "--no-gate-level", "--transactions", "50",
+                     "--csv", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        with open(tmp_path / "table3_performance.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        for model, with_kts, _, without_kts, _ in rows:
+            (line,) = [line for line in out.splitlines()
+                       if line.startswith(model)]
+            printed = line.split()[-4::2]  # kT/s with, without
+            assert float(printed[0]) == pytest.approx(float(with_kts),
+                                                      abs=0.051)
+            assert float(printed[1]) == pytest.approx(float(without_kts),
+                                                      abs=0.051)
+
     def test_chaos_has_no_wall_budget_option(self, capsys):
         # every chaos scenario is bounded by its own stall watchdog
         with pytest.raises(SystemExit):
