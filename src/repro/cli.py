@@ -45,28 +45,51 @@ import typing
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import full_report, run_paper
+    from repro.experiments.report import (full_report, run_extended,
+                                          run_paper)
     # one run of each experiment feeds both the text and the CSVs
     paper = run_paper(transactions=args.transactions,
                       include_gate_level=not args.no_gate_level)
-    print(full_report(paper, extended=args.extended))
+    studies = run_extended() if args.extended else ()
+    print(full_report(paper, studies))
     if args.csv:
         from repro.experiments.export import write_csv_reports
         paths = write_csv_reports(args.csv, paper)
         print(f"\nCSV results written: "
               f"{', '.join(str(p) for p in paths)}")
-    return 0
+    return 0 if all(result.passed for result in (*paper, *studies)) else 1
 
 
-def _print_report(args: argparse.Namespace) -> int:
-    """Run ``repro.experiments.<args.runner>`` with the command's own
-    options (argparse destinations named like the runner's
-    parameters) and print its report."""
+def _run(args: argparse.Namespace,
+         after: typing.Optional[typing.Callable[[typing.Any],
+                                                None]] = None) -> int:
+    """Run ``repro.experiments.<args.runner>`` with the options given on
+    the command line and print its report.
+
+    Every argparse destination is named like a runner parameter
+    (``--journal`` is ``journal_path``); only the options whose value
+    is not ``None`` reach the runner (a list as a tuple), so the runner
+    owns its defaults and checks its axes.  A ``ValueError`` (a bad
+    axis, ``--resume`` without ``--journal``) exits 2 with a clean
+    message; otherwise the report is printed and its checks decide
+    between exit 0 and 1.  *after* sees the result once its report is
+    out.
+    """
     import repro.experiments
-    options = {name: value for name, value in vars(args).items()
-               if name not in ("command", "func", "runner")}
-    print(getattr(repro.experiments, args.runner)(**options).format())
-    return 0
+    options = {("journal_path" if name == "journal" else name):
+               tuple(value) if isinstance(value, list) else value
+               for name, value in vars(args).items()
+               if value is not None
+               and name not in ("command", "func", "runner")}
+    try:
+        result = getattr(repro.experiments, args.runner)(**options)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
+    print(result.format())
+    if after is not None:
+        after(result)
+    return 0 if result.passed else 1
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -82,104 +105,28 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign(args: argparse.Namespace,
-                  runner: typing.Callable[..., typing.Any],
-                  options: typing.Sequence[str] = (),
-                  after: typing.Optional[typing.Callable[[typing.Any],
-                                                         None]] = None,
-                  **kwargs: typing.Any) -> int:
-    """Run one supervised campaign with its own *options* (argparse
-    destinations named like the runner's parameters) and those
-    :func:`add_campaign_options` added to *args*.
-
-    Only the options given on the command line reach the runner (a
-    list as a tuple): the campaign owns its defaults and checks its
-    axes.  A ``ValueError`` (a bad axis, ``--resume`` without
-    ``--journal``) exits 2 with a clean message; otherwise the report
-    is printed and the campaign's ``passed`` verdict decides between
-    exit 0 and 1.  *after* sees the result once its report is out.
-    """
-    for name in (*options, "seed", "cell_wall_seconds", "workers"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
-    try:
-        result = runner(journal_path=args.journal, resume=args.resume,
-                        **kwargs)
-    except ValueError as error:
-        print(f"repro {args.command}: error: {error}", file=sys.stderr)
-        return 2
-    print(result.format())
-    if after is not None:
-        after(result)
-    return 0 if result.passed else 1
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import run_bus_sweep
-    return _run_campaign(args, run_bus_sweep)
-
-
-def _cmd_robustness(args: argparse.Namespace) -> int:
-    from repro.experiments import run_robustness
-    return _run_campaign(args, run_robustness)
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fault_campaign
-    return _run_campaign(args, run_fault_campaign,
-                         ("rates", "classes", "layers"))
-
-
-def _cmd_tear(args: argparse.Namespace) -> int:
-    from repro.experiments import run_tear_campaign
-    return _run_campaign(args, run_tear_campaign,
-                         ("points", "transactions", "layers"),
-                         governor_study=not args.no_governor)
-
-
-def _cmd_dpm(args: argparse.Namespace) -> int:
-    from repro.experiments import run_dpm_campaign
-    return _run_campaign(args, run_dpm_campaign,
-                         ("traces", "transactions", "policies", "layers",
-                          "node_nm", "vdd"),
-                         emergency=not args.no_emergency)
-
-
-def _cmd_link(args: argparse.Namespace) -> int:
-    from repro.experiments import run_link_campaign
-    return _run_campaign(args, run_link_campaign,
-                         ("noise_rates", "layers", "dpm_modes", "sessions",
-                          "commands"))
-
-
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fabric_campaign
-    return _run_campaign(args, run_fabric_campaign,
-                         ("topologies", "layers", "commands"))
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.replay:
-        return _chaos_replay(args.replay)
-    from repro.experiments import run_chaos_campaign
+    # the two options that are not the campaign's own
+    options = vars(args)
+    replay, repro_out = options.pop("replay"), options.pop("repro_out")
+    if replay:
+        return _chaos_replay(replay)
 
     def write_repro(result) -> None:
-        if not args.repro_out or result.selftest is None \
+        if not repro_out or result.selftest is None \
                 or result.selftest.status != "ok":
             return
         # sorted keys: a resumed payload comes back from the journal
         # key-sorted, and the file must not depend on which path ran
-        with open(args.repro_out, "w", encoding="utf-8") as handle:
+        with open(repro_out, "w", encoding="utf-8") as handle:
             json.dump({"signature": result.selftest.signature,
                        "original": result.selftest.original,
                        "minimal": result.selftest.minimal},
                       handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"minimal repro written to {args.repro_out}")
+        print(f"minimal repro written to {repro_out}")
 
-    return _run_campaign(args, run_chaos_campaign, ("scenarios",),
-                         after=write_repro, selftest=not args.no_selftest)
+    return _run(args, after=write_repro)
 
 
 def _chaos_replay(path: str) -> int:
@@ -238,7 +185,7 @@ def add_campaign_options(command: argparse.ArgumentParser,
                          seed: bool = False,
                          wall: bool = False,
                          workers: bool = True) -> None:
-    """The supervised-campaign options :func:`_run_campaign` reads:
+    """The supervised-campaign options :func:`_run` passes on:
     ``--journal``/``--resume`` always, ``--seed`` when the campaign is
     *seed*-ed, ``--cell-wall-seconds`` when its cells take a *wall*
     budget, ``--workers`` unless it runs serially only."""
@@ -285,25 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     sub.add_parser("table1", help="timing accuracy"
-                   ).set_defaults(func=_print_report, runner="run_table1")
+                   ).set_defaults(func=_run, runner="run_table1")
     sub.add_parser("table2", help="energy estimation accuracy"
-                   ).set_defaults(func=_print_report, runner="run_table2")
+                   ).set_defaults(func=_run, runner="run_table2")
 
     table3 = sub.add_parser("table3", help="simulation performance")
     table3.add_argument("--transactions", type=int, default=2_000)
     table3.add_argument("--no-gate-level", dest="include_gate_level",
                         action="store_false")
-    table3.set_defaults(func=_print_report, runner="run_table3")
+    table3.set_defaults(func=_run, runner="run_table3")
 
     sub.add_parser("figure6", help="energy sampling profile"
-                   ).set_defaults(func=_print_report, runner="run_figure6")
+                   ).set_defaults(func=_run, runner="run_figure6")
     sub.add_parser("casestudy", help="java card HW/SW exploration"
-                   ).set_defaults(func=_print_report, runner="run_casestudy")
+                   ).set_defaults(func=_run, runner="run_casestudy")
 
     coproc = sub.add_parser("coprocessor",
                             help="crypto HW/SW interface study")
     coproc.add_argument("--blocks", type=int, default=4)
-    coproc.set_defaults(func=_print_report, runner="run_coprocessor_study")
+    coproc.set_defaults(func=_run, runner="run_coprocessor_study")
 
     characterize = sub.add_parser(
         "characterize", help="run the power characterisation flow")
@@ -320,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="fetch-path (burst x line-buffer) sweep")
     add_campaign_options(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(func=_run, runner="run_bus_sweep")
 
     robustness = sub.add_parser(
         "robustness",
         help="accuracy errors across workload classes")
     add_campaign_options(robustness, workers=False)
-    robustness.set_defaults(func=_cmd_robustness)
+    robustness.set_defaults(func=_run, runner="run_robustness")
 
     # each campaign owns its grid's vocabulary and defaults (and
     # checks the axes); naming them here would restate them and load
@@ -341,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--layers", nargs="+",
                         help="bus models to run each cell on")
     add_campaign_options(faults, seed=True, wall=True)
-    faults.set_defaults(func=_cmd_faults)
+    faults.set_defaults(func=_run, runner="run_fault_campaign")
 
     tear = sub.add_parser(
         "tear",
@@ -353,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="journaled transactions in the workload")
     tear.add_argument("--layers", nargs="+",
                       help="bus models to sweep the tear grid on")
-    tear.add_argument("--no-governor", action="store_true",
+    tear.add_argument("--no-governor", dest="governor_study",
+                      action="store_false", default=None,
                       help="skip the energy-governor sub-study")
     add_campaign_options(tear, seed=True, wall=True)
-    tear.set_defaults(func=_cmd_tear)
+    tear.set_defaults(func=_run, runner="run_tear_campaign")
 
     dpm = sub.add_parser(
         "dpm",
@@ -377,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     dpm.add_argument("--vdd", type=float,
                      help="calibrate the characterisation table at "
                           "this supply voltage (with --node-nm)")
-    dpm.add_argument("--no-emergency", action="store_true",
+    dpm.add_argument("--no-emergency", dest="emergency",
+                     action="store_false", default=None,
                      help="skip the emergency-checkpoint study")
     add_campaign_options(dpm, seed=True, wall=True)
-    dpm.set_defaults(func=_cmd_dpm)
+    dpm.set_defaults(func=_run, runner="run_dpm_campaign")
 
     link = sub.add_parser(
         "link",
@@ -403,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--commands", type=int,
                       help="APDU commands per session")
     add_campaign_options(link, seed=True, wall=True)
-    link.set_defaults(func=_cmd_link)
+    link.set_defaults(func=_run, runner="run_link_campaign")
 
     fabric = sub.add_parser(
         "fabric",
@@ -416,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--commands", type=int,
                         help="APDU commands in the session workload")
     add_campaign_options(fabric, seed=True, wall=True)
-    fabric.set_defaults(func=_cmd_fabric)
+    fabric.set_defaults(func=_run, runner="run_fabric_campaign")
 
     chaos = sub.add_parser(
         "chaos",
@@ -425,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
              "self-shrinking repro of any failure")
     chaos.add_argument("--scenarios", type=int,
                        help="number of generated scenarios to run")
-    chaos.add_argument("--no-selftest", action="store_true",
+    chaos.add_argument("--no-selftest", dest="selftest",
+                       action="store_false", default=None,
                        help="skip the injected-failure shrinker "
                             "self-test cell")
     chaos.add_argument("--replay", metavar="FILE",
@@ -436,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the self-test's minimal repro as "
                             "replayable JSON")
     add_campaign_options(chaos, seed=True)
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_chaos, runner="run_chaos_campaign")
 
     vcd = sub.add_parser(
         "vcd", help="dump the test program's bus waveform as VCD")

@@ -58,7 +58,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                        "run_fault_campaign"),
     "figure6": ("Figure6Result", "run_figure6"),
     "link_campaign": ("LinkCampaignResult", "LinkCell", "run_link_campaign"),
-    "report": ("PaperResults", "full_report", "run_paper"),
+    "report": ("PaperResults", "full_report", "run_extended", "run_paper"),
     "robustness": ("RobustnessResult", "run_robustness"),
     "supervisor": ("CampaignSupervisor", "CellOutcome", "CheckpointJournal",
                    "cell_key"),

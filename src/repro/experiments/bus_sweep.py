@@ -57,11 +57,6 @@ class BusSweepResult(Reported):
                 return point
         raise KeyError((burst, lines))
 
-    @property
-    def passed(self) -> bool:
-        """Every grid point ran."""
-        return all(point.status == "ok" for point in self.points)
-
     def _usable(self) -> typing.List[SweepPoint]:
         usable = [point for point in self.points
                   if point.status == "ok"]
@@ -89,7 +84,10 @@ class BusSweepResult(Reported):
                 Column("bus pJ", 11, "{bus_energy_pj:.1f}"),
                 Column("fetch txns", 12, "{fetch_transactions}"),
                 Column("fetch words", 13, "{fetch_words}"),
-            ], rows=self.points, after=[summary])
+            ], rows=self.points, after=[summary],
+            checks=[("every grid point ran",
+                     all(point.status == "ok" for point in self.points))],
+            verdict="the whole fetch-path grid measured")
 
 
 def run_point(fetch_burst_length: int, line_buffer_lines: int,

@@ -93,11 +93,6 @@ class ChaosCampaignResult(Reported):
     cells: typing.List[ChaosCell]
     selftest: typing.Optional[ShrinkCell]
 
-    @property
-    def passed(self) -> bool:
-        """Every check the report prints held."""
-        return self.report().passed
-
     # -- aggregates -------------------------------------------------------
 
     def fired_histogram(self) -> typing.Dict[str, int]:

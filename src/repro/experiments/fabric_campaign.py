@@ -93,11 +93,6 @@ class FabricCampaignResult(Reported):
     commands: int
     cells: typing.List[FabricCell]
 
-    @property
-    def passed(self) -> bool:
-        """Every check the report prints held."""
-        return self.report().passed
-
     def report(self) -> Report:
         ok = [cell for cell in self.cells if cell.status == "ok"]
         arm = {(cell.topology, cell.layer): cell for cell in ok}

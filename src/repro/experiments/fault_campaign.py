@@ -117,13 +117,6 @@ class FaultCampaignResult(Reported):
                 return cell
         raise KeyError((layer, workload, rate))
 
-    @property
-    def passed(self) -> bool:
-        """Every cell ran and every transaction completed under retry
-        — a campaign that cannot finish its scripts has failed."""
-        return all(cell.status == "ok" and not cell.failures
-                   for cell in self.cells)
-
     def report(self) -> Report:
         policy = DEFAULT_POLICY
         total_failures = sum(cell.failures for cell in self.cells)
@@ -150,7 +143,12 @@ class FaultCampaignResult(Reported):
                 Column("E+ (pJ)", 10, "{energy_overhead_pj:+.1f}"),
                 Column("retry E (pJ)", 13, "{retry_energy_pj:.1f}",
                        missing="n/a"),
-            ], rows=self.cells, keys=3, after=after)
+            ], rows=self.cells, keys=3, after=after,
+            # a campaign that cannot finish its scripts has failed
+            checks=[("every cell ran", not degraded),
+                    ("every transaction recovered under retry",
+                     not total_failures)],
+            verdict="every script completed under retry")
 
 
 def _campaign_injectors(seed: typing.Union[int, str], workload: str,

@@ -143,11 +143,6 @@ class LinkCampaignResult(Reported):
     commands: int
     cells: typing.List[LinkCell]
 
-    @property
-    def passed(self) -> bool:
-        """Every check the report prints held."""
-        return self.report().passed
-
     def report(self) -> Report:
         ok = [cell for cell in self.cells if cell.status == "ok"]
         # the noise-free/DPM-off arms: the link layer must be free when

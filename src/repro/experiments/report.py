@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.report import Reported
+
 from .casestudy import CaseStudyResult, run_casestudy
 from .figure6 import Figure6Result, run_figure6
 from .table1 import Table1Result, run_table1
@@ -45,23 +47,25 @@ def run_paper(transactions: int = 2_000,
         run_figure6(), run_casestudy())
 
 
-def full_report(paper: PaperResults, extended: bool = False) -> str:
-    """Produce the complete reproduction report of *paper* as text.
+def run_extended() -> typing.Tuple[Reported, ...]:
+    """Run the beyond-the-paper studies: the crypto coprocessor HW/SW
+    comparison, the accuracy-robustness sweep and the fetch-path
+    parameter sweep."""
+    from .coprocessor import run_coprocessor_study
+    from .robustness import run_robustness
+    from .bus_sweep import run_bus_sweep
+    return run_coprocessor_study(), run_robustness(), run_bus_sweep()
 
-    With *extended* the beyond-the-paper studies are run and appended:
-    the crypto coprocessor HW/SW comparison, the accuracy-robustness
-    sweep and the fetch-path parameter sweep.
-    """
+
+def full_report(paper: PaperResults,
+                extended: typing.Sequence[Reported] = ()) -> str:
+    """Produce the complete reproduction report of *paper* as text,
+    with the *extended* studies (:func:`run_extended`) appended."""
     sections = [f"{paper.table1.format()}\n{PAPER_TABLE1}",
                 f"{paper.table2.format()}\n{PAPER_TABLE2}",
                 f"{paper.table3.format()}\n{PAPER_TABLE3}",
                 paper.figure6.format(), paper.casestudy.format()]
-    if extended:
-        from .coprocessor import run_coprocessor_study
-        from .robustness import run_robustness
-        from .bus_sweep import run_bus_sweep
-        sections += [run_coprocessor_study().format(),
-                     run_robustness().format(), run_bus_sweep().format()]
+    sections += [study.format() for study in extended]
     return "\n\n".join(sections)
 
 

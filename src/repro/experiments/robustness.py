@@ -128,11 +128,6 @@ class RobustnessResult(Reported):
                 return row
         raise KeyError(workload)
 
-    @property
-    def passed(self) -> bool:
-        """Every workload class ran."""
-        return all(row.status == "ok" for row in self.rows)
-
     def report(self) -> Report:
         usable = [row for row in self.rows if row.status == "ok"]
         if usable:
@@ -154,7 +149,10 @@ class RobustnessResult(Reported):
                 Column("L2 t-err", 10, "{layer2_timing_error:+.2f}%"),
                 Column("L1 E-err", 10, "{layer1_energy_error:+.2f}%"),
                 Column("L2 E-err", 10, "{layer2_energy_error:+.2f}%"),
-            ], rows=self.rows, after=[summary])
+            ], rows=self.rows, after=[summary],
+            checks=[("every workload class ran",
+                     all(row.status == "ok" for row in self.rows))],
+            verdict="errors measured on every workload class")
 
 
 def workload_script(name: str,

@@ -148,12 +148,6 @@ class TearCampaignResult(Reported):
         return sum(1 for c in cells if c.consistent) / len(cells)
 
     @property
-    def all_consistent(self) -> bool:
-        return (not any("error" in run for run in self.baselines.values())
-                and all(cell.status == "ok" and cell.consistent
-                        for cell in self.cells))
-
-    @property
     def governor_effective(self) -> bool:
         """Strictly fewer brownouts with the governor, both arms done."""
         arms = {cell.governed: cell for cell in self.governor
@@ -162,13 +156,6 @@ class TearCampaignResult(Reported):
             return False
         return (arms[True].completed and arms[False].completed
                 and arms[True].brownouts < arms[False].brownouts)
-
-    @property
-    def passed(self) -> bool:
-        """Anti-tearing held everywhere and, when the sub-study ran,
-        the governor reduced brownouts."""
-        return self.all_consistent and (not self.governor
-                                         or self.governor_effective)
 
     def _layer_row(self, layer: str) -> dict:
         cells = self.layer_cells(layer)
@@ -217,15 +204,19 @@ class TearCampaignResult(Reported):
                     f" deferrals={cell.deferrals}"
                     f" cycles={cell.cycles}"
                     f" completed={yes_no(cell.completed)}")
-            lines.append(
-                "  governor verdict: "
-                + ("effective (strictly fewer brownouts)"
-                   if self.governor_effective else "NOT effective"))
-        failures = (
-            ([] if self.all_consistent
-             else ["CONSISTENCY VIOLATIONS — see above"])
-            + ([] if not self.governor or self.governor_effective
-               else ["governor NOT effective"]))
+        # anti-tearing must hold everywhere and, when the sub-study
+        # ran, the governor must reduce brownouts
+        checks = [
+            ("every baseline ran",
+             not any("error" in run for run in self.baselines.values())),
+            ("every tear point ran", not degraded),
+            ("every tear point recovered consistently",
+             all(cell.consistent for cell in self.cells
+                 if cell.status == "ok")),
+        ]
+        if self.governor:
+            checks.append(("governor effective (strictly fewer brownouts)",
+                           self.governor_effective))
         return Report(
             f"Tear campaign (seed={self.seed!r}, {self.points} tear "
             f"points/layer, {self.transactions} journaled txns of "
@@ -241,9 +232,8 @@ class TearCampaignResult(Reported):
                 Column("replay E (nJ)", 14, "{recovery_nj:.3f}"),
             ],
             rows=[self._layer_row(layer) for layer in self.layers],
-            after=lines,
-            verdict=("all tear points recovered consistently"
-                     if self.passed else "; ".join(failures)))
+            after=lines, checks=checks,
+            verdict="all tear points recovered consistently")
 
 
 @dataclasses.dataclass

@@ -4,7 +4,8 @@ Every result prints the same shape: a title, lines of context, a
 fixed-width table, lines after it and, for a campaign, the checks its
 verdict rests on.  A result states that shape once as a
 :class:`Report` in its ``report()``; :class:`Reported` gives it the
-one ``format()``.  A :class:`Column` states its header, width,
+one ``format()`` and the one ``passed``: a result passes when every
+check it prints held.  A :class:`Column` states its header, width,
 alignment and value once, so the header line and the rows cannot
 drift apart.  The module sits at the top of the package so that
 ``experiments`` and ``javacard`` share it without loading each other.
@@ -131,13 +132,20 @@ class Report:
 
 
 class Reported:
-    """A result whose text is its :class:`Report`."""
+    """A result whose text is its :class:`Report`, and whose verdict is
+    that text's checks."""
 
     def report(self) -> Report:
         raise NotImplementedError
 
     def format(self) -> str:
         return self.report().text()
+
+    @property
+    def passed(self) -> bool:
+        """Every check the report prints held (vacuously true for a
+        table or study, which prints none)."""
+        return self.report().passed
 
 
 def yes_no(flag: bool) -> str:

@@ -48,10 +48,12 @@ class TestAllDegraded:
         sweep = BusSweepResult([
             SweepPoint(1, 1, status="degraded", error="crashed twice"),
             SweepPoint(4, 8, status="degraded", error="stalled")])
-        assert sweep.format().splitlines()[-3:] == [
+        assert sweep.format().splitlines()[-5:] == [
             "burst=1 lines=1       DEGRADED: crashed twice",
             "burst=4 lines=8       DEGRADED: stalled",
-            "every sweep point degraded"]
+            "every sweep point degraded",
+            "  [FAIL] every grid point ran",
+            "verdict: FAILED"]
         assert not sweep.passed
 
 

@@ -6,8 +6,9 @@ with one degraded cell and at least one failing check or violation,
 so the ``DEGRADED`` rows, the ``[FAIL]`` check lines and the
 ``FAILED`` verdicts are pinned too.  Two more results fail one rule
 with every cell ok: a tear run whose only failure is the governor, and
-a DPM arm with fewer brownouts but less completed work — their
-verdicts and per-arm lines must say so.  Table 3 is pinned from a fixed
+a DPM arm with fewer brownouts but less completed work — their check
+lines must say so.  Every failing result prints a ``[FAIL]`` line and
+ends ``verdict: FAILED``.  Table 3 is pinned from a fixed
 result, with and without the gate-level row, because its real numbers
 are wall-clock rates.  Every expected text is a literal: a change to
 any column, check or verdict fails here with the two texts side by
@@ -127,7 +128,7 @@ def tear_governor_ineffective():
 
 def dpm_fewer_brownouts_less_work():
     # the adaptive arm browns out less but completes less work than
-    # always-on: it does not beat the baseline, line and verdict alike
+    # always-on: it does not beat the baseline, check and verdict alike
     return DpmCampaignResult(
         seed="pin", traces=1, transactions=6,
         policies=("always_on", "fixed_timeout"), layers=("layer1",),
@@ -261,8 +262,6 @@ EXPECTED = {
         'layer1  always_on              0.350         4      6/6    12000  '
         '    2.500       0.00     0',
         'layer1  budget_aware         DEGRADED (trace 0): stalled twice',
-        '  layer1 budget_aware: 0 brownouts vs always_on 4 -> does NOT '
-        'beat baseline',
         'emergency checkpoint study (layer1, 0.60 nJ cap, 0.4 pJ/cycle '
         'harvest, watermarks 0.20/0.15/0.10 nJ):',
         '  trace 0: checkpoint txn 2 @cycle 800, died=yes, recovery 37 '
@@ -272,8 +271,11 @@ EXPECTED = {
         'technology corners (grid layer1 trace 0, ref 250 nm / 3.3 V):',
         '  130 nm / 1.2 V (x0.123): always_on 1.500 nJ -> budget_aware '
         '1.250 nJ',
-        'verdict: FAILED — an adaptive policy does not beat always-on; '
-        'emergency recovery not verified',
+        '  [pass] always_on baseline and an adaptive policy in the grid',
+        '  [FAIL] layer1 budget_aware beats baseline: 0 vs 4 brownouts, no '
+        'less work per trace',
+        '  [FAIL] every emergency recovery verified',
+        'verdict: FAILED',
     ),
     'dpm_fewer_brownouts_less_work': (
         "DPM campaign (seed='pin', 1 supply traces x 2 policies x 1 "
@@ -284,9 +286,10 @@ EXPECTED = {
         '    2.500       0.00     0',
         'layer1  fixed_timeout          0.350         1      4/6    11000  '
         '    2.000      12.50     3',
-        '  layer1 fixed_timeout: 1 brownouts vs always_on 4 -> does NOT '
-        'beat baseline',
-        'verdict: FAILED — an adaptive policy does not beat always-on',
+        '  [pass] always_on baseline and an adaptive policy in the grid',
+        '  [FAIL] layer1 fixed_timeout beats baseline: 1 vs 4 brownouts, no '
+        'less work per trace',
+        'verdict: FAILED',
     ),
     'fabric': (
         "fabric campaign (seed='pin', flat/bridged x layer1, 4 APDU "
@@ -320,6 +323,9 @@ EXPECTED = {
         'random_mix           0.05  layer2      DEGRADED: stalled twice',
         'unrecovered transactions across all cells: 2',
         'degraded cells (crashed/stalled after retries): 1',
+        '  [FAIL] every cell ran',
+        '  [FAIL] every transaction recovered under retry',
+        'verdict: FAILED',
     ),
     'link': (
         "T=1 link campaign (seed='pin', 2 noise rates x 1 layers x DPM "
@@ -346,6 +352,8 @@ EXPECTED = {
         'sparse                   800    +0.00%    +0.00%    -4.50%    -3.12%',
         'subword               DEGRADED: crashed twice',
         'L1 energy error band: [-5.75%, -4.50%]   L2: [-3.12%, +11.25%]',
+        '  [FAIL] every workload class ran',
+        'verdict: FAILED',
     ),
     'sweep': (
         'Fetch-path parameter sweep (section-4.1 test program):',
@@ -354,6 +362,8 @@ EXPECTED = {
         'burst=4 lines=8         2100    47000.2         200          800',
         'burst=2 lines=4       DEGRADED: crashed twice',
         'fastest: burst=4 lines=8   lowest energy: burst=1 lines=1',
+        '  [FAIL] every grid point ran',
+        'verdict: FAILED',
     ),
     'table3': (
         'Table 3: simulation performance (executed transactions/s)',
@@ -388,9 +398,11 @@ EXPECTED = {
         'brownout at 0.05 nJ):',
         '  governed   brownouts=2 deferrals=9 cycles=5000 completed=yes',
         '  open-loop  DEGRADED: stalled',
-        '  governor verdict: NOT effective',
-        'verdict: CONSISTENCY VIOLATIONS — see above; governor NOT '
-        'effective',
+        '  [FAIL] every baseline ran',
+        '  [FAIL] every tear point ran',
+        '  [FAIL] every tear point recovered consistently',
+        '  [FAIL] governor effective (strictly fewer brownouts)',
+        'verdict: FAILED',
     ),
     'tear_governor_ineffective': (
         "Tear campaign (seed='pin', 1 tear points/layer, 3 journaled txns "
@@ -403,8 +415,11 @@ EXPECTED = {
         'brownout at 0.05 nJ):',
         '  governed   brownouts=3 deferrals=9 cycles=5000 completed=yes',
         '  open-loop  brownouts=3 deferrals=0 cycles=4800 completed=yes',
-        '  governor verdict: NOT effective',
-        'verdict: governor NOT effective',
+        '  [pass] every baseline ran',
+        '  [pass] every tear point ran',
+        '  [pass] every tear point recovered consistently',
+        '  [FAIL] governor effective (strictly fewer brownouts)',
+        'verdict: FAILED',
     ),
 }
 
@@ -433,4 +448,9 @@ def test_report_text_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(set(CASES) - {"table3",
                                                       "table3_gate_level"}))
 def test_failing_campaign_does_not_pass(name):
-    assert not CASES[name]().passed
+    # the text says why: a failed check, then the failed verdict
+    result = CASES[name]()
+    assert not result.passed
+    lines = result.format().splitlines()
+    assert any(line.startswith("  [FAIL] ") for line in lines)
+    assert lines[-1] == "verdict: FAILED"

@@ -13,11 +13,15 @@ them.  This walks ``src/repro`` with :mod:`ast` and fails when a
 module outside the owners and the defining packages names one of
 their classes itself.  It also fails when a module outside
 :mod:`repro.kernel` imports a kernel name beyond the models' surface,
-or when the generic scheduler's API reappears anywhere.
+or when the generic scheduler's API reappears anywhere, or when a
+result that prints a report decides its own ``passed`` instead of
+passing on the checks it prints.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 
 import repro
 
@@ -255,3 +259,39 @@ def test_the_kernel_import_walk_sees_models():
     # relative imports resolve against their package
     assert _absolute("kernel", 2, "tlm") == "repro.kernel"
     assert _absolute("", 1, "tlm") == "repro.tlm"
+
+
+# -- one verdict rule ----------------------------------------------------
+
+def _reported_classes():
+    """Every subclass of :class:`repro.report.Reported` that a module
+    under ``src/repro`` defines (``__main__`` would run the CLI)."""
+    from repro.report import Reported
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    pending, found = [Reported], set()
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            if subclass.__module__.startswith("repro.") \
+                    and subclass not in found:
+                found.add(subclass)
+                pending.append(subclass)
+    return found
+
+
+def test_no_reported_result_defines_its_own_passed():
+    offenders = sorted(
+        f"{cls.__module__}.{cls.__qualname__}"
+        for cls in _reported_classes()
+        if "passed" in vars(cls)
+        or "passed" in vars(cls).get("__annotations__", {}))
+    assert offenders == [], (
+        "a result passes on the checks its report prints "
+        f"(Reported.passed); state the rule as Report.checks: {offenders}")
+
+
+def test_the_reported_walk_sees_the_results():
+    names = {cls.__name__ for cls in _reported_classes()}
+    assert {"TearCampaignResult", "Table1Result",
+            "ExplorationResult"} <= names

@@ -222,7 +222,9 @@ class TestCommands:
         assert main(["sweep"]) == 1
         out = capsys.readouterr().out
         assert out.count("DEGRADED: RuntimeError: point crashed") == 9
-        assert out.endswith("every sweep point degraded\n")
+        assert out.endswith("every sweep point degraded\n"
+                            "  [FAIL] every grid point ran\n"
+                            "verdict: FAILED\n")
 
     def test_report_csv_runs_table3_once(self, monkeypatch, tmp_path,
                                          capsys):
@@ -257,6 +259,20 @@ class TestCommands:
                                                       abs=0.051)
             assert float(printed[1]) == pytest.approx(float(without_kts),
                                                       abs=0.051)
+
+    def test_report_fails_on_a_failing_section(self, monkeypatch, capsys):
+        # --extended prints the robustness sweep: a degraded workload
+        # class fails its check, and the report's exit status says so
+        import repro.experiments.robustness as robustness
+        degraded = robustness.RobustnessResult([robustness.RobustnessRow(
+            "sparse", status="degraded", error="crashed twice")])
+        monkeypatch.setattr(robustness, "run_robustness",
+                            lambda: degraded)
+        assert main(["report", "--extended", "--no-gate-level",
+                     "--transactions", "50"]) == 1
+        out = capsys.readouterr().out
+        assert "sparse" in out and "DEGRADED: crashed twice" in out
+        assert "  [FAIL] every workload class ran" in out
 
     def test_chaos_has_no_wall_budget_option(self, capsys):
         # every chaos scenario is bounded by its own stall watchdog

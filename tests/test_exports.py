@@ -69,7 +69,8 @@ EXPECTED = {
         "figure6": ("Figure6Result", "run_figure6"),
         "link_campaign": ("LinkCampaignResult", "LinkCell",
                           "run_link_campaign"),
-        "report": ("PaperResults", "full_report", "run_paper"),
+        "report": ("PaperResults", "full_report", "run_extended",
+                   "run_paper"),
         "robustness": ("RobustnessResult", "run_robustness"),
         "supervisor": ("CampaignSupervisor", "CellOutcome",
                        "CheckpointJournal", "cell_key"),
