@@ -8,8 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "calibration": ("TechnologyPoint", "TechnologyTable",
                     "default_technology_table"),
     "domain": ("BrownoutEvent", "EnergyGovernor", "PowerDomain",
-               "PowerLossEvent", "PowerSupply",
-               "estimate_transaction_energy_pj"),
+               "PowerLossEvent", "PowerSupply"),
     "engine": ("PackedEngine",),
     "governors": ("AlwaysOnPolicy", "BudgetAwarePolicy", "DpmController",
                   "DpmGovernor", "DpmPolicy", "FixedTimeoutPolicy",

@@ -112,11 +112,6 @@ class TechnologyTable:
         calibrated = table.scaled(factor)
         calibrated.source = (f"{table.source} @ {node_nm:g} nm / "
                              f"{vdd:g} V (x{factor:.3f})")
-        # the scaled copy starts with an empty LUT memo, but recalibrate
-        # explicitly anyway: callers that re-point an existing model at
-        # the calibrated coefficients in place must never see a stale
-        # transition-energy LUT (see CharacterizationTable.lut_version)
-        calibrated.invalidate_luts()
         return calibrated
 
     def corners(self) -> typing.List[TechnologyPoint]:

@@ -34,10 +34,11 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.ec import Transaction, TransactionKind
+from repro.ec import Transaction
 from repro.kernel import STEADY_FOREVER
 
 from .interfaces import PowerInterface
+from .layer2 import Layer2PowerModel
 from .table import CharacterizationTable
 
 #: pJ per nJ — the supply is configured in nJ, drained in pJ.
@@ -153,44 +154,6 @@ class PowerSupply:
         return drained
 
 
-def estimate_transaction_energy_pj(table: CharacterizationTable,
-                                   transaction: Transaction) -> float:
-    """Projected energy of one bus transaction, before it runs.
-
-    Layer-2-style arithmetic from the characterisation table: the
-    address phase at the characterised inter-transaction average, the
-    data phase with exact beat-to-beat Hamming where the payload is
-    known (writes) and the characterised average where it is not
-    (reads), plus the clock baseline for the transaction's minimum
-    occupancy.  An a-priori estimate — the governor uses it to decide
-    whether issuing now could breach the energy budget.
-    """
-    coeff = table.coefficient
-    energy = table.inter_txn_address_hamming * coeff("EB_A")
-    for name in ("EB_AValid", "EB_BFirst", "EB_BLast", "EB_ARdy",
-                 "EB_Instr", "EB_Write", "EB_Burst", "EB_BE"):
-        energy += table.phase_toggles(name) * coeff(name)
-    if transaction.kind is TransactionKind.DATA_WRITE:
-        bus_name, valid_name = "EB_WData", "EB_WDRdy"
-    else:
-        bus_name, valid_name = "EB_RData", "EB_RdVal"
-    energy += table.inter_txn_data_hamming * coeff(bus_name)
-    data = transaction.data if (
-        transaction.kind is TransactionKind.DATA_WRITE) else None
-    for beat in range(1, transaction.burst_length):
-        if data is not None:
-            energy += (data[beat - 1] ^ data[beat]).bit_count() \
-                * coeff(bus_name)
-        else:
-            energy += table.inter_txn_data_hamming * coeff(bus_name)
-    energy += (table.beat_toggles(valid_name)
-               * transaction.burst_length * coeff(valid_name))
-    # minimum occupancy: one address cycle plus one cycle per beat
-    energy += ((1 + transaction.burst_length)
-               * table.clock_energy_per_cycle_pj)
-    return energy
-
-
 class EnergyGovernor:
     """Defers new bus work when its projected draw would breach the
     supply budget (dynamic power management, graceful degradation).
@@ -200,7 +163,9 @@ class EnergyGovernor:
     work to a later cycle, by which time field harvesting has rebuilt
     headroom.  *margin_nj* keeps a safety buffer above the brownout
     threshold, covering the clock baseline and estimation error during
-    the transaction's flight.
+    the transaction's flight.  The projected draw is the layer-2
+    price of the transaction on *table*
+    (:meth:`~repro.power.Layer2PowerModel.projected_energy_pj`).
     """
 
     def __init__(self, supply: PowerSupply,
@@ -210,15 +175,13 @@ class EnergyGovernor:
             raise ValueError("margin_nj must be >= 0")
         self.supply = supply
         self.table = table
+        self._price = Layer2PowerModel(table).projected_energy_pj
         self.margin_pj = margin_nj * PJ_PER_NJ
         self.deferrals = 0
         self.grants = 0
 
-    def projected_cost_pj(self, transaction: Transaction) -> float:
-        return estimate_transaction_energy_pj(self.table, transaction)
-
     def may_issue(self, transaction: Transaction) -> bool:
-        cost = self.projected_cost_pj(transaction)
+        cost = self._price(transaction)
         if self.supply.headroom_pj() - cost >= self.margin_pj:
             self.grants += 1
             return True

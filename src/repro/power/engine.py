@@ -23,11 +23,10 @@ operands — so substituting the lookup for the multiply cannot change a
 single bit.  The naive scan lives on as the test oracle
 (``tests/power/reference_energy.py``).
 
-The engine caches its LUTs against
-:attr:`~repro.power.CharacterizationTable.lut_version` and rebuilds on
-the first flush after :meth:`~repro.power.CharacterizationTable.
-invalidate_luts` (recalibration can therefore never leave a stale LUT
-in play).
+An engine compiles the LUTs of the table it is built on once, at
+construction, and prices with them for its whole life: a recalibrated
+table is a new table (``calibrate()`` and ``scaled()`` return copies),
+so it gets a new model and a new engine.
 """
 
 from __future__ import annotations
@@ -105,11 +104,12 @@ def unpack_word(word: int) -> typing.Tuple[int, ...]:
 class PackedEngine:
     """Books batches of packed cycle words: XOR, ``bit_count``, LUTs.
 
+    ``PackedEngine(table)`` compiles *table*'s LUTs once.
     ``flush(model, words)`` books every cycle in *words* against the
     model's books: the attribute set
-    :class:`~repro.power.Layer1PowerModel` exposes — ``table``,
-    ``_counts`` (per EC index), ``_gvals`` (per GROUP_ORDER slot),
-    ``_acc``, ``_prev_word`` and ``_last_cycle_energy``.
+    :class:`~repro.power.Layer1PowerModel` exposes — ``_counts`` (per
+    EC index), ``_gvals`` (per GROUP_ORDER slot), ``_acc``,
+    ``_prev_word`` and ``_last_cycle_energy``.
 
     The flush loop is hand-unrolled over the fifteen lanes — wide buses
     popcount their field, single-bit control lanes add a precomputed
@@ -119,31 +119,20 @@ class PackedEngine:
     happens in the naive scan's order, so the result is bit-identical.
     """
 
-    def __init__(self) -> None:
-        self._lut_source: typing.Optional[CharacterizationTable] = None
-        self._lut_version = -1  # force a rebuild on first flush
-
-    def _rebuild(self, table: CharacterizationTable) -> None:
-        """Refresh cached LUTs after construction or invalidation."""
+    def __init__(self, table: CharacterizationTable) -> None:
         luts = table.transition_luts()
+        self._clock_e = table.clock_energy_per_cycle_pj
         self._a_lut = luts[0]
         self._be_lut = luts[7]
         self._rdata_lut = luts[9]
         self._wdata_lut = luts[12]
         #: one-transition energies of the single-bit control lanes
         self._bit_costs = tuple(lut[1] for lut in luts)
-        self._lut_source = table
-        self._lut_version = table.lut_version
 
     def flush(self, model, words: typing.Sequence[int]) -> None:
         if not words:
             return
-        table = model.table
-        # stale when the table was invalidated, or swapped for another
-        if (self._lut_source is not table
-                or self._lut_version != table.lut_version):
-            self._rebuild(table)
-        clock_e = table.clock_energy_per_cycle_pj
+        clock_e = self._clock_e
         a_lut = self._a_lut
         be_lut = self._be_lut
         rd_lut = self._rdata_lut

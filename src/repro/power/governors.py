@@ -355,29 +355,27 @@ class DpmGovernor(EnergyGovernor):
             # charge recovered above the emergency watermark: re-arm
             self._emergency_armed = True
         policy = self.policy
-        if (type(policy) is not FixedTimeoutPolicy
-                or self.defer_pj is not None or self.sleep_pj is not None
-                or self.emergency_pj is not None):
-            for psm, busy, critical in self._managed:
-                psm.tick(busy())
-                if psm.idle_cycles == 0:
-                    continue  # busy (or just woken): stay ACTIVE
-                if self.stage >= 2 and not critical:
-                    psm.request(_SLEEP, forced=True)
-                    continue
-                psm.request(policy.select(psm, self.supply))
-            self.steady_hint = 0
-            return
-        # fixed timeouts, no watermarks: the stage stays 0, and a PSM
-        # only changes state when woken or when its idle count reaches
-        # the next timeout — count the ticks until then
-        steady = STEADY_FOREVER
-        for psm, busy, _critical in self._managed:
+        supply = self.supply
+        forcing = self.stage >= 2
+        # fixed timeouts without watermarks: the stage stays 0, and a
+        # PSM only changes state when woken or when its idle count
+        # reaches the next timeout — count the ticks until then; any
+        # other setting hints 0
+        counting = (type(policy) is FixedTimeoutPolicy
+                    and self.defer_pj is None and self.sleep_pj is None
+                    and self.emergency_pj is None)
+        steady = STEADY_FOREVER if counting else 0
+        for psm, busy, critical in self._managed:
             state = psm.state
             psm.tick(busy())
             idle = psm.idle_cycles
-            if idle:
-                psm.request(policy.select(psm, self.supply))
+            if idle:  # a busy (or just woken) PSM stays ACTIVE
+                if forcing and not critical:
+                    psm.request(_SLEEP, forced=True)
+                else:
+                    psm.request(policy.select(psm, supply))
+            if not counting:
+                continue
             if psm.state is not state:
                 steady = 0
             elif idle:

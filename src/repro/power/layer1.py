@@ -194,7 +194,7 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
                  ) -> None:
         self.table = table
         self.recorder = recorder
-        self._engine = PackedEngine()
+        self._engine = PackedEngine(table)
         self._sinks: typing.List[typing.Callable[
             [int, typing.Mapping[str, int], float], None]] = []
         self._acc = EnergyAccumulator()

@@ -70,10 +70,9 @@ class CharacterizationTable:
                 raise ValueError(f"negative coefficient for {name!r}")
         if self.clock_energy_per_cycle_pj < 0:
             raise ValueError("negative clock energy")
-        # LUT memo state lives outside the dataclass fields so asdict /
+        # the LUT memo lives outside the dataclass fields so asdict /
         # to_json round-trips and equality stay coefficient-only
         self._lut_cache: typing.Optional[tuple] = None
-        self.lut_version = 0
 
     # -- transition-energy LUTs ----------------------------------------------
 
@@ -83,9 +82,9 @@ class CharacterizationTable:
         ``luts[i][t]`` is ``t * coefficient(signal_i)`` — the identical
         float product the per-cycle accounting historically computed,
         precomputed once per signal for every possible transition count
-        (0 .. signal width).  Memoized; consumers must key their caches
-        on :attr:`lut_version` and re-fetch after
-        :meth:`invalidate_luts`.
+        (0 .. signal width).  Memoized, so every model built on one
+        table shares them; a model compiles them once, at construction
+        (a recalibrated table is a new table: :meth:`scaled`).
         """
         cache = self._lut_cache
         if cache is None:
@@ -96,16 +95,6 @@ class CharacterizationTable:
                 for spec in EC_SIGNALS)
             self._lut_cache = cache
         return cache
-
-    def invalidate_luts(self) -> None:
-        """Drop the memoized LUTs after an in-place recalibration.
-
-        Bumps :attr:`lut_version` so every engine holding derived
-        tables rebuilds them on its next accounting flush — a stale
-        LUT after recalibration is thereby impossible.
-        """
-        self._lut_cache = None
-        self.lut_version += 1
 
     def coefficient(self, signal_name: str) -> float:
         """pJ per bit transition of *signal_name* (0.0 if not listed)."""

@@ -11,6 +11,11 @@ must reproduce this walk float for float.
 Layer 2: :class:`ReferenceLayer2Model` books each finished phase from
 live coefficient lookups instead of the compiled per-phase constants
 and transition-energy LUTs.
+
+Governor: :func:`estimate_transaction_energy_pj` prices a transaction
+before it runs from live lookups; the
+:class:`~repro.power.EnergyGovernor`'s projection through layer 2's
+compiled constants must match it float for float.
 """
 
 from repro.ec import EC_SIGNALS, SignalGroup, TransactionKind
@@ -98,3 +103,36 @@ class ReferenceLayer2Model(Layer2PowerModel):
         group = SignalGroup.WRITE if is_write else SignalGroup.READ
         self.group_energy_pj[group] += energy
         self._acc.add(energy)
+
+
+def estimate_transaction_energy_pj(table, transaction):
+    """Projected energy of one bus transaction, before it runs.
+
+    The address phase at the characterised inter-transaction average,
+    the data phase with exact beat-to-beat Hamming where the payload is
+    known (writes) and the characterised average where it is not
+    (reads), plus the clock baseline for the transaction's minimum
+    occupancy of one address cycle plus one cycle per beat.
+    """
+    coeff = table.coefficient
+    energy = table.inter_txn_address_hamming * coeff("EB_A")
+    for name in ADDR_CONTROLS:
+        energy += table.phase_toggles(name) * coeff(name)
+    if transaction.kind is TransactionKind.DATA_WRITE:
+        bus_name, valid_name = "EB_WData", "EB_WDRdy"
+    else:
+        bus_name, valid_name = "EB_RData", "EB_RdVal"
+    energy += table.inter_txn_data_hamming * coeff(bus_name)
+    data = transaction.data if (
+        transaction.kind is TransactionKind.DATA_WRITE) else None
+    for beat in range(1, transaction.burst_length):
+        if data is not None:
+            energy += (data[beat - 1] ^ data[beat]).bit_count() \
+                * coeff(bus_name)
+        else:
+            energy += table.inter_txn_data_hamming * coeff(bus_name)
+    energy += (table.beat_toggles(valid_name)
+               * transaction.burst_length * coeff(valid_name))
+    energy += ((1 + transaction.burst_length)
+               * table.clock_energy_per_cycle_pj)
+    return energy

@@ -1,13 +1,18 @@
 """Unit tests for the power domain: supply, governor, domain module."""
 
+import random
+
 import pytest
 
-from repro.ec import data_read, data_write
+from repro.ec import data_read, data_write, instruction_fetch
 from repro.power import (BrownoutEvent, EnergyGovernor, Layer1PowerModel,
-                         PowerDomain, PowerLossEvent, PowerSupply,
-                         default_table, estimate_transaction_energy_pj)
+                         Layer2PowerModel, PowerDomain, PowerLossEvent,
+                         PowerSupply, default_table)
+from repro.power.calibration import default_technology_table
 from repro.soc import EEPROM_BASE, RAM_BASE, SmartCardPlatform
 from repro.tlm import BlockingMaster, run_script
+
+from tests.power.reference_energy import estimate_transaction_energy_pj
 
 
 class FlatModel:
@@ -112,15 +117,53 @@ class TestEnergyGovernor:
         assert not tight.may_issue(txn)
 
     def test_estimate_is_deterministic_and_positive(self):
-        table = default_table()
+        price = Layer2PowerModel(default_table()).projected_energy_pj
         txn = data_write(EEPROM_BASE, [0xDEADBEEF, 0x12345678])
-        first = estimate_transaction_energy_pj(table, txn)
-        second = estimate_transaction_energy_pj(table, txn)
-        assert first == second
+        first = price(txn)
+        assert first == price(txn)
         assert first > 0.0
-        single = estimate_transaction_energy_pj(
-            table, data_write(EEPROM_BASE, [0xDEADBEEF]))
+        single = price(data_write(EEPROM_BASE, [0xDEADBEEF]))
         assert first > single  # burst costs more than a single
+
+    def test_projection_books_nothing(self):
+        model = Layer2PowerModel(default_table())
+        model.projected_energy_pj(data_read(RAM_BASE, burst_length=4))
+        assert model.total_energy_pj == 0.0
+        assert model.address_phases == model.data_phases == 0
+
+
+def _seeded_transactions(seed, count=300):
+    """Reads, writes and instruction fetches, bursts 1/2/4, random
+    addresses and payloads."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        burst = rng.choice((1, 2, 4))
+        address = RAM_BASE + 16 * rng.randrange(256)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield data_read(address, burst_length=burst)
+        elif kind == 1:
+            yield instruction_fetch(address, burst_length=burst)
+        else:
+            yield data_write(address, [rng.getrandbits(32)
+                                       for _ in range(burst)])
+
+
+class TestGovernorProjection:
+    """The governor prices through layer 2's compiled constants; the
+    live-lookup estimate it replaced is the oracle, float for float."""
+
+    @pytest.mark.parametrize("table", [
+        default_table(),
+        default_technology_table().calibrate(default_table(),
+                                             node_nm=130.0, vdd=1.8),
+    ], ids=["default", "130nm-1.8V"])
+    def test_projection_equals_the_live_lookup_estimate(self, table):
+        supply = PowerSupply(FlatModel(0.0))
+        governor = EnergyGovernor(supply, table)
+        for txn in _seeded_transactions(f"projection/{table.source}"):
+            assert governor._price(txn) == \
+                estimate_transaction_energy_pj(table, txn)
 
 
 class TestPowerDomain:

@@ -164,6 +164,51 @@ class TestDpmGovernorStages:
         assert governor.stage_cycles[2] == 0
 
 
+def _settled_psm(state, idle_cycles):
+    """A PSM already in *state* after *idle_cycles* idle ticks."""
+    psm = PowerStateMachine()
+    psm.request(state)
+    for _ in range(idle_cycles):
+        psm.tick(busy=False)
+    return psm
+
+
+class TestSteadyHint:
+    """The hint after one tick: a countdown to the next timeout only for
+    fixed timeouts without watermarks, 0 for every other setting."""
+
+    @pytest.mark.parametrize("policy, watermarks, hint", [
+        ("always_on", {}, 0),
+        ("history_predictive", {}, 0),
+        ("budget_aware", {}, 0),
+        ("fixed_timeout", {"defer_nj": 0.1}, 0),
+        ("fixed_timeout", {"sleep_nj": 0.1}, 0),
+        ("fixed_timeout", {"emergency_nj": 0.1}, 0),
+        # IDLE at 5 idle cycles: 16 - 1 - 5 = 10 ticks to CLOCK_GATED;
+        # CLOCK_GATED at 251: 256 - 1 - 251 = 4 ticks to SLEEP
+        ("fixed_timeout", {}, 4),
+    ])
+    def test_hint_after_one_tick(self, policy, watermarks, hint):
+        governor = DpmGovernor(make_supply(1.0), default_table(),
+                               policy=POLICIES[policy](), **watermarks)
+        governor.register(_settled_psm(PowerState.IDLE, 4),
+                          busy=lambda: False)
+        governor.register(_settled_psm(PowerState.CLOCK_GATED, 250),
+                          busy=lambda: False)
+        governor.register(PowerStateMachine("busy"), busy=lambda: True)
+        governor.tick()
+        assert governor.stage == 0
+        assert governor.steady_hint == hint
+
+    def test_a_state_change_ends_the_countdown(self):
+        governor = DpmGovernor(make_supply(1.0), default_table(),
+                               policy=FixedTimeoutPolicy())
+        governor.register(_settled_psm(PowerState.IDLE, 15),
+                          busy=lambda: False)
+        governor.tick()  # the 16th idle cycle gates the clock
+        assert governor.steady_hint == 0
+
+
 class TestIssueGate:
     def make_governor(self, charge_nj=0.9, **kwargs):
         return DpmGovernor(make_supply(charge_nj), default_table(),

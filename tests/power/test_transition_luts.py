@@ -1,4 +1,4 @@
-"""Transition-energy LUT memoization and invalidation (PR 10).
+"""Transition-energy LUT memoization.
 
 The packed-word engine precomputes, per EC signal, a table mapping
 "bits toggled" to energy.  Correctness depends on two properties:
@@ -6,9 +6,10 @@ The packed-word engine precomputes, per EC signal, a table mapping
 * the LUT entry is the *identical* float product the per-signal walk
   computed (``transitions * coefficient``), so replacing the walk by a
   lookup cannot move a single bit of any result, and
-* a recalibrated table can never be read through a stale LUT — the
-  memo is keyed to :attr:`CharacterizationTable.lut_version`, bumped by
-  :meth:`invalidate_luts`, which ``calibrate()`` always calls.
+* a model prices with the table it was built on: it compiles that
+  table's LUTs once, at construction.  A recalibrated table is a new
+  table (``calibrate()`` returns a copy), so its LUTs and the models
+  built on it are its own.
 """
 
 from repro.ec import (EC_SIGNALS, SlaveResponse, TransactionKind,
@@ -60,16 +61,6 @@ class TestLutMemoization:
             for transitions in range(spec.width + 1):
                 assert lut[transitions] == transitions * coefficient
 
-    def test_invalidate_rebuilds_and_bumps_version(self):
-        table = default_table()
-        before = table.transition_luts()
-        version = table.lut_version
-        table.invalidate_luts()
-        assert table.lut_version == version + 1
-        after = table.transition_luts()
-        assert after is not before
-        assert after == before  # same coefficients -> same values
-
     def test_json_round_trip_ignores_memo_state(self):
         table = default_table()
         table.transition_luts()
@@ -80,7 +71,7 @@ class TestLutMemoization:
 
 class TestCalibrationFreshness:
 
-    def test_calibrate_invalidates_the_luts(self):
+    def test_calibrated_luts_are_its_own_coefficients(self):
         table = default_table()
         table.transition_luts()  # warm the memo on the source table
         calibrated = default_technology_table().calibrate(
@@ -91,52 +82,42 @@ class TestCalibrationFreshness:
         assert calibrated.coefficient("EB_A") != table.coefficient("EB_A")
 
 
-class TestStaleLutImpossible:
-    """Regression: recalibration mid-run must retire every cached LUT.
+class TestModelsPriceTheirOwnTable:
+    """A model built on a calibrated table prices with its coefficients,
+    not with the memo of the table it was calibrated from."""
 
-    A compiled model and the reference walk share one table object; the
-    table's coefficients are then changed *in place* and invalidated.
-    If the compiled model kept a stale LUT, the post-change energies
-    would diverge from the live-coefficient walk.
-    """
-
-    def _mutate(self, table):
-        for name in table.energy_per_transition_pj:
-            table.energy_per_transition_pj[name] *= 2.0
-        table.invalidate_luts()
-
-    def test_layer1_model_tracks_inplace_recalibration(self):
+    def _tables(self):
         table = default_table()
-        recorder = SignalStateRecorder()
-        compiled = Layer1PowerModel(table, recorder=recorder)
-        oracle = ReferenceLayer1(table)
-        _drive(compiled, 30)
-        oracle.replay(recorder.snapshots)
-        assert compiled.total_energy_pj == oracle.total_energy_pj
-        before = compiled.total_energy_pj
-        self._mutate(table)
-        _drive(compiled, 30)
-        oracle.replay(recorder.snapshots[30:])
-        assert compiled.total_energy_pj == oracle.total_energy_pj
-        assert compiled.group_energy_pj == oracle.group_energy_pj
-        # the doubled coefficients must actually have been applied
-        assert compiled.total_energy_pj - before > before
+        table.transition_luts()  # warm the memo on the source table
+        calibrated = default_technology_table().calibrate(
+            table, node_nm=130.0, vdd=1.8)
+        return table, calibrated
 
-    def test_layer2_model_tracks_inplace_recalibration(self):
-        table = default_table()
-        compiled = Layer2PowerModel(table)
-        oracle = ReferenceLayer2Model(table)
+    def test_layer1_model_on_a_calibrated_table(self):
+        table, calibrated = self._tables()
+        totals = []
+        for priced in (table, calibrated):
+            recorder = SignalStateRecorder()
+            compiled = Layer1PowerModel(priced, recorder=recorder)
+            oracle = ReferenceLayer1(priced)
+            _drive(compiled, 30)
+            oracle.replay(recorder.snapshots)
+            assert compiled.total_energy_pj == oracle.total_energy_pj
+            assert compiled.group_energy_pj == oracle.group_energy_pj
+            totals.append(compiled.total_energy_pj)
+        assert totals[0] != totals[1]
+
+    def test_layer2_model_on_a_calibrated_table(self):
+        table, calibrated = self._tables()
         script = [data_write(0x100, [0x0F0F0F0F, 0xF0F0F0F0])]
-
-        def account(model):
-            for transaction in script:
-                model.address_phase_finished(transaction)
-                model.data_phase_finished(transaction)
-
-        account(compiled)
-        account(oracle)
-        assert compiled.total_energy_pj == oracle.total_energy_pj
-        self._mutate(table)
-        account(compiled)
-        account(oracle)
-        assert compiled.total_energy_pj == oracle.total_energy_pj
+        totals = []
+        for priced in (table, calibrated):
+            compiled = Layer2PowerModel(priced)
+            oracle = ReferenceLayer2Model(priced)
+            for model in (compiled, oracle):
+                for transaction in script:
+                    model.address_phase_finished(transaction)
+                    model.data_phase_finished(transaction)
+            assert compiled.total_energy_pj == oracle.total_energy_pj
+            totals.append(compiled.total_energy_pj)
+        assert totals[0] != totals[1]

@@ -135,8 +135,7 @@ EXPECTED = {
         "calibration": ("TechnologyPoint", "TechnologyTable",
                         "default_technology_table"),
         "domain": ("BrownoutEvent", "EnergyGovernor", "PowerDomain",
-                   "PowerLossEvent", "PowerSupply",
-                   "estimate_transaction_energy_pj"),
+                   "PowerLossEvent", "PowerSupply"),
         "engine": ("PackedEngine",),
         "governors": ("AlwaysOnPolicy", "BudgetAwarePolicy", "DpmController",
                       "DpmGovernor", "DpmPolicy", "FixedTimeoutPolicy",
