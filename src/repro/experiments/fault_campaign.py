@@ -87,8 +87,9 @@ class CampaignCell:
     #: deltas against the same layer's rate-0 run of the same class
     cycle_overhead: typing.Optional[int] = None
     energy_overhead_pj: typing.Optional[float] = None
-    #: summed FaultReport attribution; None where the layer cannot
-    #: price energy incrementally (gate-level)
+    #: summed FaultReport attribution (0.0 on a priced layer with no
+    #: fault episode); None where the layer cannot price energy
+    #: incrementally (gate-level)
     retry_energy_pj: typing.Optional[float] = None
     #: "ok", or "degraded" when the cell kept crashing/stalling and the
     #: supervisor recorded a placeholder instead of sinking the sweep
@@ -224,7 +225,7 @@ def _run_cell(layer: str, workload: str, rate: float,
     energy = layer_bus.energy_pj()
 
     retry_energy = None
-    if power_model is not None and master.fault_reports:
+    if power_model is not None:
         priced = [r.retry_energy_pj for r in master.fault_reports
                   if r.retry_energy_pj is not None]
         retry_energy = sum(priced) if priced else 0.0

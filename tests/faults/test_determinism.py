@@ -142,6 +142,17 @@ class TestCampaignDeterminism:
         assert faulted.energy_overhead_pj > 0
         assert faulted.retry_energy_pj is not None
 
+    def test_retry_energy_is_zero_without_faults_on_priced_layers(self):
+        result = run_fault_campaign(
+            rates=(0.0,), classes=("eeprom_contention",),
+            layers=("layer1", "layer2", "gate-level"))
+        for layer in ("layer1", "layer2"):
+            cell = result.cell(layer, "eeprom_contention", 0.0)
+            assert cell.retry_energy_pj == 0.0, layer
+        # gate level prices energy only post hoc: the column reads n/a
+        gate = result.cell("gate-level", "eeprom_contention", 0.0)
+        assert gate.retry_energy_pj is None
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown workload class"):
             run_fault_campaign(rates=(0.0,), classes=("nope",),
