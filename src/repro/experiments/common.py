@@ -74,10 +74,13 @@ def run_on_layer(layer: str, script, table: typing.Optional[
         run = PipelinedMaster(simulator, clock, layer_bus.bus, script)
         started = time.perf_counter()
         run_script(simulator, run, MAX_REPLAY_CYCLES, clock)
+    # the energy read is part of the run: it settles deferred work
+    # (layer 1's last flush, gate level's Diesel estimate)
+    energy = layer_bus.energy_pj()
     wall = time.perf_counter() - started
     cycles = 0 if clock is None else _busy_cycles(run)
     return RunResult(layer_bus.layer, cycles, len(run.completed), wall,
-                     layer_bus.energy_pj())
+                     energy)
 
 
 def _busy_cycles(master) -> int:

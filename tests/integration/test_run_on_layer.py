@@ -9,6 +9,8 @@ Figure-1 map its dynamic slaves count cycles on — comes from
 ``build_bus`` and ``fresh_memory_map``.
 """
 
+import time
+
 import pytest
 
 from repro.experiments.common import (characterization, evaluation_script,
@@ -19,7 +21,7 @@ from repro.javacard.explore import STACK_BASE_NEAR
 from repro.ec import MergePattern, data_write
 from repro.kernel import Clock, Simulator
 from repro.soc import EEPROM_BASE, Eeprom, SmartCardPlatform
-from repro.soc.layers import (CLOCK_PERIOD, LAYERS, build_bus,
+from repro.soc.layers import (CLOCK_PERIOD, LAYERS, LayerBus, build_bus,
                               clocked_layer_name)
 from repro.tlm import PipelinedMaster, run_script
 
@@ -156,6 +158,22 @@ class TestPricing:
     @pytest.mark.parametrize("layer", ["layer1", "layer2", "gate-level"])
     def test_unpriced_without_table(self, layer):
         assert run_on_layer(layer, evaluation_script()).energy_pj is None
+
+
+class TestTiming:
+    def test_wall_clock_includes_the_energy_read(self, monkeypatch):
+        # the energy read settles deferred work (layer 1's last flush,
+        # gate level's Diesel estimate): "with estimation" must time it
+        read = LayerBus.energy_pj
+
+        def slow_read(self):
+            time.sleep(0.05)
+            return read(self)
+
+        monkeypatch.setattr(LayerBus, "energy_pj", slow_read)
+        result = run_on_layer("layer1", make_script(10),
+                              table=characterization().table)
+        assert result.wall_seconds >= 0.05
 
 
 class TestTable3Stimulus:
