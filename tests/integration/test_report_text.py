@@ -378,7 +378,7 @@ EXPECTED = {
         '                      kT/s    factor          kT/s    factor',
         'TL Layer 1            85.2      1.00          94.5      1.11',
         'TL Layer 2           129.6      1.52         145.8      1.71',
-        'gate level               -         -           1.9          ',
+        'gate level             1.9         -             -         -',
     ),
     'tear': (
         "Tear campaign (seed='pin', 2 tear points/layer, 3 journaled txns "
