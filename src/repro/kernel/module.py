@@ -7,10 +7,11 @@ list fires (for the bus: the falling edge of the system clock, §3.1).
 clock's edges.
 
 A process may also opt in to the kernel's steady-cycle protocol (see
-:mod:`repro.kernel.simulator`): it registers a ``steady`` step, and
-while the kernel has it *armed* every activation pushes a hint into
-:attr:`Process.steady_until` — how many of its following activations
-would only repeat that step.
+:mod:`repro.kernel.simulator`): it registers a ``steady`` span step,
+``steady(k)``, that advances the process *k* steady cycles at once,
+and while the kernel has it *armed* every activation pushes a hint
+into :attr:`Process.steady_until` — how many of its following
+activations would be steady.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ class Process:
 
     def __init__(self, simulator: Simulator, func: typing.Callable[[], None],
                  name: str, dont_initialize: bool = False,
-                 steady: typing.Optional[typing.Callable[[], None]] = None
+                 steady: typing.Optional[typing.Callable[[int], None]] = None
                  ) -> None:
         self.name = name
         self.func = func
-        #: one-cycle step making exactly the updates ``func`` makes in
-        #: a steady activation (None: the process has no such state)
+        #: span step: ``steady(k)`` makes exactly the updates ``func``
+        #: makes in *k* steady activations in a row — integer state in
+        #: closed form, every float accumulator one addition per cycle
+        #: (None: the process has no such state)
         self.steady = steady
         #: the hint: ``run_count`` of the last activation known to be
         #: steady (``run_count + n`` after an activation whose next *n*
@@ -79,10 +82,10 @@ class Module:
                name: typing.Optional[str] = None,
                sensitive: typing.Sequence[Event] = (),
                dont_initialize: bool = False,
-               steady: typing.Optional[typing.Callable[[], None]] = None
+               steady: typing.Optional[typing.Callable[[int], None]] = None
                ) -> Process:
         """Register *func* as an SC_METHOD-style process of this module
-        (*steady*: its steady-cycle step, see :class:`Process`)."""
+        (*steady*: its span step, see :class:`Process`)."""
         process_name = f"{self.name}.{name or func.__name__}"
         process = Process(self.simulator, func, process_name,
                           dont_initialize=dont_initialize, steady=steady)

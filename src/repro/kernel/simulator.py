@@ -26,19 +26,21 @@ resumes that edge there.  :meth:`Simulator.stop` and
 :meth:`Simulator.power_off` end a run after the edge that asked.
 
 Steady cycles: when every process on both edge plans registered a
-``steady`` step (:class:`~repro.kernel.Process`) and no watchdog is
-attached, the kernel *arms* those processes, and each activation
+``steady`` span step (:class:`~repro.kernel.Process`) and no watchdog
+is attached, the kernel *arms* those processes, and each activation
 pushes a hint: how many of the process's following activations would
-only repeat its steady step (0 after real work another process can
+only repeat steady bookkeeping (0 after real work another process can
 see).  Before a rising edge, once a full cycle has run in this call
 (and since the last notification event), the kernel reads the hints;
-when the smallest, *n*, is at least 1 it runs the next *n* cycles as
-a tight loop of steady steps in plan order — every float accumulator
-still sees the same additions in the same order — and applies the
-per-edge bookkeeping in one batch, exactly as if every edge had run.
-Because real work pushes 0, a fast-forward only starts after a cycle
-without it, so no hint can have been computed before another process
-changed the state it reads.
+when the smallest, *n*, is at least 1 it *fast-forwards*: it calls
+each process's span step once, in plan order, to advance that process
+*n* cycles, and applies the per-edge bookkeeping in one batch, exactly
+as if every edge had run.  Because real work pushes 0, a fast-forward
+only starts after a cycle without it, so no hint can have been
+computed before another process changed the state it reads.  A span
+step that another step reads across (the power domain sampling the
+energy ledgers) reads :attr:`Simulator.steady_spans`, already counting
+this fast-forward, to tell the steps that ran before it in this one.
 """
 
 from __future__ import annotations
@@ -63,25 +65,17 @@ class SimulationError(RuntimeError):
 STEADY_SPAN_CAP = 1 << 20
 
 
-def _no_step() -> None:
-    """Pads a steady cycle's unrolled step list."""
-
-
 class _SteadyPlan:
     """What a fast-forward needs of the two edge plans, compiled once."""
 
-    __slots__ = ("procs", "groups", "journal", "deltas")
+    __slots__ = ("procs", "steps", "journal", "period", "deltas", "tail")
 
     def __init__(self, rise: tuple, fall: tuple, tick_name: str,
-                 half: int) -> None:
+                 half: int, capacity: typing.Optional[int]) -> None:
         #: every process of both plans, rising edge first
         self.procs = rise[1] + fall[1]
-        # their steady steps in plan order, unrolled by eight (padded
-        # with no-ops) to spare a loop iteration per step
-        steps = [process.steady for process in self.procs]
-        steps += [_no_step] * (-len(steps) % 8)
-        self.groups = [steps[index:index + 8]
-                       for index in range(0, len(steps), 8)]
+        #: their span steps, in the same order
+        self.steps = tuple(process.steady for process in self.procs)
         # one cycle's journal entries as (time, delta) offsets from the
         # rising edge: each edge journals its tick, runs the driver's
         # delta, journals its event, then runs its processes' delta
@@ -95,8 +89,23 @@ class _SteadyPlan:
             if procs:
                 delta += 1
         self.journal = tuple(journal)
+        self.period = 2 * half
         #: delta cycles per clock cycle
         self.deltas = delta
+        #: the entries of the last cycles that fill a journal ring of
+        #: *capacity* (None: unbounded, see :meth:`entries`)
+        self.tail = (None if capacity is None else
+                     self.entries(-(-capacity // len(journal))))
+
+    def entries(self, cycles: int) -> tuple:
+        """The journal entries of a fast-forward's last *cycles* cycles,
+        with time and delta as offsets from the rising edge and delta
+        count that follow it."""
+        period, deltas = self.period, self.deltas
+        return tuple((time - back * period, delta - back * deltas, kind,
+                      name)
+                     for back in range(cycles, 0, -1)
+                     for time, delta, kind, name in self.journal)
 
 
 class Simulator:
@@ -126,6 +135,7 @@ class Simulator:
         #: a watchdog tripped between an edge's tick and its deltas
         self._resume_edge = False
         self._steady_cycles = 0
+        self._steady_spans = 0
         self._stop_requested = False
         self._started = False
         self._powered_off = False
@@ -282,7 +292,7 @@ class Simulator:
                 for event in (clock._posedge_event, clock._negedge_event))
             self._steady = (
                 _SteadyPlan(rise, fall, clock._tick_name,
-                            clock.half_period)
+                            clock.half_period, self._journal.maxlen)
                 if all(process.steady is not None
                        for process in rise[1] + fall[1]) else None)
         # hints cost their models work: ask for them only while a
@@ -405,40 +415,26 @@ class Simulator:
         """Run *cycles* steady cycles from the rising edge at *start*;
         returns the time of the rising edge after them."""
         plan = self._steady
-        clock = self._clock
-        groups = plan.groups
-        for _ in range(cycles):
-            for s0, s1, s2, s3, s4, s5, s6, s7 in groups:
-                s0()
-                s1()
-                s2()
-                s3()
-                s4()
-                s5()
-                s6()
-                s7()
+        self._steady_spans += 1
+        for step in plan.steps:
+            step(cycles)
         # per-edge kernel bookkeeping, in one batch
-        period = clock.period
-        end = start + period * cycles  # the next rising edge
+        end = start + plan.period * cycles  # the next rising edge
+        delta = self.delta_count + cycles * plan.deltas
         # only the journal ring's last entries survive: replay just the
         # cycles that fill it
-        journal = self._journal
-        replay = cycles
-        if journal.maxlen is not None:
-            replay = min(cycles, -(-journal.maxlen // len(plan.journal)))
-        first = cycles - replay
-        delta = self.delta_count
-        journal.extend([
-            (when + time_offset, base + delta_offset, kind, name)
-            for when, base in zip(
-                range(start + first * period, end, period),
-                range(delta + first * plan.deltas,
-                      delta + cycles * plan.deltas, plan.deltas))
-            for time_offset, delta_offset, kind, name in plan.journal])
-        self.delta_count = delta + cycles * plan.deltas
-        self.now = end - clock.half_period
+        entries = plan.tail
+        if entries is None:
+            entries = plan.entries(cycles)
+        elif cycles * len(plan.journal) < len(entries):
+            entries = entries[-cycles * len(plan.journal):]
+        self._journal.extend([(end + time, delta + base, kind, name)
+                              for time, base, kind, name in entries])
+        self.delta_count = delta
+        self.now = end - plan.period // 2
         for process in plan.procs:
             process.run_count += cycles
+        clock = self._clock
         clock._process.run_count += 2 * cycles
         clock._cycles += cycles
         self._steady_cycles += cycles
@@ -449,6 +445,13 @@ class Simulator:
         """Clock cycles advanced through steady steps (see the module
         docstring) instead of full activations."""
         return self._steady_cycles
+
+    @property
+    def steady_spans(self) -> int:
+        """Fast-forwards run: each called every process's span step
+        once (see the module docstring).  A span step reads this count
+        as the number of the fast-forward it runs in."""
+        return self._steady_spans
 
     # -- supervision -------------------------------------------------------
 

@@ -185,9 +185,9 @@ class T1CardEndpoint(Module):
             return 0
         return max(steady, 0)
 
-    def _steady_clock(self) -> None:
+    def _steady_clock(self, cycles: int) -> None:
         if self._exec_queue:
-            self._gap_left -= 1
+            self._gap_left -= cycles
 
     def _start_transaction(self, cycle: int) -> None:
         if not self._booted:

@@ -299,9 +299,9 @@ class T1Host(Module):
             steady = min(steady, self._think_left)
         return max(steady, 0)
 
-    def _steady_clock(self) -> None:
+    def _steady_clock(self, cycles: int) -> None:
         if self._state == "think":
-            self._think_left -= 1
+            self._think_left -= cycles
 
     def _start_next_command(self, cycle: int) -> None:
         if self._cmd_index >= len(self.commands):

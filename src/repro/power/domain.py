@@ -32,6 +32,9 @@ at a 10 MHz clock, a 5 mW field delivers 500 pJ per cycle.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
+import operator
 import typing
 
 from repro.ec import Transaction
@@ -153,6 +156,47 @@ class PowerSupply:
                 PowerLossEvent(cycle, self.charge_nj))
         return drained
 
+    def span(self, drains: typing.Sequence[float], cycle: int) -> None:
+        """One :meth:`step` per drain in *drains*, from bus cycle
+        *cycle* on, as if the model had returned them: the same
+        additions and clamps, each threshold event on its own cycle."""
+        cycles = len(drains)
+        harvest = self.harvest_pj_per_cycle
+        # the totals take one addition per cycle, in order
+        self.drained_pj = functools.reduce(operator.add, drains,
+                                           self.drained_pj)
+        self.harvested_pj = functools.reduce(
+            operator.add, itertools.repeat(harvest, cycles),
+            self.harvested_pj)
+        self.cycles_stepped += cycles
+        charge = self.charge_pj
+        capacity = self.capacity_pj
+        if (charge == capacity
+                and min(map(operator.sub, itertools.repeat(
+                    charge + harvest, cycles), drains),
+                        default=capacity) >= capacity):
+            # a full capacitor that every cycle refills: the charge
+            # clamps back to capacity each time, crossing nothing
+            return
+        brownout = self.brownout_pj
+        power_loss = self.power_loss_pj
+        down = bool(self.power_losses)
+        for cycle, drained in enumerate(drains, cycle):
+            was_brownout = charge < brownout
+            charge = charge + harvest - drained
+            if charge > capacity:
+                charge = capacity
+            if charge < 0.0:
+                charge = 0.0
+            if charge < brownout and not was_brownout:
+                self.brownouts.append(
+                    BrownoutEvent(cycle, charge / PJ_PER_NJ))
+            if charge < power_loss and not down:
+                down = True
+                self.power_losses.append(
+                    PowerLossEvent(cycle, charge / PJ_PER_NJ))
+        self.charge_pj = charge
+
 
 class EnergyGovernor:
     """Defers new bus work when its projected draw would breach the
@@ -212,20 +256,31 @@ class PowerDomain:
         self.halt_on_power_loss = halt_on_power_loss
         self._account_cycles = getattr(supply.power_model,
                                        "account_cycles", None)
+        # a model whose drains a span can replay, and no lazily
+        # accrued baseline (layer 2's) to settle first
+        self._span_drains = (getattr(supply.power_model, "span_drains",
+                                     None)
+                             if self._account_cycles is None else None)
         self._module = Module(simulator, name)
         self._process = self._module.method(
             self._on_posedge, name="sample",
             sensitive=[clock.posedge_event], dont_initialize=True,
-            steady=self._sample)
+            steady=self._span)
 
     def _sample(self) -> None:
-        """Settle one cycle's drain and harvest into the supply — the
-        whole of a cycle when no power loss can halt the card, so it
-        is also the steady step (threshold events still land on their
-        own cycle)."""
+        """Settle one cycle's drain and harvest into the supply."""
         if self._account_cycles is not None:
             self._account_cycles(self.bus.cycle)
         self.supply.step(self.bus.cycle)
+
+    def _span(self, cycles: int) -> None:
+        """*cycles* samples with no power loss to halt the card: replay
+        their drains from the model's sources (see
+        :func:`~repro.power.interfaces.replay_drains`) into the supply.
+        The bus counts its cycles on the falling edge, after this
+        sample, so its counter still holds the first one's."""
+        drains = self._span_drains(cycles, self.simulator.steady_spans)
+        self.supply.span(drains, self.bus.cycle)
 
     def _on_posedge(self) -> None:
         if self.simulator.powered_off:
@@ -239,5 +294,5 @@ class PowerDomain:
                 self.simulator.power_off(
                     f"supply exhausted at cycle {event.cycle} "
                     f"({event.charge_nj:.2f} nJ left)")
-        else:
+        elif self._span_drains is not None:
             self._process.steady_until = STEADY_FOREVER

@@ -42,6 +42,9 @@ hook unchanged.
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
+import operator
 import typing
 
 from repro.ec import Transaction
@@ -289,13 +292,11 @@ class DpmGovernor(EnergyGovernor):
         self._emergency_armed = True
         self._managed: typing.List[_ManagedPsm] = []
         self._gates: typing.Dict[str, IssueGate] = {}
-        #: ticks after the last one that would only repeat
-        #: :meth:`steady_tick` (kept at 0 where that cannot be shown
-        #: cheaply: watermarks, or a policy other than fixed timeouts)
+        #: ticks after the last one in which no PSM changes state, so
+        #: that :meth:`span` may stand for them (kept at 0 where that
+        #: cannot be shown cheaply: watermarks, or a policy other than
+        #: fixed timeouts)
         self.steady_hint = 0
-        #: (psm, residency cost, state, idle) per PSM for steady_tick,
-        #: built by the first steady tick after a real one
-        self._steady_rows: typing.Optional[typing.Tuple[tuple, ...]] = None
 
     # -- registration ------------------------------------------------------
 
@@ -308,7 +309,7 @@ class DpmGovernor(EnergyGovernor):
 
         *busy* may change only in a cycle in which some clocked process
         does real work, or between runs: the steady hint (see
-        :meth:`steady_tick`) holds its verdict fixed.  A window that
+        :meth:`span`) holds its verdict fixed.  A window that
         closes by itself must end a steady run from elsewhere, as the
         platform's peripheral tick does for the EEPROM and the TRNG.
         """
@@ -384,26 +385,32 @@ class DpmGovernor(EnergyGovernor):
                 elif state < _SLEEP:
                     steady = min(steady, policy.sleep_after - 1 - idle)
         self.steady_hint = steady
-        self._steady_rows = None
 
-    def steady_tick(self) -> None:
-        """One tick in which no PSM changes state: each books its
-        residency and advances its idle count exactly as
-        :meth:`tick` would (the stage stays 0)."""
-        rows = self._steady_rows
-        if rows is None:
-            # states and busy verdicts hold for the whole steady run
-            rows = self._steady_rows = tuple(
-                (psm, psm.profiles[psm.state].cycle_cost_pj, psm.state,
-                 psm.idle_cycles > 0)
-                for psm, _busy, _critical in self._managed)
-        for psm, cost, state, idle in rows:
+    def span(self, cycles: int,
+             mark: typing.Optional[int] = None) -> None:
+        """*cycles* ticks in which no PSM changes state (at most
+        :attr:`steady_hint` after a tick): each PSM books its residency
+        once per tick and counts its idle cycles exactly as :meth:`tick`
+        would (the stage stays 0).  With *mark*, the number of the
+        kernel fast-forward, each PSM's ledger is marked where it
+        started (see :mod:`repro.power.interfaces`)."""
+        for psm, _busy, _critical in self._managed:
+            state = psm.state
+            cost = psm.profiles[state].cycle_cost_pj
+            if mark is not None:
+                psm.span_start = (mark, psm.energy_pj,
+                                  (cost,) if cost else ())
             if cost:
-                psm.energy_pj += cost
-                psm.residency_energy_pj += cost
-            psm.residency_cycles[state] += 1
-            if idle:
-                psm.idle_cycles += 1
+                psm.energy_pj = functools.reduce(
+                    operator.add, itertools.repeat(cost, cycles),
+                    psm.energy_pj)
+                psm.residency_energy_pj = functools.reduce(
+                    operator.add, itertools.repeat(cost, cycles),
+                    psm.residency_energy_pj)
+            psm.residency_cycles[state] += cycles
+            # a busy verdict, which holds, left the idle count at 0
+            if psm.idle_cycles:
+                psm.idle_cycles += cycles
 
 
 class DpmController:
@@ -425,7 +432,7 @@ class DpmController:
         self._process = self._module.method(
             self._on_posedge, name="govern",
             sensitive=[clock.posedge_event], dont_initialize=True,
-            steady=self._steady)
+            steady=self._span)
 
     def _on_posedge(self) -> None:
         if self.simulator.powered_off:
@@ -436,5 +443,5 @@ class DpmController:
         if process.steady_armed:
             process.steady_until = process.run_count + governor.steady_hint
 
-    def _steady(self) -> None:
-        self.governor.steady_tick()
+    def _span(self, cycles: int) -> None:
+        self.governor.span(cycles, self.simulator.steady_spans)

@@ -42,6 +42,9 @@ a fraction of the per-cycle cost.
 from __future__ import annotations
 
 import collections.abc
+import functools
+import itertools
+import operator
 import typing
 
 from repro.ec import (BusState, EC_SIGNALS, SignalGroup, SlaveResponse,
@@ -209,6 +212,8 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
         self._pending: typing.List[int] = []
         self._current_tenure_id: typing.Optional[int] = None
         self._view = SignalValuesView(self)
+        #: set by the bus's span step (see :mod:`repro.power.interfaces`)
+        self.span_start: typing.Optional[tuple] = None
         if recorder is not None:
             self._sinks.append(recorder.record)
 
@@ -320,25 +325,37 @@ class Layer1PowerModel(CycleAccuratePowerInterface):
                 self._flush()
 
     def steady_idle_ok(self) -> bool:
-        """Whether an all-idle bus cycle may be booked with
-        :meth:`steady_idle_cycle` (no per-cycle sink must see it)."""
+        """Whether all-idle bus cycles may be booked with :meth:`span`
+        (no per-cycle sink must see them)."""
         return not self._sinks
 
-    def steady_idle_cycle(self) -> None:
-        """Book one more all-idle cycle after an all-idle cycle.
+    def steady_adds(self) -> typing.Tuple[float, ...]:
+        """What one more all-idle cycle adds to the total: the clock
+        baseline (see :meth:`span`)."""
+        return (self.table.clock_energy_per_cycle_pj,)
+
+    def span(self, cycles: int) -> typing.Tuple[float, ...]:
+        """Book *cycles* more all-idle cycles after an all-idle cycle;
+        returns what each added to the total (:meth:`steady_adds`).
 
         An all-idle commit leaves the packed word as it was, so no lane
         toggles: the engine would add the clock baseline to the clock
         group and to the total, nothing else.  This makes exactly those
-        additions, after flushing any deferred words so the order of
-        additions is the engine's.
+        additions, once per cycle, after flushing any deferred words so
+        the order of additions is the engine's.
         """
         if self._pending:
             self._flush()
         clock_e = self.table.clock_energy_per_cycle_pj
-        self._gvals[_GI_CLOCK] += clock_e
-        self._acc._total += clock_e
+        gvals = self._gvals
+        gvals[_GI_CLOCK] = functools.reduce(
+            operator.add, itertools.repeat(clock_e, cycles),
+            gvals[_GI_CLOCK])
+        self._acc._total = functools.reduce(
+            operator.add, itertools.repeat(clock_e, cycles),
+            self._acc._total)
         self._last_cycle_energy = clock_e
+        return (clock_e,)
 
     # ------------------------------------------------------------------
     # PowerInterface

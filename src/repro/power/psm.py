@@ -40,7 +40,7 @@ import dataclasses
 import enum
 import typing
 
-from .interfaces import PowerInterface
+from .interfaces import PowerInterface, replay_drains
 
 
 class PowerState(enum.IntEnum):
@@ -142,6 +142,9 @@ class PowerStateMachine:
             typing.Tuple[PowerState, PowerState], int] = {}
         self.wakes = 0
         self.forced_sleeps = 0
+        #: set by the governor's span step (see
+        #: :mod:`repro.power.interfaces`)
+        self.span_start: typing.Optional[tuple] = None
         #: idle-period lengths observed at the last few wake-ups
         #: (bounded history for predictive policies)
         self.idle_history: typing.List[int] = []
@@ -229,6 +232,11 @@ class PowerStateMachine:
         else:
             self.idle_cycles += 1
 
+    def steady_adds(self) -> typing.Tuple[float, ...]:
+        """What a tick in the current state adds to :attr:`energy_pj`."""
+        cost = self.profiles[self.state].cycle_cost_pj
+        return (cost,) if cost else ()
+
     # -- reporting ---------------------------------------------------------
 
     def mean_idle_period(self) -> typing.Optional[float]:
@@ -293,3 +301,16 @@ class CardPowerModel(PowerInterface):
         delta = total - self._last_sample
         self._last_sample = total
         return delta
+
+    def span_drains(self, cycles: int, span: int) -> typing.List[float]:
+        """The next *cycles* results of :meth:`energy_since_last_call_pj`
+        in fast-forward *span*, replayed from the bus model and the
+        ledgers (see :func:`~repro.power.interfaces.replay_drains`)."""
+        # a card without a bus model (gate level) never fast-forwards:
+        # its bus has no span step
+        bus_model = self.bus_model
+        sources = [(bus_model, bus_model.total_energy_pj)]
+        sources += [(ledger, ledger.energy_pj) for ledger in self.ledgers]
+        drains, self._last_sample = replay_drains(
+            sources, self._last_sample, cycles, span)
+        return drains

@@ -10,6 +10,8 @@ models' per-transition coefficients.
 
 from __future__ import annotations
 
+import functools
+import operator
 import typing
 
 from repro.ec import AccessRights, WaitStates
@@ -35,6 +37,9 @@ class Peripheral(RegisterSlave):
         self.energy_pj = 0.0
         self.event_counts: typing.Dict[str, int] = {}
         self._psm = None
+        #: set by the platform's span step (see
+        #: :mod:`repro.power.interfaces`)
+        self.span_start: typing.Optional[tuple] = None
 
     def attach_power_state_machine(self, psm) -> None:
         """Manage this peripheral with *psm*
@@ -73,15 +78,31 @@ class Peripheral(RegisterSlave):
         (the peripheral's ``tick()`` must not advance)."""
         return self._psm is not None and not self._psm.clock_running
 
-    def book(self, event: str, count: int = 1) -> None:
-        """Charge *count* occurrences of *event* to the ledger."""
+    def event_cost(self, event: str) -> float:
+        """pJ one *event* costs now (scaled by the PSM's state)."""
         cost = self.ENERGY_COSTS_PJ.get(event)
         if cost is None:
             raise KeyError(f"{self.name}: unknown energy event {event!r}")
         if self._psm is not None:
             cost = cost * self._psm.event_scale()
-        self.energy_pj += cost * count
+        return cost
+
+    def book(self, event: str, count: int = 1) -> None:
+        """Charge *count* occurrences of *event* to the ledger."""
+        self.energy_pj += self.event_cost(event) * count
+        self._count(event, count)
+
+    def _count(self, event: str, count: int) -> None:
         self.event_counts[event] = self.event_counts.get(event, 0) + count
+
+    def _book_span(self, event: str, adds: typing.Tuple[float, ...],
+                   cycles: int) -> None:
+        """*cycles* ticks that each book *event* once per entry of
+        *adds* (its cost): one addition per booking, in order, as
+        :meth:`book` makes them."""
+        self.energy_pj = functools.reduce(operator.add, adds * cycles,
+                                          self.energy_pj)
+        self._count(event, cycles * len(adds))
 
     def do_read(self, offset: int, byte_enables: int):
         if self._psm is not None:

@@ -93,6 +93,28 @@ class TrueRandomNumberGenerator(Peripheral):
             return STEADY_FOREVER
         return self._harvest_remaining - 1
 
+    def steady_adds(self) -> typing.Tuple[float, ...]:
+        """The harvest-cycle booking of a :meth:`tick` (none while it
+        does nothing)."""
+        if not self.registers[CTRL] & CTRL_ENABLE or self._dpm_frozen():
+            return ()
+        return (self.event_cost("harvest_cycle"),)
+
+    def span(self, cycles: int) -> typing.Tuple[float, ...]:
+        """*cycles* ticks: the LFSR steps once per tick and a harvest
+        counts down.  Returns what each tick added to the ledger
+        (:meth:`steady_adds`)."""
+        adds = self.steady_adds()
+        if not adds:
+            return adds
+        self._book_span("harvest_cycle", adds, cycles)
+        state = self._state
+        for _ in range(cycles):
+            state = (state >> 1) ^ _LFSR_MASK if state & 1 else state >> 1
+        self._state = state
+        self._harvest_remaining = max(self._harvest_remaining - cycles, 0)
+        return adds
+
     def tick(self) -> None:
         if not self.enabled or self._dpm_frozen():
             return

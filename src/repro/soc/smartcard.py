@@ -130,8 +130,6 @@ class SmartCardPlatform(Module):
         (self.rom, self.flash, self.eeprom, self.ram, self.uart,
          self.timers, self.rng, self.intc) = self.slaves.values()
         self.dma: typing.Optional[DmaController] = None
-        #: the ticks a steady cycle runs (see _steady_ticks)
-        self._steady_live: typing.Tuple[typing.Callable[[], None], ...] = ()
         topology = Topology.coerce(topology)
         if with_dma:
             self.dma = DmaController(DMA_BASE)
@@ -173,7 +171,7 @@ class SmartCardPlatform(Module):
         self._tick_process = self.method(
             self._tick_peripherals, name="peripheral_tick",
             sensitive=[self.clock.posedge_event], dont_initialize=True,
-            steady=self._steady_peripherals)
+            steady=self._span_peripherals)
 
     def _tick_peripherals(self) -> None:
         process = self._tick_process
@@ -196,22 +194,23 @@ class SmartCardPlatform(Module):
         if self.dma is not None:
             return 0
         steady = STEADY_FOREVER
-        live = []
         for peripheral in (self.uart, self.timers, self.rng):
             ticks = peripheral.steady_ticks()
-            if ticks is not None:  # else its tick does nothing
-                live.append(peripheral.tick)
-                if ticks < steady:
-                    steady = ticks
-        self._steady_live = tuple(live)
+            # None: its tick does nothing
+            if ticks is not None and ticks < steady:
+                steady = ticks
         programming = self.eeprom.busy_cycles_left()
         if programming and programming < steady:
             steady = programming
         return steady
 
-    def _steady_peripherals(self) -> None:
-        for tick in self._steady_live:
-            tick()
+    def _span_peripherals(self, cycles: int) -> None:
+        """*cycles* steady peripheral ticks, each peripheral's ledger
+        marked where it started (see :mod:`repro.power.interfaces`)."""
+        span = self.simulator.steady_spans
+        for peripheral in (self.uart, self.timers, self.rng):
+            energy = peripheral.energy_pj
+            peripheral.span_start = (span, energy, peripheral.span(cycles))
 
     # -- conveniences --------------------------------------------------------
 

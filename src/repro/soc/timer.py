@@ -84,6 +84,34 @@ class TimerUnit(Peripheral):
                     steady = count
         return steady
 
+    def steady_adds(self) -> typing.Tuple[float, ...]:
+        """The counter-tick bookings of a :meth:`tick` in which no timer
+        expires: one per enabled timer."""
+        if self._dpm_frozen():
+            return ()
+        registers = self.registers
+        return tuple(self.event_cost("counter_tick")
+                     for timer in range(NUM_TIMERS)
+                     if registers[timer * REGS_PER_TIMER + CTRL]
+                     & CTRL_ENABLE)
+
+    def span(self, cycles: int) -> typing.Tuple[float, ...]:
+        """*cycles* ticks in which no enabled timer expires (see
+        :meth:`steady_ticks`): each enabled ``COUNT`` drops by
+        *cycles*.  Returns what each tick added to the ledger
+        (:meth:`steady_adds`)."""
+        adds = self.steady_adds()
+        if not adds:
+            return adds
+        self._book_span("counter_tick", adds, cycles)
+        registers = self.registers
+        for timer in range(NUM_TIMERS):
+            base = timer * REGS_PER_TIMER
+            if registers[base + CTRL] & CTRL_ENABLE:
+                registers[base + COUNT] = (registers[base + COUNT]
+                                           & 0xFFFF) - cycles
+        return adds
+
     def tick(self) -> None:
         if self._dpm_frozen():
             return

@@ -121,6 +121,26 @@ class Uart(Peripheral):
                 self.transmitted.append(self.tx_fifo.popleft())
                 self.book("byte_transmitted")
 
+    def steady_adds(self) -> typing.Tuple[float, ...]:
+        """The idle-cycle booking of a :meth:`tick` that sends nothing
+        (none while :meth:`tick` does nothing at all)."""
+        if not self.registers[CTRL] & CTRL_ENABLE or self._dpm_frozen():
+            return ()
+        return (self.event_cost("idle_cycle"),)
+
+    def span(self, cycles: int) -> typing.Tuple[float, ...]:
+        """*cycles* ticks in which no byte leaves the TX FIFO (see
+        :meth:`steady_ticks`); returns what each added to the ledger
+        (:meth:`steady_adds`)."""
+        adds = self.steady_adds()
+        if not adds:
+            return adds
+        self._book_span("idle_cycle", adds, cycles)
+        if self.tx_fifo:
+            self._tx_countdown = (self._tx_countdown
+                                  or max(self.registers[BAUD], 1)) - cycles
+        return adds
+
     def steady_ticks(self) -> typing.Optional[int]:
         """Ticks, the next one included, before a byte leaves the TX
         FIFO (:data:`~repro.kernel.STEADY_FOREVER` when none is

@@ -205,12 +205,17 @@ class EcBusLayer1(EcBusBase):
                                             or power_model.steady_idle_ok())
                 else 0)
 
-    def _steady_idle(self) -> None:
-        """One more all-idle cycle: the energy model books the same
-        idle word again and the cycle counter advances."""
-        if self.power_model is not None:
-            self.power_model.steady_idle_cycle()
-        self.cycle += 1
+    def _steady_idle(self, cycles: int) -> None:
+        """*cycles* more all-idle cycles: the energy model books the
+        same idle word again each cycle (marking where it started, see
+        :mod:`repro.power.interfaces`) and the cycle counter
+        advances."""
+        power_model = self.power_model
+        if power_model is not None:
+            energy = power_model.total_energy_pj
+            power_model.span_start = (self.simulator.steady_spans, energy,
+                                      power_model.span(cycles))
+        self.cycle += cycles
 
     def get_slave_state(self, region: Region):
         """Invoke the slave control interface (the paper's phase 1).

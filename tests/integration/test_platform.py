@@ -256,14 +256,16 @@ class TestAttachPower:
         platform, stack = self._card()
         order = []
         step, tick = stack.supply.step, stack.governor.tick
-        steady_tick = stack.governor.steady_tick
+        span, governor_span = stack.supply.span, stack.governor.span
         stack.supply.step = lambda cycle: (order.append("domain"),
                                            step(cycle))
         stack.governor.tick = lambda: (order.append("governor"), tick())
-        # steady cycles (the kernel's fast-forward) tick the governor
-        # through its steady step
-        stack.governor.steady_tick = lambda: (order.append("governor"),
-                                              steady_tick())
+        # steady cycles (the kernel's fast-forward) advance both by a
+        # span at a time
+        stack.supply.span = lambda drains, cycle: (
+            order.append("domain"), span(drains, cycle))
+        stack.governor.span = lambda cycles, serial: (
+            order.append("governor"), governor_span(cycles, serial))
         platform.run_cycles(5)
         assert len(order) >= 2
         assert order == ["domain", "governor"] * (len(order) // 2)

@@ -200,6 +200,52 @@ class TestSteadyHint:
         assert governor.stage == 0
         assert governor.steady_hint == hint
 
+    @staticmethod
+    def _governed():
+        """One governor, ticked once, over a zero-cost idle row (IDLE),
+        two costed idle rows (CLOCK_GATED, SLEEP) and a busy row."""
+        governor = DpmGovernor(make_supply(1.0), default_table(),
+                               policy=FixedTimeoutPolicy())
+        for state, idle in ((PowerState.IDLE, 4),
+                            (PowerState.CLOCK_GATED, 250),
+                            (PowerState.SLEEP, 7)):
+            governor.register(_settled_psm(state, idle),
+                              busy=lambda: False)
+        governor.register(PowerStateMachine("busy"), busy=lambda: True)
+        governor.tick()
+        return governor
+
+    @staticmethod
+    def _books(governor):
+        return [(psm.state, dict(psm.residency_cycles), psm.idle_cycles,
+                 dict(psm.transition_counts), repr(psm.energy_pj),
+                 repr(psm.residency_energy_pj),
+                 repr(psm.transition_energy_pj))
+                for psm, _busy, _critical in governor._managed]
+
+    # the hint (4: CLOCK_GATED gates to SLEEP on the fifth tick) bounds
+    # the span
+    @pytest.mark.parametrize("cycles", [1, 2, 4])
+    def test_span_is_that_many_ticks(self, cycles):
+        spanned, ticked = self._governed(), self._governed()
+        assert spanned.steady_hint == 4
+        spanned.span(cycles)
+        for _ in range(cycles):
+            ticked.tick()
+        assert self._books(spanned) == self._books(ticked)
+        assert spanned.stage == ticked.stage == 0
+
+    def test_a_numbered_span_marks_each_psm(self):
+        governor = self._governed()
+        before = [psm.energy_pj for psm, _b, _c in governor._managed]
+        governor.span(3, 17)
+        assert [psm.span_start for psm, _b, _c in governor._managed] == [
+            (17, energy, psm.steady_adds())
+            for energy, (psm, _b, _c) in zip(before, governor._managed)]
+        # zero-cost states add nothing, costed ones their residency
+        assert [psm.steady_adds() for psm, _b, _c in governor._managed] == [
+            (), (0.004,), (0.001,), ()]
+
     def test_a_state_change_ends_the_countdown(self):
         governor = DpmGovernor(make_supply(1.0), default_table(),
                                policy=FixedTimeoutPolicy())

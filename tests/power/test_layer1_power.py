@@ -139,3 +139,36 @@ class TestWaitStateSignals:
         run(sim, clock, bus, [data_read(RAM_BASE, burst_length=4)])
         pulses = sum(v["EB_RdVal"] for v in recorder.values)
         assert pulses == 4
+
+
+class TestSpan:
+    """``span(k)``: *k* more all-idle cycles in one call, against *k*
+    idle cycles committed one by one."""
+
+    @staticmethod
+    def _after_traffic():
+        # a write, then idle cycles the deferred model has not yet
+        # accounted: the span must flush them before its first addition
+        sim, clock, bus, model, _ = build_platform()
+        run(sim, clock, bus, [data_write(RAM_BASE, [0xA5A5_5A5A])])
+        sim.run(100 * 3)
+        return bus, model
+
+    @staticmethod
+    def _books(model):
+        return (repr(model.total_energy_pj), model.transition_counts,
+                [repr(energy) for energy in model.group_energy_pj.values()],
+                repr(model.energy_last_cycle_pj()))
+
+    @pytest.mark.parametrize("cycles", [1, 2, 50])
+    def test_span_is_that_many_idle_cycles(self, cycles):
+        (_bus, spanned), (bus, ticked) = (self._after_traffic(),
+                                          self._after_traffic())
+        assert spanned._pending
+        adds = spanned.span(cycles)
+        for offset in range(cycles):
+            ticked.commit_cycle(bus.cycle + offset, None, False, None, 0,
+                                None)
+        assert self._books(spanned) == self._books(ticked)
+        assert adds == spanned.steady_adds() == (
+            default_table().clock_energy_per_cycle_pj,)
