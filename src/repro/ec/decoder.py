@@ -13,7 +13,7 @@ import dataclasses
 import typing
 
 from .interfaces import Slave
-from .types import ADDRESS_MASK, AccessRights, TransactionKind
+from .types import ADDRESS_MASK, TransactionKind
 
 
 class DecodeError(LookupError):
@@ -187,13 +187,6 @@ class MemoryMap:
     def regions(self) -> typing.Tuple[Region, ...]:
         """All windows in ascending base-address order."""
         return tuple(self._regions)
-
-    def rights_of(self, address: int) -> AccessRights:
-        """Access rights at *address* (``NONE`` if unmapped)."""
-        try:
-            return self.decode(address).slave.access_rights
-        except DecodeError:
-            return AccessRights.NONE
 
     def __len__(self) -> int:
         return len(self._regions)

@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "injectors": ("BitFlipInjector", "ErrorSlave", "FaultAction",
                   "FaultEvent", "FaultInjector", "FaultKind",
                   "IntermittentErrorInjector", "StuckWaitInjector",
-                  "TransientErrorInjector", "WriteTearInjector"),
+                  "TransientErrorInjector"),
     "tear": ("TearInjector", "tear_schedule"),
     "wrapper": ("FaultySlave",),
 })

@@ -14,8 +14,6 @@ access and answer one of
 
 * *nothing* — the access proceeds untouched,
 * :attr:`FaultAction.ERROR` — the beat terminates with a bus error,
-* :attr:`FaultAction.TEAR` — a write commits only part of its byte
-  lanes and then errors (EEPROM write tearing),
 * a data *corruption* — bit flips on the value read or written,
 * *extra wait states* — a stuck-``WAIT`` window (hung slave).
 
@@ -43,14 +41,12 @@ class FaultKind(enum.Enum):
     INTERMITTENT_ERROR = "intermittent_error"
     BIT_FLIP = "bit_flip"
     STUCK_WAIT = "stuck_wait"
-    WRITE_TEAR = "write_tear"
 
 
 class FaultAction(enum.Enum):
     """Pre-access verdict of an injector."""
 
     ERROR = "error"
-    TEAR = "tear"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,35 +194,6 @@ class StuckWaitInjector(FaultInjector):
 
     def extra_wait_states(self, cycle: int) -> int:
         return self.extra_waits if cycle < self._window_until else 0
-
-
-class WriteTearInjector(FaultInjector):
-    """Write tearing: power loss mid-programming commits only some
-    byte lanes, and the programming-voltage monitor flags the error.
-
-    The wrapper commits the lanes in *committed_enables* and answers
-    ``ERROR``; a retry rewrites the full word, which is exactly the
-    anti-tearing firmware pattern of smart card operating systems.
-    """
-
-    kind = FaultKind.WRITE_TEAR
-
-    def __init__(self, rate: float, rng: random.Random,
-                 committed_enables: int = 0b0011) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        if not 0 <= committed_enables <= 0b1111:
-            raise ValueError("committed_enables must be a 4-bit mask")
-        self.rate = rate
-        self.rng = rng
-        self.committed_enables = committed_enables
-
-    def pre_access(self, direction: Direction, offset: int,
-                   cycle: int) -> typing.Optional[FaultAction]:
-        if (direction is Direction.WRITE and self.rate
-                and self.rng.random() < self.rate):
-            return FaultAction.TEAR
-        return None
 
 
 class ErrorSlave(BehaviouralSlave):

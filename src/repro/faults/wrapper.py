@@ -114,13 +114,6 @@ class FaultySlave(BehaviouralSlave):
             if action is FaultAction.ERROR:
                 self._record(injector.kind, Direction.WRITE, offset, cycle)
                 return SlaveResponse.error()
-            if action is FaultAction.TEAR:
-                committed = byte_enables & injector.committed_enables
-                if committed:
-                    self.inner.do_write(offset, committed, data)
-                self._record(injector.kind, Direction.WRITE, offset,
-                             cycle, f"committed_lanes={committed:#06b}")
-                return SlaveResponse.error()
         for injector in self.injectors:
             corrupted = injector.corrupt(Direction.WRITE, offset, data,
                                          cycle)

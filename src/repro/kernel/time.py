@@ -39,21 +39,6 @@ def seconds(value: float) -> int:
     return int(round(value * PS_PER_S))
 
 
-def to_ns(time_ps: int) -> float:
-    """Convert kernel time units back to nanoseconds."""
-    return time_ps / PS_PER_NS
-
-
-def to_us(time_ps: int) -> float:
-    """Convert kernel time units back to microseconds."""
-    return time_ps / PS_PER_US
-
-
-def to_seconds(time_ps: int) -> float:
-    """Convert kernel time units back to seconds."""
-    return time_ps / PS_PER_S
-
-
 def period_from_frequency_hz(frequency_hz: float) -> int:
     """Return the clock period, in kernel time units, of *frequency_hz*.
 

@@ -13,7 +13,9 @@ This module reproduces that behaviour over our substrate:
 * interface wires — per-bit layout capacitances from a wire-load
   table; rise and fall transitions carry different energies and
   simultaneous switching within a bundle adds a slope penalty
-  (IR-drop slows edges, increasing short-circuit current),
+  (IR-drop slows edges, increasing short-circuit current); the EC
+  interface's read and write buses are unidirectional, so no wire
+  ever goes high-impedance,
 * decoder — every internal net of the synthesised netlist, at its own
   capacitance, including glitch transitions,
 * datapath — the bus controller's internal pipeline/mux nets, which
@@ -64,7 +66,6 @@ class WireLoadModel:
     rise_factor: float = 1.05
     fall_factor: float = 0.95
     simultaneous_switching_alpha: float = 0.0015
-    tristate_factor: float = 0.5
     vdd: float = DEFAULT_VDD
 
     def bit_cap(self, signal_name: str) -> float:
@@ -110,7 +111,6 @@ class InterfaceActivityLog:
         self.rises = {spec.name: 0 for spec in EC_SIGNALS}
         self.falls = {spec.name: 0 for spec in EC_SIGNALS}
         self.simultaneity = {spec.name: 0 for spec in EC_SIGNALS}
-        self.tristate = {spec.name: 0 for spec in EC_SIGNALS}
         self.cycles = 0
 
     def record_cycle(self, old: typing.Mapping[str, int],
@@ -125,15 +125,8 @@ class InterfaceActivityLog:
                 self.falls[name] += total - rises
                 self.simultaneity[name] += total * (total - 1)
 
-    def record_tristate(self, signal_name: str, count: int) -> None:
-        """Book *count* transitions to/from high impedance."""
-        if signal_name not in self.tristate:
-            raise KeyError(f"unknown signal {signal_name!r}")
-        self.tristate[signal_name] += count
-
     def transitions(self, signal_name: str) -> int:
-        return (self.rises[signal_name] + self.falls[signal_name]
-                + self.tristate[signal_name])
+        return self.rises[signal_name] + self.falls[signal_name]
 
     def total_transitions(self) -> int:
         return sum(self.transitions(spec.name) for spec in EC_SIGNALS)
@@ -200,9 +193,7 @@ class DieselEstimator:
             energy = (activity.rises[name] * load.rise_factor
                       + activity.falls[name] * load.fall_factor
                       + activity.simultaneity[name]
-                      * load.simultaneous_switching_alpha
-                      + activity.tristate[name] * load.tristate_factor
-                      ) * base
+                      * load.simultaneous_switching_alpha) * base
             wire_energy[name] = energy
             wire_transitions[name] = activity.transitions(name)
             interface_total += energy

@@ -121,7 +121,3 @@ class SamplingProfiler:
     @property
     def total_energy_pj(self) -> float:
         return sum(sample.energy_pj for sample in self.samples)
-
-    def as_series(self) -> typing.List[typing.Tuple[int, float]]:
-        """(cycle, energy) pairs for plotting/reporting."""
-        return [(s.cycle, s.energy_pj) for s in self.samples]

@@ -28,16 +28,6 @@ def transition_energy_pj(capacitance_ff: float,
     return joules * 1e12
 
 
-def pj_to_nj(energy_pj: float) -> float:
-    """Convert picojoules to nanojoules."""
-    return energy_pj / 1e3
-
-
-def pj_to_uj(energy_pj: float) -> float:
-    """Convert picojoules to microjoules."""
-    return energy_pj / 1e6
-
-
 def average_power_mw(energy_pj: float, duration_ps: int) -> float:
     """Average power in milliwatts over *duration_ps*.
 

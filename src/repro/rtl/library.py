@@ -14,18 +14,6 @@ import typing
 from .netlist import Netlist
 
 
-def equality_comparator(netlist: Netlist, bits: typing.Sequence[int],
-                        pattern: int) -> int:
-    """Output high when the input bits equal *pattern* (LSB first)."""
-    terms = []
-    for position, bit in enumerate(bits):
-        if pattern & (1 << position):
-            terms.append(bit)
-        else:
-            terms.append(netlist.not_gate(bit))
-    return _and_tree(netlist, terms)
-
-
 def magnitude_ge(netlist: Netlist, bits: typing.Sequence[int],
                  threshold: int) -> int:
     """Output high when the unsigned input value is >= *threshold*.
@@ -80,21 +68,6 @@ def range_decoder(netlist: Netlist, bits: typing.Sequence[int],
     return netlist.and_gate(ge, lt)
 
 
-def _and_tree(netlist: Netlist, terms: typing.Sequence[int]) -> int:
-    """Balanced AND tree (bounded depth, realistic glitch behaviour)."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty AND tree")
-    while len(terms) > 1:
-        next_level = []
-        for i in range(0, len(terms) - 1, 2):
-            next_level.append(netlist.and_gate(terms[i], terms[i + 1]))
-        if len(terms) % 2:
-            next_level.append(terms[-1])
-        terms = next_level
-    return terms[0]
-
-
 def or_tree(netlist: Netlist, terms: typing.Sequence[int]) -> int:
     """Balanced OR tree."""
     terms = list(terms)
@@ -104,21 +77,6 @@ def or_tree(netlist: Netlist, terms: typing.Sequence[int]) -> int:
         next_level = []
         for i in range(0, len(terms) - 1, 2):
             next_level.append(netlist.or_gate(terms[i], terms[i + 1]))
-        if len(terms) % 2:
-            next_level.append(terms[-1])
-        terms = next_level
-    return terms[0]
-
-
-def xor_reduce(netlist: Netlist, terms: typing.Sequence[int]) -> int:
-    """Balanced XOR tree (parity)."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty XOR tree")
-    while len(terms) > 1:
-        next_level = []
-        for i in range(0, len(terms) - 1, 2):
-            next_level.append(netlist.xor_gate(terms[i], terms[i + 1]))
         if len(terms) % 2:
             next_level.append(terms[-1])
         terms = next_level

@@ -531,12 +531,6 @@ class Netlist:
         return (list(self._caps), list(self._transitions),
                 list(self._glitches))
 
-    def internal_nets(self) -> typing.List[Net]:
-        """Nets that are not external inputs (gate/flop outputs)."""
-        input_indices = set(self._inputs.values())
-        return [net for net in self.nets
-                if net.index not in input_indices]
-
     def __repr__(self) -> str:
         return (f"Netlist({self.name!r}, nets={len(self._names)}, "
                 f"gates={len(self.gates)}, flops={len(self.flops)})")

@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "crypto": ("CryptoCoprocessor", "DmaDriver", "xtea_decrypt",
                "xtea_encrypt"),
     "dma": ("DmaController",),
-    "firmware": ("firmware",),
     "interrupt": ("InterruptController",),
     "journal": ("JournalState", "TransactionJournal"),
     "memory": ("Eeprom", "Flash", "Rom", "ScratchpadRam"),

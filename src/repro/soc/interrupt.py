@@ -61,10 +61,3 @@ class InterruptController(Peripheral):
     def active(self) -> bool:
         """True when any enabled line is pending."""
         return bool(self.pending_mask & self.enable_mask)
-
-    def highest_priority(self) -> int:
-        """Lowest-numbered active line, or -1 when none."""
-        active = self.pending_mask & self.enable_mask
-        if not active:
-            return -1
-        return (active & -active).bit_length() - 1

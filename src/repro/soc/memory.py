@@ -57,20 +57,16 @@ class Eeprom(MemorySlave):
     caller-supplied *tear_rng*: a torn write commits only some byte
     lanes and answers ``ERROR``, leaving a partially-programmed word
     for the retry to repair.  Which lanes survive depends on where in
-    the programming sequence the power failed, so by default
-    (``tear_committed_enables=None``) the committed lane mask is
-    sampled from *tear_rng* per torn write; passing an explicit 4-bit
-    mask pins it (e.g. the fixed low-half-first behaviour of earlier
-    revisions).  With the default ``tear_rate=0.0`` the device never
-    tears, and no random stream is consumed.
+    the programming sequence the power failed, so the committed lane
+    mask is sampled from *tear_rng* per torn write.  With the default
+    ``tear_rate=0.0`` the device never tears, and no random stream is
+    consumed.
     """
 
     def __init__(self, base_address: int, size: int = 32 * 1024,
                  name: str = "eeprom", program_cycles: int = 12,
                  busy_extra_waits: int = 4, tear_rate: float = 0.0,
-                 tear_rng: typing.Optional[random.Random] = None,
-                 tear_committed_enables: typing.Optional[int] = None
-                 ) -> None:
+                 tear_rng: typing.Optional[random.Random] = None) -> None:
         super().__init__(base_address, size,
                          WaitStates(address=1, read=2, write=3),
                          AccessRights.READ | AccessRights.WRITE, name)
@@ -78,15 +74,10 @@ class Eeprom(MemorySlave):
             raise ValueError(f"tear_rate must be in [0, 1], got {tear_rate}")
         if tear_rate and tear_rng is None:
             raise ValueError("a nonzero tear_rate needs a seeded tear_rng")
-        if (tear_committed_enables is not None
-                and not 0 <= tear_committed_enables <= 0b1111):
-            raise ValueError("tear_committed_enables must be a 4-bit "
-                             f"mask, got {tear_committed_enables}")
         self.program_cycles = program_cycles
         self.busy_extra_waits = busy_extra_waits
         self.tear_rate = tear_rate
         self.tear_rng = tear_rng
-        self.tear_committed_enables = tear_committed_enables
         self.torn_writes = 0
         self._base_waits = WaitStates(address=1, read=2, write=3)
         self._busy_until = -1
@@ -144,13 +135,10 @@ class Eeprom(MemorySlave):
         if (self.tear_rate
                 and self.tear_rng.random() < self.tear_rate):
             # programming started, then tore: some lanes are committed,
-            # the cell is left busy, and the voltage monitor flags it
-            mask = self.tear_committed_enables
-            if mask is None:
-                # the surviving lanes depend on where in the
-                # programming sequence power failed — sample them
-                mask = self.tear_rng.randrange(0b10000)
-            committed = byte_enables & mask
+            # the cell is left busy, and the voltage monitor flags it;
+            # the surviving lanes depend on where in the programming
+            # sequence power failed — sample them
+            committed = byte_enables & self.tear_rng.randrange(0b10000)
             if committed:
                 super().do_write(offset, committed, data)
             self.torn_writes += 1

@@ -31,9 +31,6 @@ from repro.tlm.master import ScriptItem
 COMMANDS = ("select", "read_record", "update_record", "verify_pin",
             "challenge", "internal_auth")
 
-#: a generic SFR window standing in for the crypto coprocessor
-_CRYPTO_SFR = UART_BASE + 0x800
-
 
 def _fetch_run(rng: random.Random, script: list, lines: int) -> None:
     """Instruction-fetch bursts of the command handler's code."""

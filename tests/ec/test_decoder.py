@@ -133,14 +133,6 @@ class TestCheckedDecode:
         assert region.name == "rom"
 
 
-class TestRightsQuery:
-    def test_rights_of_mapped(self, memory_map):
-        assert memory_map.rights_of(0x2000) is AccessRights.ALL
-
-    def test_rights_of_unmapped_is_none(self, memory_map):
-        assert memory_map.rights_of(0x9999_0000) is AccessRights.NONE
-
-
 class TestConflictMessage:
     """The error must name both windows: the mapping that failed AND
     the existing region it collided with, with their ranges."""

@@ -7,7 +7,7 @@ import pytest
 from repro.ec import Direction, WaitStates
 from repro.faults import (BitFlipInjector, ErrorSlave, FaultAction,
                           IntermittentErrorInjector, StuckWaitInjector,
-                          TransientErrorInjector, WriteTearInjector)
+                          TransientErrorInjector)
 
 from .conftest import FakeRng
 
@@ -91,19 +91,6 @@ class TestStuckWaitInjector:
         injector.pre_access(Direction.READ, 0, 0)
         injector.pre_access(Direction.READ, 0, 5)  # inside the window
         assert injector.windows_opened == 1
-
-
-class TestWriteTearInjector:
-    def test_tears_writes_only(self):
-        injector = WriteTearInjector(1.0, random.Random(1))
-        assert injector.pre_access(Direction.WRITE, 0, 0) \
-            is FaultAction.TEAR
-        assert injector.pre_access(Direction.READ, 0, 0) is None
-
-    def test_committed_enables_validation(self):
-        with pytest.raises(ValueError):
-            WriteTearInjector(0.1, random.Random(1),
-                              committed_enables=0b10000)
 
 
 class TestErrorSlave:

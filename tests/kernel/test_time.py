@@ -25,15 +25,6 @@ class TestConversions:
     def test_ps_identity(self):
         assert ktime.ps(123) == 123
 
-    def test_roundtrip_ns(self):
-        assert ktime.to_ns(ktime.ns(42)) == pytest.approx(42.0)
-
-    def test_roundtrip_us(self):
-        assert ktime.to_us(ktime.us(3)) == pytest.approx(3.0)
-
-    def test_roundtrip_seconds(self):
-        assert ktime.to_seconds(ktime.seconds(2)) == pytest.approx(2.0)
-
 
 class TestFrequency:
     def test_10mhz_period(self):

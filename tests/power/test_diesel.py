@@ -4,8 +4,7 @@ import pytest
 
 from repro.ec import EC_SIGNALS
 from repro.power.diesel import (DieselEstimator, InterfaceActivityLog,
-                                WireLoadModel, default_wire_load)
-from repro.power.units import transition_energy_pj
+                                default_wire_load)
 from repro.rtl.netlist import Netlist
 
 
@@ -41,13 +40,6 @@ class TestActivityLog:
         log.record_cycle(zeros(), zeros())
         assert log.total_transitions() == 0
         assert log.cycles == 1
-
-    def test_tristate_bookable(self):
-        log = InterfaceActivityLog()
-        log.record_tristate("EB_RData", 5)
-        assert log.transitions("EB_RData") == 5
-        with pytest.raises(KeyError):
-            log.record_tristate("NOT_A_SIGNAL", 1)
 
 
 class TestWireLoadModel:
@@ -99,17 +91,6 @@ class TestEstimator:
         burst_energy = estimator.estimate(
             burst, cycles=4).wire_energy_pj["EB_WData"]
         assert burst_energy > seq_energy
-
-    def test_tristate_costs_half(self):
-        load = WireLoadModel({s.name: 100.0 for s in EC_SIGNALS},
-                             rise_factor=1.0, fall_factor=1.0,
-                             simultaneous_switching_alpha=0.0)
-        estimator = DieselEstimator(load)
-        log = InterfaceActivityLog()
-        log.record_tristate("EB_RData", 2)
-        report = estimator.estimate(log, cycles=1)
-        base = transition_energy_pj(100.0)
-        assert report.wire_energy_pj["EB_RData"] == pytest.approx(base)
 
     def test_netlist_activity_included(self):
         netlist = Netlist()

@@ -84,14 +84,6 @@ class TestSamplingProfiler:
         assert s2.energy_pj == pytest.approx(7.0)
         assert profiler.total_energy_pj == pytest.approx(12.0)
 
-    def test_as_series(self):
-        model = FakeModel()
-        profiler = SamplingProfiler(model)
-        model.add(1.0)
-        profiler.sample(3)
-        series = profiler.as_series()
-        assert series == [(3, pytest.approx(1.0))]
-
 
 class TestSpa:
     def test_identical_traces_indistinguishable(self):

@@ -25,14 +25,6 @@ class TestTransitionEnergy:
             units.transition_energy_pj(-1.0)
 
 
-class TestConversions:
-    def test_pj_to_nj(self):
-        assert units.pj_to_nj(2500.0) == pytest.approx(2.5)
-
-    def test_pj_to_uj(self):
-        assert units.pj_to_uj(3_000_000.0) == pytest.approx(3.0)
-
-
 class TestPower:
     def test_average_power(self):
         # 100 pJ over 100 ns = 1 mW

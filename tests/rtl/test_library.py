@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rtl.library import (equality_comparator, magnitude_ge,
-                               magnitude_lt, or_tree, range_decoder,
-                               xor_reduce)
+from repro.rtl.library import (magnitude_ge, magnitude_lt, or_tree,
+                               range_decoder)
 from repro.rtl.netlist import Netlist
 
 
@@ -15,18 +14,6 @@ def make_value_inputs(netlist, width):
 
 def drive(netlist, width, value):
     return netlist.step({f"b{i}": (value >> i) & 1 for i in range(width)})
-
-
-class TestEqualityComparator:
-    @pytest.mark.parametrize("pattern", [0, 1, 0b1010, 0b1111])
-    def test_matches_only_pattern(self, pattern):
-        netlist = Netlist()
-        bits = make_value_inputs(netlist, 4)
-        out = equality_comparator(netlist, bits, pattern)
-        netlist.set_output("eq", out)
-        for value in range(16):
-            result = drive(netlist, 4, value)["eq"]
-            assert result == int(value == pattern)
 
 
 class TestMagnitude:
@@ -92,17 +79,7 @@ class TestTrees:
         assert drive(netlist, 5, 0)["any"] == 0
         assert drive(netlist, 5, 0b00100)["any"] == 1
 
-    def test_xor_reduce_parity(self):
-        netlist = Netlist()
-        bits = make_value_inputs(netlist, 5)
-        netlist.set_output("parity", xor_reduce(netlist, bits))
-        for value in (0, 1, 0b11, 0b10101, 0b11111):
-            expected = bin(value).count("1") & 1
-            assert drive(netlist, 5, value)["parity"] == expected
-
     def test_empty_tree_rejected(self):
         netlist = Netlist()
         with pytest.raises(ValueError):
             or_tree(netlist, [])
-        with pytest.raises(ValueError):
-            xor_reduce(netlist, [])

@@ -145,13 +145,6 @@ class TestStructure:
         with pytest.raises(NetlistError):
             netlist.input("a")
 
-    def test_internal_nets_excludes_inputs(self):
-        netlist = Netlist()
-        a = netlist.input("a")
-        out = netlist.not_gate(a)
-        internal = netlist.internal_nets()
-        assert [n.index for n in internal] == [out]
-
     def test_repr_mentions_size(self):
         netlist = Netlist("dec")
         a = netlist.input("a")

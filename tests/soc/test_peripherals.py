@@ -255,7 +255,6 @@ class TestInterruptController:
         assert not intc.active()
         intc.do_write(ENABLE * 4, 0b1111, 0b0100)
         assert intc.active()
-        assert intc.highest_priority() == 2
 
     def test_w1c_acknowledge(self):
         intc = InterruptController(0x0)
@@ -264,17 +263,10 @@ class TestInterruptController:
         intc.do_write(PENDING * 4, 0b1111, 0b1)  # ack line 0 only
         assert intc.pending_mask == 0b100000
 
-    def test_priority_is_lowest_line(self):
-        intc = InterruptController(0x0)
-        intc.do_write(ENABLE * 4, 0b1111, 0xFF)
-        intc.raise_irq(6)
-        intc.raise_irq(1)
-        assert intc.highest_priority() == 1
-
     def test_no_active_without_pending(self):
         intc = InterruptController(0x0)
         intc.do_write(ENABLE * 4, 0b1111, 0xFF)
-        assert intc.highest_priority() == -1
+        assert not intc.active()
 
     def test_line_range_checked(self):
         with pytest.raises(ValueError):

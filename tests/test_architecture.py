@@ -19,6 +19,8 @@ passing on the checks it prints.
 """
 
 import ast
+import collections
+import functools
 import importlib
 import os
 import pkgutil
@@ -295,3 +297,228 @@ def test_the_reported_walk_sees_the_results():
     names = {cls.__name__ for cls in _reported_classes()}
     assert {"TearCampaignResult", "Table1Result",
             "ExplorationResult"} <= names
+
+
+# -- every public name has a caller --------------------------------------
+
+#: the trees, relative to the repository root, whose references count
+#: as callers; a name only ``tests/`` reaches has none
+CALLER_TREES = ("src", "bench", "examples")
+
+REPOSITORY = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: public names no command, benchmark or example reaches, each kept on
+#: purpose; an entry goes once its name gains a caller
+KEPT_WITHOUT_CALLER = {
+    # the per-run record (ROADMAP's RunStats item) will read these
+    "repro.kernel.simulator.Simulator.steady_cycles":
+        "RunStats: cycles the kernel ran as span steps",
+    "repro.rtl.netlist.Netlist.window_flushes":
+        "RunStats: deferred gate-level windows settled",
+    "repro.rtl.netlist.Netlist.deferred_cycles":
+        "RunStats: gate-level cycles settled in windows",
+    "repro.soc.smartcard.SmartCardPlatform.peripheral_energy_pj":
+        "RunStats: the peripherals' energy bucket",
+    # verification IP that tests point at the real models
+    "repro.ec.checker.check_recorder":
+        "verification IP: ProtocolChecker over a recorded trace",
+    "repro.ec.monitor.BusMonitor.attach":
+        "verification IP: hooks the BusMonitor onto any layer",
+    # test fixtures
+    "repro.faults.injectors.ErrorSlave":
+        "fixture: a slave that always errors",
+    "repro.soc.assembler.load_words":
+        "fixture: loads assembled words into a memory",
+    "repro.soc.timer.TimerUnit.configure":
+        "fixture: programs a timer without bus traffic",
+    "repro.experiments.supervisor.CampaignSupervisor.run_cell":
+        "fixture: runs one supervised cell outside a grid",
+    "repro.fabric.builder.BusFabric.root_bus":
+        "fixture: the root segment of a built fabric",
+    "repro.ec.limits.OutstandingBudget.total_in_flight":
+        "fixture: outstanding transactions over every master",
+    "repro.ec.decoder.MemoryMap.resolve":
+        "fixture: the unchecked route behind resolve_checked",
+    "repro.ec.signals.hamming_distance":
+        "fixture: the energy oracles price transitions with it",
+    "repro.ec.signals.total_interface_bits":
+        "fixture: the interface width the signal tests pin",
+    "repro.ec.types.MergePattern.data_mask":
+        "fixture: the data-lane mask beside byte_enables",
+    "repro.experiments.fault_campaign.CampaignCell.completion_rate":
+        "fixture: a fault cell's completed share",
+    "repro.faults.fabric.ArbiterGlitchProcess.scheduled":
+        "fixture: size of a fabric fault schedule",
+    "repro.faults.fabric.BridgeFaultProcess.scheduled":
+        "fixture: size of a fabric fault schedule",
+    "repro.faults.fabric.FaultyBridge":
+        "fixture: a hand-built faulty bridge; campaigns use "
+        "build_fault_processes",
+    "repro.kernel.module.Module.processes":
+        "fixture: the processes a module registered",
+    "repro.link.frame.Block.is_s":
+        "fixture: S-block test beside is_i and is_r",
+    "repro.power.calibration.TechnologyTable.corners":
+        "fixture: every calibrated grid point",
+    "repro.power.interfaces.CycleAccuratePowerInterface"
+    ".energy_last_cycle_pj":
+        "fixture: the last cycle's energy the engine oracles compare",
+    "repro.power.layer1.Layer1PowerModel.energy_last_cycle_pj":
+        "fixture: the last cycle's energy the engine oracles compare",
+    "repro.rtl.decoder.AddressDecoder.evaluate":
+        "fixture: decodes one address in a single cycle",
+    "repro.rtl.netlist.Netlist.input_nets":
+        "fixture: netlist inspection for the reference netlist",
+    "repro.rtl.netlist.Netlist.nets":
+        "fixture: netlist inspection for the reference netlist",
+    "repro.rtl.netlist.Netlist.output_names":
+        "fixture: netlist inspection for the reference netlist",
+    "repro.rtl.netlist.Netlist.output_nets":
+        "fixture: netlist inspection for the reference netlist",
+    "repro.rtl.netlist.Netlist.total_glitches":
+        "fixture: netlist inspection for the reference netlist",
+    "repro.rtl.netlist.Netlist.xnor_gate":
+        "fixture: gate builder the netlist window tests use",
+    "repro.rtl.netlist.Netlist.xor_gate":
+        "fixture: gate builder the netlist window tests use",
+    "repro.soc.dma.DmaController.attach_governor":
+        "fixture: gates DMA chunks on an energy governor",
+    "repro.soc.journal.JournalState.empty":
+        "fixture: a journal with no committed record",
+    "repro.tlm.arbiter.BusArbiter.pending_requests":
+        "fixture: the arbiter's queue depth",
+    "repro.tlm.layer3.EcBusLayer3.read_message":
+        "fixture: layer 3's direct message read; cards use MessageRun",
+    "repro.tlm.layer3.EcBusLayer3.write_message":
+        "fixture: layer 3's direct message write; cards use MessageRun",
+    "repro.kernel.time.ps":
+        "unit helper; only the kernel time tests call it",
+    "repro.kernel.time.ns":
+        "unit helper; only the kernel time tests call it",
+    "repro.kernel.time.us":
+        "unit helper; only the kernel time tests call it",
+    "repro.kernel.time.ms":
+        "unit helper; only the kernel time tests call it",
+    "repro.kernel.time.format_time":
+        "unit helper; only the kernel time tests call it",
+    # the SPA/DPA extension DESIGN.md and EXPERIMENTS.md document
+    "repro.power.security.cpa_correlation": "SPA/DPA extension",
+    "repro.power.security.dpa_difference_of_means": "SPA/DPA extension",
+    "repro.power.security.max_abs": "SPA/DPA extension",
+    # read by nothing, not even a test
+    "repro.soc.memory.Eeprom.power_state_machine":
+        "unread: the PSM attach_power_state_machine set",
+    "repro.soc.peripheral.Peripheral.power_state_machine":
+        "unread: the PSM attach_power_state_machine set",
+}
+
+
+def _public_definitions():
+    """``repro.<module>.<name>`` of every public top-level function and
+    class under ``src/repro``, and of every public method of a
+    top-level class."""
+    for relative_dir, name, path in _package_modules():
+        parts = ["repro"] + ([] if relative_dir == "."
+                             else relative_dir.split(os.sep))
+        if name != "__init__.py":
+            parts.append(name[:-3])
+        module = ".".join(parts)
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}"
+
+
+def _declarations(tree):
+    """The nodes that declare exports rather than use them: the
+    ``lazy_exports`` maps and ``__all__`` lists."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "lazy_exports":
+            yield node
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            yield node
+
+
+def _named_strings(path):
+    """String constants that name an identifier — a name reached through
+    ``getattr`` or an argparse ``runner=`` — outside export lists."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    declared = {id(node) for declaration in _declarations(tree)
+                for node in ast.walk(declaration)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier() and id(node) not in declared:
+            yield node.value
+
+
+def _definition_names(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+@functools.lru_cache(maxsize=None)
+def _uncalled():
+    """The public definitions whose name appears in the caller trees
+    only where something of that name is defined."""
+    references = collections.Counter()
+    definitions = collections.Counter()
+    for tree in CALLER_TREES:
+        for directory, _, files in os.walk(os.path.join(REPOSITORY, tree)):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    references.update(_identifiers(path))
+                    references.update(_named_strings(path))
+                    definitions.update(_definition_names(path))
+    return frozenset(
+        qualified for qualified in _public_definitions()
+        for name in [qualified.rsplit(".", 1)[-1]]
+        if references[name] <= definitions[name])
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    unexplained = sorted(_uncalled() - set(KEPT_WITHOUT_CALLER))
+    assert unexplained == [], (
+        "nothing under src/, bench/ or examples/ reaches these; delete "
+        "them (and the tests that check only them) or give a reason in "
+        f"KEPT_WITHOUT_CALLER: {unexplained}")
+
+
+def test_every_kept_name_is_still_uncalled():
+    called = sorted(set(KEPT_WITHOUT_CALLER) - _uncalled())
+    assert called == [], (
+        f"these have a caller now; drop them from KEPT_WITHOUT_CALLER: "
+        f"{called}")
+
+
+def test_the_caller_walk_sees_callers():
+    uncalled = _uncalled()
+    # top-level functions, classes and their public methods are walked
+    called = {"repro.soc.layers.build_bus",
+              "repro.kernel.simulator.Simulator",
+              "repro.kernel.simulator.Simulator.run"}
+    assert called <= set(_public_definitions())
+    assert called.isdisjoint(uncalled)
+    # a name reached by string (argparse runner=, getattr) is called
+    assert "repro.experiments.tear_campaign.run_tear_campaign" \
+        not in uncalled
+    assert "repro.power.psm.CardPowerModel.span_drains" not in uncalled
+    # ... but an export map entry is not a caller
+    exported = set(_named_strings(os.path.join(ROOT, "faults",
+                                               "__init__.py")))
+    assert "FaultySlave" not in exported

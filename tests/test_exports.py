@@ -96,7 +96,7 @@ EXPECTED = {
         "injectors": ("BitFlipInjector", "ErrorSlave", "FaultAction",
                       "FaultEvent", "FaultInjector", "FaultKind",
                       "IntermittentErrorInjector", "StuckWaitInjector",
-                      "TransientErrorInjector", "WriteTearInjector"),
+                      "TransientErrorInjector"),
         "tear": ("TearInjector", "tear_schedule"),
         "wrapper": ("FaultySlave",),
     },
@@ -166,7 +166,6 @@ EXPECTED = {
         "crypto": ("CryptoCoprocessor", "DmaDriver", "xtea_decrypt",
                    "xtea_encrypt"),
         "dma": ("DmaController",),
-        "firmware": ("firmware",),
         "interrupt": ("InterruptController",),
         "journal": ("JournalState", "TransactionJournal"),
         "memory": ("Eeprom", "Flash", "Rom", "ScratchpadRam"),
