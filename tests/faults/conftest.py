@@ -24,10 +24,12 @@ class FaultPlatform:
     """Simulator + clock + one faulty RAM + one bus model."""
 
     def __init__(self, layer, injectors=(), ram_waits=WaitStates(),
-                 power_model=None):
+                 power_model=None, inner=None):
         self.simulator = Simulator("fault_platform")
         self.clock = Clock(self.simulator, "clk", period=CLOCK_PERIOD)
-        self.ram = MemorySlave(RAM_BASE, 0x1000, ram_waits, name="ram")
+        # *inner* replaces the RAM with another slave at RAM_BASE
+        self.ram = inner or MemorySlave(RAM_BASE, 0x1000, ram_waits,
+                                        name="ram")
         self.faulty = FaultySlave(self.ram, injectors)
         self.memory_map = MemoryMap()
         self.memory_map.add_slave(self.faulty, "ram")
@@ -91,13 +93,17 @@ class FrozenWindowInjector(FaultInjector):
 
 
 class FakeRng:
-    """Replays a scripted sequence of random() values."""
+    """Replays a scripted sequence of random() values, and of
+    randrange() values (0 once *draws* runs out)."""
 
-    def __init__(self, values):
+    def __init__(self, values, draws=()):
         self.values = list(values)
+        self.draws = list(draws)
 
     def random(self):
         return self.values.pop(0) if self.values else 1.0
 
     def randrange(self, stop):
-        return 0
+        draw = self.draws.pop(0) if self.draws else 0
+        assert 0 <= draw < stop
+        return draw

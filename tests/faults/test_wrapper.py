@@ -6,6 +6,7 @@ from repro.ec import (BusState, Direction, ErrorCause, WaitStates,
                       data_read, data_write)
 from repro.faults import (BitFlipInjector, FaultKind, FaultySlave,
                           TransientErrorInjector)
+from repro.soc.memory import Eeprom
 from repro.tlm import BlockingMaster, MemorySlave, run_script
 
 from .conftest import (FailFirstInjector, FaultPlatform,
@@ -84,6 +85,25 @@ class TestFaultsAcrossLayers:
         counts = platform.faulty.event_counts()
         assert counts[FaultKind.BIT_FLIP] == 1
 
+
+    def test_eeprom_tear_reaches_master(self, fault_layer):
+        # tearing lives on the Eeprom and the wrapper only delegates: a
+        # torn write errors on the bus and leaves the image a bare twin
+        # device leaves on the same stream
+        eeprom = Eeprom(RAM_BASE, size=0x1000, tear_rate=1.0,
+                        tear_rng=random.Random(1))
+        twin = Eeprom(0x0, tear_rate=1.0, tear_rng=random.Random(1))
+        platform = FaultPlatform(fault_layer, inner=eeprom)
+        platform.faulty.load(0, [0x11223344])
+        twin.poke(0, 0x11223344)
+        twin.do_write(0, 0b1111, 0xAABBCCDD)
+        master = run_blocking(platform,
+                              [data_write(RAM_BASE, [0xAABBCCDD])])
+        assert len(master.errors) == 1
+        assert master.errors[0].error_cause is ErrorCause.SLAVE_ERROR
+        assert platform.faulty.torn_writes == 1
+        assert platform.faulty.peek(0) == twin.peek(0) != 0x11223344
+        assert platform.faulty.events == []  # no injector fired
 
 class TestMidBurstConsistency:
     """Regression for the layer-2 block-call bookkeeping: a fault in
